@@ -168,11 +168,7 @@ class Tensor:
     # row ops ------------------------------------------------------------
 
     def softmax_rows(self):
-        if not np.isfinite(self.data).all():
-            raise NumericsError("softmax on non-finite input")
-        z = self.data - self.data.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        s = e / e.sum(axis=1, keepdims=True)
+        s = _softmax_rows_inplace(self.data.copy())
         out = _make(s, (self,))
         if out.requires_grad:
 
@@ -247,6 +243,16 @@ def _acc(t: Tensor, g: np.ndarray):
         return
     g = _unbroadcast(g, t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
+
+
+def _softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with its row-wise softmax and return it."""
+    if not np.isfinite(x).all():
+        raise NumericsError("softmax on non-finite input")
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -340,6 +346,63 @@ def dropout(t: Tensor, p: float, seed: int, training: bool) -> Tensor:
     return out
 
 
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, scale: float, p: float, seed: int
+) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention as one node.
+
+    Returns (context, probabilities): probabilities P is the read-only
+    row-stochastic softmax_rows((q * scale) k^T), and context is
+    dropout(P, p, seed) v, with dropout as in dropout() (identity when
+    p=0). Of the n x n arrays, backward keeps only P and the dropout
+    mask; the others live for one call. The floating-point operations are those of
+    the composition scale, @, softmax_rows, dropout, @ in the same order,
+    so results match it bit for bit.
+    """
+    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
+        raise NumericsError(
+            f"attention shapes q {q.data.shape}, k {k.data.shape}, "
+            f"v {v.data.shape} incompatible"
+        )
+    if not 0.0 <= p < 1.0:
+        raise NumericsError(f"dropout probability {p} outside [0, 1)")
+    scale = float(scale)
+    qs = q.data * scale
+    probs = _softmax_rows_inplace(qs @ k.data.T)
+    probs.flags.writeable = False
+    keep = None
+    if p:
+        keep = np.random.default_rng(seed).random(probs.shape) >= p
+        keep_scale = 1.0 / (1.0 - p)
+
+    def dropped(x: np.ndarray) -> np.ndarray:
+        if keep is None:
+            return x
+        x = x * keep
+        x *= keep_scale
+        return x
+
+    out = _make(dropped(probs) @ v.data, (q, k, v))
+    if out.requires_grad:
+
+        def backward(g):
+            _acc(v, dropped(probs).T @ g)
+            # dP, then dS = (dP - rowsum(dP * P)) * P, in one n x n buffer
+            ds = g @ v.data.T
+            if keep is not None:
+                ds *= keep
+                ds *= keep_scale
+            ds -= (ds * probs).sum(axis=1, keepdims=True)
+            ds *= probs
+            _acc(q, (ds @ k.data) * scale)
+            # (qs^T dS)^T rather than dS^T qs: the product and layout the
+            # unfused matmul-then-transpose backward passes on
+            _acc(k, (qs.T @ ds).T)
+
+        out._backward = backward
+    return out, probs
+
+
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     """Mean cross-entropy of logits rows selected by a boolean mask.
 
@@ -376,12 +439,21 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     return out
 
 
+def _released(g):
+    raise NumericsError("backward through a graph that an earlier backward released")
+
+
 def backward(loss: Tensor, params: dict) -> dict:
     """Gradients of a scalar loss for each named parameter tensor.
 
     Parameters with no path to the loss get zero gradients. Gradients
     are returned keyed like params; .grad fields on the graph are
     scratch state owned by this call.
+
+    The graph is consumed: once a node's gradient has been passed to its
+    parents, every tensor not in params drops its gradient, backward
+    rule and parent links, so activations are freed as the sweep goes. A
+    second backward through a released node raises NumericsError.
     """
     if loss.data.shape != (1, 1):
         raise NumericsError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -405,9 +477,16 @@ def backward(loss: Tensor, params: dict) -> dict:
     for node in topo:
         node.grad = None
     loss.grad = np.ones((1, 1))
-    for node in reversed(topo):
+    kept = {id(p) for p in params.values()}
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if id(node) not in kept:
+            node.grad = None
+            if node._parents:
+                node._backward = _released
+                node._parents = ()
 
     grads = {}
     for name, p in params.items():

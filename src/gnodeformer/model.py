@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, dropout, masked_cross_entropy
+from .autodiff import Tensor, attention, dropout, masked_cross_entropy
 from .errors import ConfigError
 from .graphs import GraphDataset
 from .optim import ParamSet
@@ -191,8 +191,7 @@ def transformer_layer_f(
     config: ModelConfig,
     training: bool = False,
     seeds: _SeedStream | None = None,
-    return_attention: bool = False,
-):
+) -> Tensor:
     """One evaluation of the block's vector field: pre-norm multi-head
     self-attention over the eigen-tokens, then a pre-norm two-layer
     feed-forward. No internal skip connections; the integrator adds the
@@ -208,19 +207,12 @@ def transformer_layer_f(
     zn = _ln_affine(z, p("ln1/gain"), p("ln1/bias"))
     scale = 1.0 / math.sqrt(config.head_dim)
     mixed = None
-    attention = []
     for h in range(config.heads):
         q = zn @ p(f"attn/q{h}")
         k = zn @ p(f"attn/k{h}")
         v = zn @ p(f"attn/v{h}")
-        # scale q rather than the n x n score matrix: same product,
-        # one fewer n x n intermediate held for backward
-        weights = (q.scale(scale) @ k.T).softmax_rows()
-        if drop:
-            weights = dropout(weights, drop, next(seeds), training=True)
-        if return_attention:
-            attention.append(weights.data)
-        out = (weights @ v) @ p(f"attn/o{h}")
+        context, _ = attention(q, k, v, scale, drop, next(seeds) if drop else 0)
+        out = context @ p(f"attn/o{h}")
         mixed = out if mixed is None else mixed + out
     mixed = mixed + p("attn/b")
 
@@ -229,7 +221,7 @@ def transformer_layer_f(
     out = hidden @ p("ffn/w2") + p("ffn/b2")
     if drop:
         out = dropout(out, drop, next(seeds), training=True)
-    return (out, attention) if return_attention else out
+    return out
 
 
 def _select_column(t: Tensor, index: int, width: int) -> Tensor:
@@ -334,11 +326,11 @@ def spectral_conv_head(
 
     gamma_eff = force_identity_channel(gamma_new, config.channels)
     u = Tensor(basis.eigenvectors)
-    ut = u.T
+    projected = u.T @ h0  # U^T h0, shared by every channel's filter
     total = h0
     for m in range(config.channels):
         col = _select_column(gamma_eff, m, config.channels)
-        filtered = spectral_filter_apply(u, ut, col, h0)
+        filtered = u @ (col * projected)
         total = total + filtered @ params[f"head/mix{m}"]
     logits = total @ params["head/w_out"] + params["head/b_out"]
     return logits, gamma_eff

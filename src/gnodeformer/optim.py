@@ -15,6 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericsError
+from .fileio import atomic_writer
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
 
@@ -180,21 +181,19 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerSt
 
 def save_checkpoint(params: ParamSet, path: str | Path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(f"{len(params)}\n".encode())
         for name, tensor in params.items():
             rows, cols = tensor.data.shape
             fh.write(f"{name} {rows} {cols}\n".encode())
             fh.write(tensor.data.astype("<f8").tobytes())
-    tmp.replace(path)
     return path
 
 
 def load_checkpoint(path: str | Path) -> ParamSet:
     path = Path(path)
+    size = path.stat().st_size
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != CHECKPOINT_MAGIC:
@@ -205,19 +204,37 @@ def load_checkpoint(path: str | Path) -> ParamSet:
             n_entries = int(fh.readline())
         except ValueError as exc:
             raise DataError(f"{path}: bad entry count") from exc
+        if n_entries < 0:
+            raise DataError(f"{path}: negative entry count {n_entries}")
         params = ParamSet()
         for _ in range(n_entries):
-            header = fh.readline().decode()
+            line = fh.readline()
+            try:
+                header = line.decode()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: entry header {line!r} is not UTF-8") from exc
             parts = header.split()
             if len(parts) != 3:
                 raise DataError(f"{path}: malformed entry header {header!r}")
-            name, rows, cols = parts[0], int(parts[1]), int(parts[2])
+            name = parts[0]
+            try:
+                rows, cols = int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise DataError(f"{path}: non-integer shape in {header!r}") from exc
+            if rows < 0 or cols < 0:
+                raise DataError(f"{path}: negative shape in {header!r}")
             nbytes = rows * cols * 8
+            # checked before reading, so a forged shape cannot ask for a huge buffer
+            if nbytes > size - fh.tell():
+                raise DataError(f"{path}: truncated data for {name!r}")
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise DataError(f"{path}: truncated data for {name!r}")
             data = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-            params.add(name, Tensor(data, requires_grad=True))
+            try:
+                params.add(name, Tensor(data, requires_grad=True))
+            except ConfigError as exc:
+                raise DataError(f"{path}: {exc}") from exc
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after last entry")
     return params

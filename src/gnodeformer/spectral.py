@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericsError
+from .fileio import atomic_writer
 
 log = logging.getLogger(__name__)
 
@@ -135,13 +136,10 @@ def matrix_digest(matrix: np.ndarray) -> str:
 
 def save_basis(basis: SpectralBasis, path: str | Path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(struct.pack("<Q", basis.n))
         fh.write(basis.eigenvalues.astype("<f8").tobytes())
         fh.write(np.asfortranarray(basis.eigenvectors.astype("<f8")).tobytes(order="F"))
-    tmp.replace(path)
     return path
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from gnodeformer import autodiff
 from gnodeformer.autodiff import (
     Tensor,
+    attention,
     backward,
     concat_columns,
     dropout,
@@ -167,6 +170,69 @@ class TestPrimitiveGradients:
         check_against_fd(lambda: masked_cross_entropy(a, labels, mask), [a])
 
 
+def unfused_attention(q, k, v, scale, p, seed):
+    """The op composition that attention() fuses."""
+    weights = (q.scale(scale) @ k.T).softmax_rows()
+    return dropout(weights, p, seed, training=True) @ v
+
+
+class TestAttention:
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_gradients_match_finite_differences(self, rng, p):
+        q, k, v = leaf(rng, 5, 3), leaf(rng, 5, 3), leaf(rng, 5, 4)
+        read = weighting(rng, 5, 4)
+        check_against_fd(
+            lambda: read(attention(q, k, v, 0.7, p, seed=11)[0]), [q, k, v]
+        )
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_matches_unfused_composition(self, rng, p):
+        q, k, v = leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 4)
+        read = weighting(rng, 7, 4)
+        named = {"q": q, "k": k, "v": v}
+        fused_out, _ = attention(q, k, v, 0.5, p, seed=3)
+        fused = backward(read(fused_out), named)
+        plain_out = unfused_attention(q, k, v, 0.5, p, seed=3)
+        plain = backward(read(plain_out), named)
+        np.testing.assert_allclose(fused_out.data, plain_out.data, rtol=0, atol=1e-12)
+        for name in named:
+            np.testing.assert_allclose(fused[name], plain[name], rtol=0, atol=1e-12)
+
+    def test_probabilities_are_the_softmax_before_dropout(self, rng):
+        q, k, v = leaf(rng, 6, 2), leaf(rng, 6, 2), leaf(rng, 6, 3)
+        out, probs = attention(q, k, v, 0.5, 0.5, seed=1)
+        expected = (Tensor(q.data * 0.5) @ Tensor(k.data.T)).softmax_rows().data
+        np.testing.assert_array_equal(probs, expected)
+        assert not probs.flags.writeable
+        assert out.shape == (6, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_score(self, rng, bad):
+        q, k, v = leaf(rng, 3, 2), leaf(rng, 3, 2), leaf(rng, 3, 2)
+        q.data[1, 0] = bad
+        with pytest.raises(NumericsError, match="non-finite"):
+            attention(q, k, v, 1.0, 0.0, seed=0)
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(NumericsError, match="attention shapes"):
+            attention(leaf(rng, 3, 2), leaf(rng, 3, 3), leaf(rng, 3, 2), 1.0, 0.0, 0)
+
+    def test_bad_dropout_probability(self, rng):
+        q, k, v = leaf(rng, 3, 2), leaf(rng, 3, 2), leaf(rng, 3, 2)
+        with pytest.raises(NumericsError, match="probability"):
+            attention(q, k, v, 1.0, 1.0, seed=0)
+
+    def test_backward_frees_probabilities(self, rng):
+        q, k, v = leaf(rng, 4, 2), leaf(rng, 4, 2), leaf(rng, 4, 2)
+        out, probs = attention(q, k, v, 1.0, 0.0, seed=0)
+        ref = weakref.ref(probs)
+        del probs
+        loss = out.sum()
+        assert ref() is not None  # held by the graph until backward
+        backward(loss, {"q": q, "k": k, "v": v})
+        assert ref() is None
+
+
 class TestForwardValues:
     def test_softmax_uniform(self):
         out = Tensor(np.zeros((1, 3))).softmax_rows()
@@ -290,6 +356,30 @@ class TestBackward:
             y = y.scale(1.0)
         grads = backward(y.sum(), {"x": x})
         np.testing.assert_array_equal(grads["x"], np.ones((1, 1)))
+
+    def test_second_backward_on_one_loss_raises(self, rng):
+        w = leaf(rng, 3, 2)
+        loss = (w * w).sum()
+        backward(loss, {"w": w})
+        with pytest.raises(NumericsError, match="released"):
+            backward(loss, {"w": w})
+
+    def test_new_loss_over_released_graph_raises(self, rng):
+        w = leaf(rng, 3, 2)
+        hidden = w * w
+        backward(hidden.sum(), {"w": w})
+        with pytest.raises(NumericsError, match="released"):
+            backward(hidden.sum(), {"w": w})
+
+    def test_params_survive_release(self, rng):
+        # a leaf reused across graphs keeps working, interior params keep
+        # their gradient
+        w = leaf(rng, 2, 2)
+        hidden = w.scale(2.0)
+        first = backward(hidden.sum(), {"w": w, "hidden": hidden})
+        np.testing.assert_array_equal(first["hidden"], np.ones((2, 2)))
+        second = backward(w.scale(3.0).sum(), {"w": w})
+        np.testing.assert_array_equal(second["w"], 3 * np.ones((2, 2)))
 
     def test_nonfinite_gradient_detected(self):
         w = Tensor(np.array([[1e300]]), requires_grad=True)

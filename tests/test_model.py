@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gnodeformer.autodiff import Tensor, backward
+from gnodeformer.autodiff import Tensor, attention, backward
 from gnodeformer.errors import ConfigError
 from gnodeformer.graphs import SbmConfig, build_normalized_laplacian, generate_sbm
 from gnodeformer.model import (
@@ -274,12 +274,27 @@ class TestResidualHistory:
             )
 
 
+def layer_attention(z, params, layer, cfg):
+    """Per-head attention probabilities of one block, wired as in
+    transformer_layer_f."""
+    p = lambda key: params[f"layer{layer}/{key}"]
+    zn = z.layer_norm_rows() * p("ln1/gain") + p("ln1/bias")
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    return [
+        attention(
+            zn @ p(f"attn/q{h}"), zn @ p(f"attn/k{h}"), zn @ p(f"attn/v{h}"),
+            scale, 0.0, 0,
+        )[1]
+        for h in range(cfg.heads)
+    ]
+
+
 class TestTransformerLayer:
     def test_attention_rows_sum_to_one(self, rng):
         cfg = tiny_config(d=8, heads=2)
         params = init_params(cfg, seed=0)
         z = Tensor(rng.standard_normal((5, 8)))
-        _, mats = transformer_layer_f(z, params, 0, cfg, return_attention=True)
+        mats = layer_attention(z, params, 0, cfg)
         assert len(mats) == 2
         for a in mats:
             assert a.shape == (5, 5)
@@ -289,8 +304,8 @@ class TestTransformerLayer:
         cfg = tiny_config()
         params = init_params(cfg, seed=1)
         z = Tensor(rng.standard_normal((1, 4)))
-        out, mats = transformer_layer_f(z, params, 0, cfg, return_attention=True)
-        for a in mats:
+        out = transformer_layer_f(z, params, 0, cfg)
+        for a in layer_attention(z, params, 0, cfg):
             np.testing.assert_array_equal(a, [[1.0]])
         assert out.shape == (1, 4)
 
@@ -329,6 +344,24 @@ class TestDecoderAndHead:
         col = Tensor(basis.eigenvalues.reshape(-1, 1))
         filtered = spectral_filter_apply(u, u.T, col, Tensor(h))
         np.testing.assert_allclose(filtered.data, lap @ h, atol=1e-9)
+
+    def test_head_equals_per_channel_filters(self, rng):
+        # one shared U^T h0 product gives the same logits, bit for bit, as
+        # filtering each channel on its own
+        ds, basis = tiny_dataset()
+        cfg = tiny_config()
+        params = init_params(cfg, seed=4)
+        gamma = Tensor(rng.standard_normal((ds.n, cfg.channels)))
+        logits, gamma_eff = spectral_conv_head(basis, gamma, ds.features, params, cfg)
+        h0 = (Tensor(ds.features) @ params["head/w_in"] + params["head/b_in"]).relu()
+        u = Tensor(basis.eigenvectors)
+        total = h0
+        for m in range(cfg.channels):
+            col = Tensor(gamma_eff.data[:, m : m + 1])
+            filtered = spectral_filter_apply(u, u.T, col, h0)
+            total = total + filtered @ params[f"head/mix{m}"]
+        expected = total @ params["head/w_out"] + params["head/b_out"]
+        np.testing.assert_array_equal(logits.data, expected.data)
 
     def test_zero_learned_channels_use_identity_path_only(self, rng):
         ds, basis = tiny_dataset()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gnodeformer.autodiff import Tensor
 from gnodeformer.errors import ConfigError, DataError, NumericsError
 from gnodeformer.optim import (
+    CHECKPOINT_MAGIC,
     AdamConfig,
     ParamSet,
     adam_step,
@@ -190,6 +191,46 @@ class TestCheckpoint:
         path.write_bytes(raw[:-4])
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (b"w 2.5 3\n", "non-integer"),
+            (b"w two 3\n", "non-integer"),
+            (b"w 2 x\n", "non-integer"),
+            (b"w -2 3\n", "negative"),
+            (b"w 2 -3\n", "negative"),
+            (b"w\xff 2 3\n", "not UTF-8"),
+            (b"w 4000000000 4000000000\n", "truncated"),
+        ],
+    )
+    def test_malformed_entry_header(self, tmp_path, header, match):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + b"1\n" + header + bytes(48))
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(p)
+
+    def test_negative_entry_count(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + b"-1\n")
+        with pytest.raises(DataError, match="negative entry count"):
+            load_checkpoint(p)
+
+    def test_duplicate_entry_name(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        entry = b"w 1 1\n" + bytes(8)
+        p.write_bytes(CHECKPOINT_MAGIC + b"2\n" + entry + entry)
+        with pytest.raises(DataError, match="duplicate"):
+            load_checkpoint(p)
+
+    def test_save_uses_unique_temp_file(self, rng, tmp_path):
+        # a stale or concurrent writer's fixed-name temp file is not touched
+        stale = tmp_path / "t.ckpt.tmp"
+        stale.write_bytes(b"another writer")
+        path = save_checkpoint(small_params(rng), tmp_path / "t.ckpt")
+        assert stale.read_bytes() == b"another writer"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["t.ckpt", "t.ckpt.tmp"]
+        assert load_checkpoint(path).names() == ["w", "b"]
 
     def test_trailing_garbage(self, rng, tmp_path):
         ps = small_params(rng)

@@ -169,6 +169,15 @@ class TestCache:
         vecs = np.frombuffer(raw, dtype="<f8", count=4, offset=24)
         np.testing.assert_array_equal(vecs, basis.eigenvectors.flatten(order="F"))
 
+    def test_save_uses_unique_temp_file(self, tmp_path):
+        stale = tmp_path / "k5.eig.tmp"
+        stale.write_bytes(b"another writer")
+        basis = sym_eig(self.lap())
+        back = load_basis(save_basis(basis, tmp_path / "k5.eig"))
+        assert stale.read_bytes() == b"another writer"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["k5.eig", "k5.eig.tmp"]
+        assert np.array_equal(back.eigenvectors, basis.eigenvectors)
+
     def test_load_or_compute_hits_cache(self, tmp_path):
         lap = self.lap()
         first = load_or_compute(lap, tmp_path)
