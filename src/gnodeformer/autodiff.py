@@ -19,18 +19,9 @@ from scipy.special import erf
 
 from .errors import DataError, NumericsError
 
-# When enabled, every op output is checked for NaN/inf. Off by default:
-# log, softmax-rows, and the loss always validate their inputs anyway.
-DEBUG_CHECK_FINITE = False
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-12
-
-
-def set_debug_checks(enabled: bool):
-    global DEBUG_CHECK_FINITE
-    DEBUG_CHECK_FINITE = bool(enabled)
 
 
 class Tensor:
@@ -230,8 +221,6 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
-    if DEBUG_CHECK_FINITE and not np.isfinite(data).all():
-        raise NumericsError("op produced non-finite values")
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
@@ -291,42 +280,6 @@ def _broadcast_op(a: Tensor, b, fwd, grads) -> Tensor:
 
 
 # free-function ops ---------------------------------------------------------
-
-
-def concat_columns(tensors: list[Tensor]) -> Tensor:
-    if not tensors:
-        raise NumericsError("concat of zero tensors")
-    rows = {t.data.shape[0] for t in tensors}
-    if len(rows) != 1:
-        raise NumericsError(f"concat row counts differ: {sorted(rows)}")
-    out = _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors))
-    if out.requires_grad:
-        splits = np.cumsum([t.data.shape[1] for t in tensors])[:-1]
-
-        def backward(g):
-            for t, piece in zip(tensors, np.split(g, splits, axis=1)):
-                _acc(t, piece)
-
-        out._backward = backward
-    return out
-
-
-def row_gather(t: Tensor, index) -> Tensor:
-    index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1:
-        raise NumericsError("row index must be a flat integer vector")
-    if index.size and (index.min() < 0 or index.max() >= t.data.shape[0]):
-        raise NumericsError("row index out of range")
-    out = _make(t.data[index], (t,))
-    if out.requires_grad:
-
-        def backward(g):
-            full = np.zeros_like(t.data)
-            np.add.at(full, index, g)
-            _acc(t, full)
-
-        out._backward = backward
-    return out
 
 
 def dropout(t: Tensor, p: float, seed: int, training: bool) -> Tensor:

@@ -26,6 +26,7 @@ from .fedsim import (
     write_metrics_csv,
 )
 from .graphs import (
+    SPLIT_FRACTIONS,
     GraphDataset,
     SbmConfig,
     build_normalized_laplacian,
@@ -35,15 +36,13 @@ from .graphs import (
     save_dataset,
     split_masks,
 )
-from .model import ModelConfig, count_parameters, forward, write_filter_table
+from .model import ModelConfig, forward, write_filter_table
 from .optim import AdamConfig, save_checkpoint
 from .seeding import MASKS, derive_seed
 from .spectral import load_or_compute
 from .training import evaluate, train_centralized
 
 logger = logging.getLogger(__name__)
-
-SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 # Manifest field parsers, by canonical key. Booleans are "true"/"false",
 # empty string decodes to None.

@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericsError
-from .graphs import GraphDataset, _largest_remainder, build_normalized_laplacian, split_masks
+from .graphs import (
+    SPLIT_FRACTIONS,
+    GraphDataset,
+    _largest_remainder,
+    build_normalized_laplacian,
+    split_masks,
+)
 from .model import ModelConfig, count_parameters, init_params
 from .optim import AdamConfig, OptimizerState, ParamSet, init_optimizer
 from .seeding import MASKS, PARTITION, SAMPLING, derive_seed, rng_for
@@ -26,7 +32,6 @@ from .training import EpochRecord, evaluate, run_epochs
 logger = logging.getLogger(__name__)
 
 BYTES_PER_PARAM = 4  # 32-bit wire model; training itself stays in 64-bit
-SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 @dataclass(frozen=True)
@@ -55,17 +60,12 @@ class FedConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
-    @property
-    def participants_per_round(self) -> int:
-        return max(1, ceil(self.fraction_fit * self.clients))
-
 
 @dataclass
 class ClientState:
     client_id: int
     dataset: GraphDataset
     basis: SpectralBasis
-    node_count: int
     opt_state: OptimizerState | None = None
 
 
@@ -246,7 +246,7 @@ def build_clients(dataset: GraphDataset, config: FedConfig) -> list[ClientState]
             name=f"{dataset.name}/client{i}",
         )
         basis = sym_eig(build_normalized_laplacian(sub), unit_band=True)
-        clients.append(ClientState(i, sub, basis, node_count=sub.n))
+        clients.append(ClientState(i, sub, basis))
     return clients
 
 
@@ -314,7 +314,7 @@ def run_rounds(
         if survivors:
             global_params = fedavg(
                 [params for _, params in survivors],
-                [clients[cid].node_count for cid, _ in survivors],
+                [clients[cid].dataset.n for cid, _ in survivors],
             )
         else:
             logger.warning("round %d: every participant failed; keeping params", round_index)
@@ -377,8 +377,14 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not text: {exc}") from None
     entries = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         if "=" not in line:

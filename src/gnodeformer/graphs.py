@@ -20,6 +20,9 @@ log = logging.getLogger(__name__)
 
 META_KEYS = ("n", "f", "c", "name")
 
+# train/val/test shares of every split the program makes
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+
 
 @dataclass
 class GraphDataset:
@@ -172,7 +175,7 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
         name=f"sbm{n}",
     )
     ds.train_mask, ds.val_mask, ds.test_mask = split_masks(
-        ds.labels, (0.6, 0.2, 0.2), config.seed
+        ds.labels, SPLIT_FRACTIONS, config.seed
     )
     return ds.validate()
 
@@ -265,30 +268,6 @@ def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
         if not (path / fname).exists():
             raise DataError(f"missing dataset file: {path / fname}")
 
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    dropped_loops = 0
-    with open(path / "edges") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"edges line {lineno}: expected two node ids")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"edges line {lineno}: {exc}") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise DataError(f"edges line {lineno}: node id outside [0, {n})")
-            if u == v:
-                dropped_loops += 1
-                continue
-            adjacency[u, v] = 1.0
-            adjacency[v, u] = 1.0
-    if dropped_loops:
-        log.warning("%s: dropped %d self-loop edges", path, dropped_loops)
-
     try:
         features = np.loadtxt(path / "features", dtype=np.float64, ndmin=2)
         labels = np.loadtxt(path / "labels", dtype=np.int64, ndmin=1)
@@ -296,12 +275,40 @@ def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
         raise DataError(f"{path}: {exc}") from exc
     if n == 0:
         raise DataError("dataset has no nodes")
+    # checked before the n x n allocation, so a forged n cannot request it
     if features.shape != (n, feat_dim):
         raise DataError(
             f"feature matrix is {features.shape}, meta says ({n}, {feat_dim})"
         )
     if labels.shape != (n,):
         raise DataError(f"labels file has {labels.shape[0]} rows, meta says {n}")
+
+    adjacency = np.zeros((n, n), dtype=np.float64)
+    dropped_loops = 0
+    try:
+        with open(path / "edges") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise DataError(f"edges line {lineno}: expected two node ids")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError as exc:
+                    raise DataError(f"edges line {lineno}: {exc}") from exc
+                if not (0 <= u < n and 0 <= v < n):
+                    raise DataError(f"edges line {lineno}: node id outside [0, {n})")
+                if u == v:
+                    dropped_loops += 1
+                    continue
+                adjacency[u, v] = 1.0
+                adjacency[v, u] = 1.0
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path / 'edges'}: not text: {exc}") from None
+    if dropped_loops:
+        log.warning("%s: dropped %d self-loop edges", path, dropped_loops)
 
     ds = GraphDataset(
         n=n,
@@ -318,27 +325,30 @@ def _read_meta(path: Path) -> dict:
     if not path.exists():
         raise DataError(f"missing meta file: {path}")
     values: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"meta line without '=': {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise DataError(f"meta line without '=': {line!r}")
+                key, _, value = line.partition("=")
+                values[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not text: {exc}") from None
     for key in META_KEYS:
         if key not in values:
             raise DataError(f"meta file missing key {key!r}")
-    try:
-        return {
-            "n": int(values["n"]),
-            "f": int(values["f"]),
-            "c": int(values["c"]),
-            "name": values["name"],
-        }
-    except ValueError as exc:
-        raise DataError(f"meta file: {exc}") from exc
+    meta = {"name": values["name"]}
+    for key in ("n", "f", "c"):
+        try:
+            meta[key] = int(values[key])
+        except ValueError as exc:
+            raise DataError(f"meta file: {exc}") from exc
+        if meta[key] < 0:
+            raise DataError(f"meta file: {key}={meta[key]} is negative")
+    return meta
 
 
 def homophily_ratio(dataset: GraphDataset) -> float:

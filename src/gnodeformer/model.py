@@ -12,7 +12,9 @@ All learnable state lives in a ParamSet; functions here are pure given
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,14 +53,11 @@ class ModelConfig:
     rk_order: int = 2
     epsilon: float = 100.0
     hidden: int = 64
-    channels: int | None = None
     dropout: float = 0.0
     activation: str = "relu"
     learn_rk_weights: bool = True
 
     def __post_init__(self):
-        if self.channels is None:
-            self.channels = self.heads + 1
         if self.feature_dim < 1 or self.classes < 2:
             raise ConfigError("need feature_dim >= 1 and classes >= 2")
         if self.d < 2 or self.d % 2 != 0:
@@ -73,8 +72,6 @@ class ModelConfig:
             raise ConfigError("encoding temperature epsilon must be positive")
         if self.hidden < 1:
             raise ConfigError("head hidden width must be >= 1")
-        if self.channels < 1:
-            raise ConfigError("need at least one filter channel")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         if self.activation not in ACTIVATIONS:
@@ -83,6 +80,11 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d // self.heads
+
+    @property
+    def channels(self) -> int:
+        """Filter channels: the identity channel plus one per head."""
+        return self.heads + 1
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
@@ -167,19 +169,6 @@ def eigen_encode(eigenvalues: np.ndarray, config: ModelConfig) -> np.ndarray:
     return out
 
 
-class _SeedStream:
-    """Deterministic per-call dropout seeds for one forward pass."""
-
-    def __init__(self, base_seed: int):
-        self.base = base_seed
-        self.calls = 0
-
-    def __next__(self) -> int:
-        seed = derive_seed(self.base, DROPOUT, self.calls)
-        self.calls += 1
-        return seed
-
-
 def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return x.layer_norm_rows() * gain + bias
 
@@ -190,7 +179,7 @@ def transformer_layer_f(
     layer: int,
     config: ModelConfig,
     training: bool = False,
-    seeds: _SeedStream | None = None,
+    seeds: Iterator[int] | None = None,
 ) -> Tensor:
     """One evaluation of the block's vector field: pre-norm multi-head
     self-attention over the eigen-tokens, then a pre-norm two-layer
@@ -359,7 +348,8 @@ def forward(
         raise ConfigError(
             f"dataset has {dataset.num_classes} classes, config allows {config.classes}"
         )
-    seeds = _SeedStream(dropout_seed)
+    # deterministic per-call dropout seeds for this forward pass
+    seeds = (derive_seed(dropout_seed, DROPOUT, i) for i in itertools.count())
 
     encoded = Tensor(eigen_encode(basis.eigenvalues, config))
     raw = encoded @ params["input_proj/w"] + params["input_proj/b"]

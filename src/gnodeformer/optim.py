@@ -21,6 +21,11 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
 
 CHECKPOINT_MAGIC = b"gnodeformer-params v1\n"
 
+# Adam moment decay rates and denominator floor (Kingma & Ba defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class ParamSet:
     """Ordered name -> Tensor map with a canonical flat layout."""
@@ -74,39 +79,15 @@ class ParamSet:
             return np.zeros(0)
         return np.concatenate([t.data.ravel() for t in self._items.values()])
 
-    def unflatten(self, vec: np.ndarray) -> "ParamSet":
-        """New ParamSet with this set's names/shapes and data from vec."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.count(),):
-            raise ConfigError(
-                f"flat vector has {vec.shape}, parameter count is {self.count()}"
-            )
-        out = ParamSet()
-        offset = 0
-        for name, t in self._items.items():
-            size = t.data.size
-            chunk = vec[offset : offset + size].reshape(t.data.shape).copy()
-            out.add(name, Tensor(chunk, requires_grad=t.requires_grad))
-            offset += size
-        return out
-
 
 @dataclass
 class AdamConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError(f"learning rate {self.lr} must be positive")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= b < 1.0:
-                raise ConfigError(f"{name}={b} outside [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight decay must be >= 0")
 
@@ -156,17 +137,17 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerSt
             raise NumericsError(f"non-finite gradient for {name!r}; step aborted")
 
     state.t += 1
-    bc1 = 1.0 - cfg.beta1**state.t
-    bc2 = 1.0 - cfg.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for name, tensor in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         if cfg.weight_decay:
             update = update + cfg.lr * cfg.weight_decay * tensor.data
         tensor.data -= update

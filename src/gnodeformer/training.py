@@ -5,6 +5,7 @@ single-client run and a centralized run walk the exact same sequence of
 forward seeds and optimizer steps.
 """
 
+import logging
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -17,6 +18,8 @@ from .model import ModelConfig, forward, init_params, loss_and_metrics
 from .optim import AdamConfig, OptimizerState, ParamSet, adam_step, init_optimizer
 from .seeding import DROPOUT, derive_seed
 from .spectral import SpectralBasis
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,10 @@ def train_centralized(
                 val_accuracy,
                 record.seconds,
             )
+        )
+        logger.info(
+            "epoch %d: train_loss=%.4f val_loss=%.4f val_accuracy=%.4f",
+            epoch, record.loss, val_loss, val_accuracy,
         )
         if track_best:
             if val_accuracy > best_accuracy:

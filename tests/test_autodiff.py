@@ -6,26 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gnodeformer import autodiff
 from gnodeformer.autodiff import (
     Tensor,
     attention,
     backward,
-    concat_columns,
     dropout,
     masked_cross_entropy,
-    row_gather,
 )
 from gnodeformer.errors import DataError, NumericsError
 from tests.helpers import central_difference_grads, max_rel_err
 
 GRAD_TOL = 1e-5
-
-
-@pytest.fixture(autouse=True)
-def reset_debug_flag():
-    yield
-    autodiff.set_debug_checks(False)
 
 
 def leaf(rng, rows, cols, lo=-1.0, hi=1.0):
@@ -100,16 +91,6 @@ class TestPrimitiveGradients:
     def test_transpose(self, rng):
         a, read = leaf(rng, 2, 5), weighting(rng, 5, 2)
         check_against_fd(lambda: read(a.T), [a])
-
-    def test_concat_columns(self, rng):
-        a, b, c = leaf(rng, 3, 2), leaf(rng, 3, 4), leaf(rng, 3, 1)
-        read = weighting(rng, 3, 7)
-        check_against_fd(lambda: read(concat_columns([a, b, c])), [a, b, c])
-
-    def test_row_gather_with_repeats(self, rng):
-        a, read = leaf(rng, 4, 3), weighting(rng, 4, 3)
-        idx = np.array([2, 0, 2, 2])
-        check_against_fd(lambda: read(row_gather(a, idx)), [a])
 
     def test_relu_away_from_kink(self, rng):
         a = Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
@@ -444,26 +425,7 @@ class TestErrors:
         with pytest.raises(NumericsError, match="probability"):
             dropout(leaf(rng, 2, 2), 1.0, seed=0, training=True)
 
-    def test_concat_empty(self):
-        with pytest.raises(NumericsError, match="zero"):
-            concat_columns([])
-
-    def test_concat_row_mismatch(self, rng):
-        with pytest.raises(NumericsError, match="row counts"):
-            concat_columns([leaf(rng, 2, 2), leaf(rng, 3, 2)])
-
-    def test_gather_out_of_range(self, rng):
-        with pytest.raises(NumericsError, match="out of range"):
-            row_gather(leaf(rng, 3, 2), np.array([3]))
-
-    def test_debug_flag_catches_overflow(self):
-        autodiff.set_debug_checks(True)
-        t = Tensor([[1000.0]])
-        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
-            t.exp()
-
     def test_no_debug_flag_allows_overflow(self):
-        autodiff.set_debug_checks(False)
         with np.errstate(over="ignore"):
             assert np.isinf(Tensor([[1000.0]]).exp().data[0, 0])
 

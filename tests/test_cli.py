@@ -144,6 +144,20 @@ class TestTrain:
             second / "checkpoint.bin"
         ).read_bytes()
 
+    def test_manifest_settings_beat_flags(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        run_cli(
+            "train", "--sbm", TINY_SBM, *SMALL_MODEL,
+            "--epochs", 2, "--seed", 3, "--out", first,
+        )
+        code = run_cli(
+            "train", "--from-manifest", first / "manifest.txt",
+            "--epochs", 5, "--out", second,
+        )
+        assert code == 0
+        assert len(read_csv(second / "metrics.csv")) == 1 + 2
+        assert "epochs=2" in (second / "manifest.txt").read_text().splitlines()
+
     def test_wrong_manifest_command_rejected(self, tmp_path, capsys):
         out = tmp_path / "a"
         run_cli("train", "--sbm", TINY_SBM, *SMALL_MODEL, "--epochs", 0, "--out", out)
@@ -294,6 +308,32 @@ class TestExitCodes:
         assert run_cli(
             "train", "--dataset", missing, "--epochs", 1, "--out", tmp_path / "x"
         ) == 3
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing_manifest", "manifest_bytes", "edges_bytes", "meta_name_bytes",
+         "meta_negative_n"],
+    )
+    def test_malformed_input_is_data_error(self, tmp_path, capsys, case):
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        manifest = tmp_path / "manifest.txt"
+        argv = ["train", "--dataset", data, "--epochs", 1]
+        if case == "missing_manifest":
+            argv = ["train", "--from-manifest", manifest]
+        elif case == "manifest_bytes":
+            manifest.write_bytes(b"command=train\nepochs=\xff\n")
+            argv = ["train", "--from-manifest", manifest]
+        elif case == "edges_bytes":
+            with open(data / "edges", "ab") as fh:
+                fh.write(b"0 \xff1\n")
+        elif case == "meta_name_bytes":
+            (data / "meta").write_bytes(b"n=60\nf=8\nc=3\nname=\xff\n")
+        else:
+            (data / "meta").write_text("n=-5\nf=8\nc=3\nname=x\n")
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", tmp_path / "out") == 3
+        assert "data error:" in capsys.readouterr().err
 
     def test_console_script_end_to_end(self, tmp_path):
         # exercises the entry point across a process boundary rather than

@@ -1,6 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnodeformer.errors import ConfigError, DataError
@@ -314,6 +317,34 @@ class TestDiskFormat:
         (tmp_path / "t" / "meta").write_text("n=3\nf=9\nc=1\nname=x\n")
         with pytest.raises(DataError, match="feature matrix"):
             load_dataset(tmp_path / "t")
+
+    @pytest.mark.parametrize(
+        "meta, match",
+        [
+            (b"n=3\nf=-1\nc=2\nname=x\n", "f=-1 is negative"),
+            (b"n=3\nf=3\nc=-2\nname=x\n", "c=-2 is negative"),
+            # no n x n allocation before the shapes are checked
+            (b"n=1000000000\nf=3\nc=2\nname=x\n", "feature matrix"),
+        ],
+        ids=["negative_f", "negative_c", "huge_n"],
+    )
+    def test_loader_bad_meta(self, tmp_path, meta, match):
+        save_dataset(triangle(), tmp_path / "t")
+        (tmp_path / "t" / "meta").write_bytes(meta)
+        with pytest.raises(DataError, match=match):
+            load_dataset(tmp_path / "t")
+
+    @settings(max_examples=150, deadline=None)
+    @given(target=st.sampled_from(["meta", "edges"]), raw=st.binary(max_size=120))
+    def test_arbitrary_meta_or_edges_load_or_reject(self, target, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_dataset(triangle(), Path(tmp) / "t")
+            (path / target).write_bytes(raw)
+            try:
+                ds = load_dataset(path)
+            except DataError:
+                return
+        assert ds.n == 3
 
     def test_loader_bad_label_value(self, tmp_path):
         save_dataset(triangle(), tmp_path / "t")

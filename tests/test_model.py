@@ -61,9 +61,6 @@ class TestConfig:
         assert tiny_config(heads=2).channels == 3
         assert tiny_config(heads=4, d=8).channels == 5
 
-    def test_explicit_channels_kept(self):
-        assert tiny_config(channels=7).channels == 7
-
     def test_validation(self):
         with pytest.raises(ConfigError, match="even"):
             tiny_config(d=5, heads=1)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -157,6 +158,23 @@ class TestTrainCentralized:
         )
         assert len(history) == 4
         assert all(math.isnan(h.val_accuracy) for h in history)
+
+    def test_logs_each_epoch_at_info(self, caplog):
+        ds, basis, cfg = small_problem()
+        with caplog.at_level(logging.INFO, logger="gnodeformer"):
+            train_centralized(ds, basis, cfg, AdamConfig(lr=0.01), epochs=3, seed=0)
+        records = [r for r in caplog.records if r.name == "gnodeformer.training"]
+        assert [r.levelno for r in records] == [logging.INFO] * 3
+        for epoch, record in enumerate(records):
+            message = record.getMessage()
+            assert message.startswith(f"epoch {epoch}: train_loss=")
+            assert "val_loss=" in message and "val_accuracy=" in message
+
+    def test_silent_at_default_level(self, caplog):
+        ds, basis, cfg = small_problem()
+        with caplog.at_level(logging.WARNING, logger="gnodeformer"):
+            train_centralized(ds, basis, cfg, AdamConfig(lr=0.01), epochs=3, seed=0)
+        assert not [r for r in caplog.records if r.name == "gnodeformer.training"]
 
     def test_config_validation(self):
         ds, basis, cfg = small_problem()
