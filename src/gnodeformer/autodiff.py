@@ -174,17 +174,19 @@ class Tensor:
         """Normalize each row to mean 0 and variance 1 (no affine part;
         compose with a gain/bias tensor for that).
         """
+        # sum / d rather than mean: the same bits, without mean's dispatch
         x = self.data
-        mu = x.mean(axis=1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+        d = x.shape[1]
+        mu = x.sum(axis=1, keepdims=True) / d
+        var = ((x - mu) ** 2).sum(axis=1, keepdims=True) / d
         inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         y = (x - mu) * inv
         out = _make(y, (self,))
         if out.requires_grad:
 
             def backward(g):
-                gm = g.mean(axis=1, keepdims=True)
-                gym = (g * y).mean(axis=1, keepdims=True)
+                gm = g.sum(axis=1, keepdims=True) / d
+                gym = (g * y).sum(axis=1, keepdims=True) / d
                 _acc(self, inv * (g - gm - y * gym))
 
             out._backward = backward
@@ -221,9 +223,12 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = parents
+    out = Tensor(data)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            break
     return out
 
 
@@ -265,8 +270,6 @@ def _broadcast_op(a: Tensor, b, fwd, grads) -> Tensor:
         raise NumericsError(
             f"shapes {a.data.shape} and {b.data.shape} do not broadcast"
         ) from exc
-    if data.shape != np.broadcast_shapes(a.data.shape, b.data.shape):
-        raise NumericsError("unexpected broadcast result")
     out = _make(data, (a, b))
     if out.requires_grad:
 

@@ -227,13 +227,14 @@ def cmd_train(args) -> int:
 
     _write_central_csv(out / "metrics.csv", history)
     save_checkpoint(params, out / "checkpoint.bin")
-    _, gamma = forward(dataset, basis, config, params, training=False)
+    # one eval forward serves both the filter table and the test score
+    logits, gamma = forward(dataset, basis, config, params, training=False)
     write_filter_table(out / "filters.txt", basis.eigenvalues, gamma.data)
     write_manifest(out / "manifest.txt", manifest_entries(args, "train"))
 
     if dataset.test_mask.any():
         test_loss, test_accuracy = evaluate(
-            dataset, basis, config, params, dataset.test_mask
+            dataset, basis, config, params, dataset.test_mask, logits=logits
         )
         print(f"test accuracy {test_accuracy:.4f} (loss {test_loss:.4f})")
     print(f"trained {len(history)} epochs; artifacts in {out}")

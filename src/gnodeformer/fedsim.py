@@ -9,6 +9,7 @@ model for accounting only.
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
@@ -291,61 +292,65 @@ def run_rounds(
     records: list[RoundRecord] = []
     bytes_cum = 0
 
-    for round_index in range(config.rounds):
-        participants = sample_clients(
-            config.clients, config.fraction_fit, round_index, config.seed
-        )
-        offset = round_index * config.local_epochs
+    # one worker pool serves every round; a single thread needs none
+    pool = None
+    if config.threads > 1:
+        pool = ThreadPoolExecutor(max_workers=config.threads)
+    with pool or nullcontext():
+        for round_index in range(config.rounds):
+            participants = sample_clients(
+                config.clients, config.fraction_fit, round_index, config.seed
+            )
+            offset = round_index * config.local_epochs
 
-        def update(cid: int):
-            return client_update(global_params, clients[cid], config, offset)
+            def update(cid: int):
+                return client_update(global_params, clients[cid], config, offset)
 
-        participants = [int(c) for c in participants]
-        if config.threads == 1:
-            results = {cid: update(cid) for cid in participants}
-        else:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            participants = [int(c) for c in participants]
+            if pool is None:
+                results = {cid: update(cid) for cid in participants}
+            else:
                 futures = {cid: pool.submit(update, cid) for cid in participants}
                 results = {cid: futures[cid].result() for cid in participants}
 
-        survivors = [
-            (cid, results[cid][0]) for cid in participants if results[cid][0] is not None
-        ]
-        if survivors:
-            global_params = fedavg(
-                [params for _, params in survivors],
-                [clients[cid].dataset.n for cid, _ in survivors],
-            )
-        else:
-            logger.warning("round %d: every participant failed; keeping params", round_index)
+            survivors = [
+                (cid, results[cid][0]) for cid in participants if results[cid][0] is not None
+            ]
+            if survivors:
+                global_params = fedavg(
+                    [params for _, params in survivors],
+                    [clients[cid].dataset.n for cid, _ in survivors],
+                )
+            else:
+                logger.warning("round %d: every participant failed; keeping params", round_index)
 
-        client_loss, client_accuracy, client_seconds = {}, {}, {}
-        for cid in participants:
-            _, epochs = results[cid]
-            client_loss[cid] = epochs[-1].loss if epochs else float("nan")
-            client_accuracy[cid] = epochs[-1].accuracy if epochs else float("nan")
-            client_seconds[cid] = (
-                float(np.mean([e.seconds for e in epochs])) if epochs else float("nan")
-            )
+            client_loss, client_accuracy, client_seconds = {}, {}, {}
+            for cid in participants:
+                _, epochs = results[cid]
+                client_loss[cid] = epochs[-1].loss if epochs else float("nan")
+                client_accuracy[cid] = epochs[-1].accuracy if epochs else float("nan")
+                client_seconds[cid] = (
+                    float(np.mean([e.seconds for e in epochs])) if epochs else float("nan")
+                )
 
-        global_loss, global_accuracy = evaluate_global(clients, config.model, global_params)
-        round_bytes = 2 * len(participants) * BYTES_PER_PARAM * param_count
-        bytes_cum += round_bytes
-        records.append(
-            RoundRecord(
-                round_index=round_index,
-                participants=tuple(participants),
-                client_loss=client_loss,
-                client_accuracy=client_accuracy,
-                client_epoch_seconds=client_seconds,
-                global_loss=global_loss,
-                global_accuracy=global_accuracy,
-                round_bytes=round_bytes,
-                bytes_cum=bytes_cum,
+            global_loss, global_accuracy = evaluate_global(clients, config.model, global_params)
+            round_bytes = 2 * len(participants) * BYTES_PER_PARAM * param_count
+            bytes_cum += round_bytes
+            records.append(
+                RoundRecord(
+                    round_index=round_index,
+                    participants=tuple(participants),
+                    client_loss=client_loss,
+                    client_accuracy=client_accuracy,
+                    client_epoch_seconds=client_seconds,
+                    global_loss=global_loss,
+                    global_accuracy=global_accuracy,
+                    round_bytes=round_bytes,
+                    bytes_cum=bytes_cum,
+                )
             )
-        )
-        if on_round is not None:
-            on_round(records[-1], global_params)
+            if on_round is not None:
+                on_round(records[-1], global_params)
     return global_params, records, clients
 
 

@@ -3,6 +3,14 @@
 Federated clients reuse ``run_epochs`` with an epoch offset, so a
 single-client run and a centralized run walk the exact same sequence of
 forward seeds and optimizer steps.
+
+Each parameter state is run forward once. With dropout 0 the training
+forward gives the same logits, bit for bit, as the eval forward, so
+``train_centralized`` hands the graph that the validation ``evaluate``
+built for the parameters after step e to ``run_epochs`` as the forward of
+step e + 1, which then runs only the loss, backward and Adam. The first
+step, and every step of a run with dropout or without a validation mask,
+runs its own forward.
 """
 
 import logging
@@ -11,7 +19,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import Tensor, backward
 from .errors import ConfigError
 from .graphs import GraphDataset
 from .model import ModelConfig, forward, init_params, loss_and_metrics
@@ -51,25 +59,36 @@ def run_epochs(
     n_epochs: int,
     seed: int,
     epoch_offset: int = 0,
+    logits: Tensor | None = None,
 ) -> list[EpochRecord]:
     """Advance ``params`` in place by ``n_epochs`` full-batch steps.
 
     The dropout stream for epoch ``e`` depends only on (seed, e), never
     on how the epochs are batched into calls.
+
+    ``logits``, if given, is a forward already made at the current
+    ``params``; the first step takes its loss from it instead of running
+    a forward, and its backward consumes that graph. Only a run without
+    dropout may pass one, since only there does the eval forward equal
+    the training forward.
     """
+    if logits is not None and config.dropout:
+        raise ConfigError("reusing a forward needs dropout 0")
     records = []
     for j in range(n_epochs):
         epoch = epoch_offset + j
         start = perf_counter()
-        logits, _ = forward(
-            dataset,
-            basis,
-            config,
-            params,
-            training=True,
-            dropout_seed=derive_seed(seed, DROPOUT, epoch),
-        )
+        if logits is None:
+            logits, _ = forward(
+                dataset,
+                basis,
+                config,
+                params,
+                training=True,
+                dropout_seed=derive_seed(seed, DROPOUT, epoch),
+            )
         loss, accuracy = loss_and_metrics(logits, dataset.labels, dataset.train_mask)
+        logits = None
         grads = backward(loss, dict(params.items()))
         adam_step(params, grads, state)
         records.append(
@@ -84,10 +103,21 @@ def evaluate(
     config: ModelConfig,
     params: ParamSet,
     mask: np.ndarray,
-) -> tuple[float, float]:
-    """Loss and accuracy on ``mask`` with dropout disabled."""
-    logits, _ = forward(dataset, basis, config, params, training=False)
+    logits: Tensor | None = None,
+    keep_logits: bool = False,
+) -> tuple[float, float] | tuple[float, float, Tensor]:
+    """Loss and accuracy on ``mask`` with dropout disabled.
+
+    ``logits``, if given, is an eval forward already made at ``params``
+    and is scored instead of running a new one. With ``keep_logits`` the
+    logits come back as a third item, graph included, so the caller can
+    reuse the forward.
+    """
+    if logits is None:
+        logits, _ = forward(dataset, basis, config, params, training=False)
     loss, accuracy = loss_and_metrics(logits, dataset.labels, mask)
+    if keep_logits:
+        return loss.item(), accuracy, logits
     return loss.item(), accuracy
 
 
@@ -116,13 +146,24 @@ def train_centralized(
     has_val = bool(dataset.val_mask.any())
     track_best = patience is not None and has_val
 
+    # the validation graph of the params after step e, held for step e + 1
+    reuse = has_val and config.dropout == 0
+    logits = None
+
     history: list[CentralRecord] = []
     best_accuracy = -1.0
     best_params = None
     stale = 0
     for epoch in range(epochs):
-        record = run_epochs(dataset, basis, config, params, state, 1, seed, epoch)[0]
-        if has_val:
+        record = run_epochs(
+            dataset, basis, config, params, state, 1, seed, epoch, logits=logits
+        )[0]
+        logits = None
+        if reuse:
+            val_loss, val_accuracy, logits = evaluate(
+                dataset, basis, config, params, dataset.val_mask, keep_logits=True
+            )
+        elif has_val:
             val_loss, val_accuracy = evaluate(
                 dataset, basis, config, params, dataset.val_mask
             )

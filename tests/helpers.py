@@ -2,10 +2,16 @@
 
 central_difference_grads is the independent gradient check: it knows
 nothing about the backward rules and just perturbs raw parameter
-storage one entry at a time.
+storage one entry at a time. reference_train_centralized is the epoch
+loop without forward reuse: every step runs its own forward, then the
+validation forward runs again at the new parameters.
 """
 
 import numpy as np
+
+from gnodeformer.model import init_params
+from gnodeformer.optim import init_optimizer
+from gnodeformer.training import CentralRecord, evaluate, run_epochs
 
 
 def central_difference_grads(func, tensors, h=1e-5):
@@ -36,3 +42,40 @@ def max_rel_err(got, want, floor=1e-6):
     """
     got, want = np.asarray(got), np.asarray(want)
     return np.abs(got - want).max() / max(np.abs(want).max(), floor)
+
+
+def reference_train_centralized(
+    dataset, basis, config, optimizer, epochs, seed, patience=None
+):
+    """train_centralized as one training step then one evaluate per
+    epoch, each with its own forward. Returns (params, history)."""
+    params = init_params(config, seed)
+    state = init_optimizer(params, optimizer)
+    has_val = bool(dataset.val_mask.any())
+    track_best = patience is not None and has_val
+    history = []
+    best_accuracy, best_params, stale = -1.0, None, 0
+    for epoch in range(epochs):
+        record = run_epochs(dataset, basis, config, params, state, 1, seed, epoch)[0]
+        if has_val:
+            val_loss, val_accuracy = evaluate(
+                dataset, basis, config, params, dataset.val_mask
+            )
+        else:
+            val_loss = val_accuracy = float("nan")
+        history.append(
+            CentralRecord(
+                epoch, record.loss, record.accuracy, val_loss, val_accuracy,
+                record.seconds,
+            )
+        )
+        if track_best:
+            if val_accuracy > best_accuracy:
+                best_accuracy, best_params, stale = val_accuracy, params.copy(), 0
+            else:
+                stale += 1
+                if stale >= patience:
+                    break
+    if track_best and best_params is not None:
+        params = best_params
+    return params, history

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gnodeformer.autodiff import (
+    LAYER_NORM_EPS,
     Tensor,
     attention,
     backward,
@@ -231,6 +232,24 @@ class TestForwardValues:
         out = Tensor(rng.uniform(-4, 4, size=(5, 16))).layer_norm_rows()
         np.testing.assert_allclose(out.data.mean(axis=1), np.zeros(5), atol=1e-9)
         np.testing.assert_allclose(out.data.var(axis=1), np.ones(5), atol=1e-9)
+
+    @pytest.mark.parametrize("width", [1, 7, 16, 100])
+    def test_layer_norm_matches_mean_formula_bitwise(self, rng, width):
+        x = leaf(rng, 6, width, lo=-4, hi=4)
+        g = rng.standard_normal((6, width))
+        out = x.layer_norm_rows()
+        backward((out * Tensor(g)).sum(), {"x": x})
+
+        d = x.data
+        mu = d.mean(axis=1, keepdims=True)
+        var = ((d - mu) ** 2).mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+        y = (d - mu) * inv
+        grad = inv * (
+            g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True)
+        )
+        assert out.data.tobytes() == y.tobytes()
+        assert x.grad.tobytes() == grad.tobytes()
 
     def test_uniform_cross_entropy_is_log_classes(self):
         # uniform logits over 7 classes: loss is exactly ln 7

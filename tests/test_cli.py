@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gnodeformer
+from gnodeformer import cli, training
 from gnodeformer.cli import main, parse_sbm_spec
 from gnodeformer.errors import ConfigError
 from gnodeformer.optim import load_checkpoint
@@ -126,6 +127,34 @@ class TestTrain:
             ["epoch", "train_loss", "train_accuracy",
              "val_loss", "val_accuracy", "seconds"]
         ]
+
+    def test_one_forward_after_training(self, tmp_path, monkeypatch):
+        # filters.txt and the test score share one eval forward
+        phases = []
+        real_train = cli.train_centralized
+
+        def train(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            phases.append("trained")
+            return result
+
+        def counted(module):
+            real = module.forward
+
+            def forward(*args, **kwargs):
+                phases.append("forward")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "forward", forward)
+
+        monkeypatch.setattr(cli, "train_centralized", train)
+        counted(cli)
+        counted(training)
+        out = tmp_path / "run"
+        assert run_cli(
+            "train", "--sbm", TINY_SBM, *SMALL_MODEL, "--epochs", 3, "--out", out
+        ) == 0
+        assert phases == ["forward"] * 4 + ["trained", "forward"]
 
     def test_manifest_replay_reproduces_metrics(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

@@ -1,15 +1,19 @@
 import logging
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gnodeformer import training
 from gnodeformer.errors import ConfigError
 from gnodeformer.graphs import SbmConfig, build_normalized_laplacian, generate_sbm
 from gnodeformer.model import ModelConfig, forward, init_params, loss_and_metrics
 from gnodeformer.optim import AdamConfig, init_optimizer
 from gnodeformer.spectral import sym_eig
 from gnodeformer.training import evaluate, run_epochs, train_centralized
+from tests.helpers import reference_train_centralized
 
 
 def small_problem(seed=0, dropout=0.0):
@@ -184,3 +188,121 @@ class TestTrainCentralized:
             train_centralized(
                 ds, basis, cfg, AdamConfig(lr=0.01), epochs=1, seed=0, patience=0
             )
+
+
+def deterministic_fields(history):
+    """Every history field but the wall-clock seconds, as exact reprs."""
+    return [
+        (h.epoch, repr(h.train_loss), repr(h.train_accuracy),
+         repr(h.val_loss), repr(h.val_accuracy))
+        for h in history
+    ]
+
+
+def counting_forward(monkeypatch, module):
+    """Wrap ``module.forward``; returns the list of (logits, gamma) data
+    arrays it produced, one entry per call."""
+    made = []
+    real = module.forward
+
+    def counted(*args, **kwargs):
+        logits, gamma = real(*args, **kwargs)
+        made.append((logits.data, gamma.data))
+        return logits, gamma
+
+    monkeypatch.setattr(module, "forward", counted)
+    return made
+
+
+class TestForwardReuse:
+    @pytest.mark.parametrize("rk", [1, 2, 4])
+    def test_training_forward_equals_eval_forward_without_dropout(self, rk):
+        ds, basis, cfg = small_problem()
+        cfg = replace(cfg, rk_order=rk)
+        params = init_params(cfg, seed=4)
+        train_logits, train_gamma = forward(
+            ds, basis, cfg, params, training=True, dropout_seed=11
+        )
+        eval_logits, eval_gamma = forward(ds, basis, cfg, params, training=False)
+        assert train_logits.data.tobytes() == eval_logits.data.tobytes()
+        assert train_gamma.data.tobytes() == eval_gamma.data.tobytes()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("patience", [None, 2])
+    def test_equals_step_then_evaluate(self, dropout, patience):
+        ds, basis, cfg = small_problem(dropout=dropout)
+        opt = AdamConfig(lr=0.3)
+        epochs = 30
+        params, history = train_centralized(
+            ds, basis, cfg, opt, epochs, seed=1, patience=patience
+        )
+        want_params, want_history = reference_train_centralized(
+            ds, basis, cfg, opt, epochs, seed=1, patience=patience
+        )
+        if patience is not None:
+            # the restore path runs: training stopped before the last epoch
+            assert len(history) < epochs
+        assert params.flatten().tobytes() == want_params.flatten().tobytes()
+        assert deterministic_fields(history) == deterministic_fields(want_history)
+
+    def test_one_forward_per_parameter_state_without_dropout(self, monkeypatch):
+        ds, basis, cfg = small_problem()
+        made = counting_forward(monkeypatch, training)
+        train_centralized(ds, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0)
+        assert len(made) == 5 + 1
+
+    def test_dropout_runs_both_forwards(self, monkeypatch):
+        ds, basis, cfg = small_problem(dropout=0.2)
+        made = counting_forward(monkeypatch, training)
+        train_centralized(ds, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0)
+        assert len(made) == 2 * 5
+
+    def test_no_validation_mask_runs_step_forwards_only(self, monkeypatch):
+        ds, basis, cfg = small_problem()
+        bare = replace(ds, val_mask=np.zeros(ds.n, dtype=bool))
+        made = counting_forward(monkeypatch, training)
+        train_centralized(bare, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0)
+        assert len(made) == 5
+
+    @pytest.mark.parametrize("patience", [None, 2])
+    def test_held_graph_dies_by_return(self, monkeypatch, patience):
+        ds, basis, cfg = small_problem()
+        made = counting_forward(monkeypatch, training)
+        refs = []
+        real_evaluate = training.evaluate
+
+        def evaluate_and_watch(*args, **kwargs):
+            result = real_evaluate(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in made[-1])
+            return result
+
+        monkeypatch.setattr(training, "evaluate", evaluate_and_watch)
+        epochs = 30
+        _, history = train_centralized(
+            ds, basis, cfg, AdamConfig(lr=0.3), epochs, seed=1, patience=patience
+        )
+        if patience is not None:
+            assert len(history) < epochs
+        del made[:]
+        assert len(refs) == 2 * len(history)
+        assert all(ref() is None for ref in refs)
+
+    def test_reused_logits_require_dropout_zero(self):
+        ds, basis, cfg = small_problem(dropout=0.2)
+        params = init_params(cfg, seed=0)
+        state = init_optimizer(params, AdamConfig(lr=0.01))
+        logits, _ = forward(ds, basis, cfg, params, training=False)
+        with pytest.raises(ConfigError, match="dropout"):
+            run_epochs(ds, basis, cfg, params, state, 1, seed=0, logits=logits)
+
+    def test_evaluate_scores_given_logits(self, monkeypatch):
+        ds, basis, cfg = small_problem()
+        params = init_params(cfg, seed=2)
+        loss, acc, logits = evaluate(
+            ds, basis, cfg, params, ds.val_mask, keep_logits=True
+        )
+        assert (loss, acc) == evaluate(ds, basis, cfg, params, ds.val_mask)
+        made = counting_forward(monkeypatch, training)
+        got = evaluate(ds, basis, cfg, params, ds.test_mask, logits=logits)
+        assert made == []
+        assert got == evaluate(ds, basis, cfg, params, ds.test_mask)
