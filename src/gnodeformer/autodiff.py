@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DataError, NumericsError
 
@@ -108,7 +107,10 @@ class Tensor:
         return out
 
     def gelu(self):
-        # exact form x * Phi(x) with the Gaussian CDF, not the tanh fit
+        # exact form x * Phi(x) with the Gaussian CDF, not the tanh fit;
+        # scipy.special is imported here so other activations never load it
+        from scipy.special import erf
+
         x = self.data
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         out = _make(x * cdf, (self,))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ log = logging.getLogger(__name__)
 SYMMETRY_ATOL = 1e-12
 ORTHO_TOL = 1e-8
 RECON_TOL = 1e-8
+PROBES = 4  # Gaussian probe vectors in the randomized cache-hit check
 
 
 @dataclass
@@ -45,25 +47,13 @@ class SpectralBasis:
 
         unit_band additionally requires eigenvalues in [0, 2] up to
         1e-8 * n slack, which holds for normalized Laplacians but not
-        for arbitrary symmetric input.
+        for arbitrary symmetric input. Costs two dense n^3 products.
         """
+        self._check_values(unit_band)
         vals, vecs = self.eigenvalues, self.eigenvectors
-        if vals.shape != (self.n,) or vecs.shape != (self.n, self.n):
-            raise NumericsError("basis shapes inconsistent")
-        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
-            raise NumericsError("basis contains non-finite entries")
-        if (np.diff(vals) < 0).any():
-            raise NumericsError("eigenvalues not ascending")
         gram_err = np.abs(vecs.T @ vecs - np.eye(self.n)).max()
         if gram_err > ORTHO_TOL:
             raise NumericsError(f"eigenvector columns not orthonormal ({gram_err:.2e})")
-        if unit_band:
-            slack = 1e-8 * self.n
-            if vals.min() < -slack or vals.max() > 2.0 + slack:
-                raise NumericsError(
-                    f"eigenvalues [{vals.min():.3e}, {vals.max():.3e}] "
-                    "outside the normalized-Laplacian band [0, 2]"
-                )
         if matrix is not None:
             scale = np.linalg.norm(matrix)
             err = np.linalg.norm(vecs @ (vals[:, None] * vecs.T) - matrix)
@@ -71,16 +61,61 @@ class SpectralBasis:
                 raise NumericsError(f"reconstruction error {err:.2e} too large")
         return self
 
+    def probe_check(self, matrix: np.ndarray, seed: int, unit_band: bool = False):
+        """O(n^2) randomized form of validate(matrix, unit_band).
+
+        For a matrix E and Gaussian probes X (n x PROBES) drawn from
+        ``seed``, the root mean square of the columns of E X estimates
+        the Frobenius norm of E. The check bounds that estimate for
+        E = U^T U - I by ORTHO_TOL and for E = U diag(vals) U^T - matrix
+        by RECON_TOL * max(||matrix||_F, 1).
+        """
+        self._check_values(unit_band)
+        vals, vecs = self.eigenvalues, self.eigenvectors
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.shape != vecs.shape:
+            raise NumericsError(
+                f"basis of size {self.n} for a matrix of shape {matrix.shape}"
+            )
+        x = np.random.default_rng(seed).standard_normal((self.n, PROBES))
+        ortho = np.linalg.norm(vecs.T @ (vecs @ x) - x) / np.sqrt(PROBES)
+        if ortho > ORTHO_TOL:
+            raise NumericsError(f"eigenvector columns not orthonormal (probe {ortho:.2e})")
+        scale = np.linalg.norm(matrix)
+        err = np.linalg.norm(vecs @ (vals[:, None] * (vecs.T @ x)) - matrix @ x)
+        err /= np.sqrt(PROBES)
+        if err > RECON_TOL * max(scale, 1.0):
+            raise NumericsError(f"reconstruction error {err:.2e} too large (probe)")
+        return self
+
+    def _check_values(self, unit_band: bool) -> None:
+        """Shapes, finiteness, ascending order and the unit band: O(n^2)."""
+        vals, vecs = self.eigenvalues, self.eigenvectors
+        if vals.shape != (self.n,) or vecs.shape != (self.n, self.n):
+            raise NumericsError("basis shapes inconsistent")
+        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+            raise NumericsError("basis contains non-finite entries")
+        if (np.diff(vals) < 0).any():
+            raise NumericsError("eigenvalues not ascending")
+        if unit_band:
+            slack = 1e-8 * self.n
+            if vals.min() < -slack or vals.max() > 2.0 + slack:
+                raise NumericsError(
+                    f"eigenvalues [{vals.min():.3e}, {vals.max():.3e}] "
+                    "outside the normalized-Laplacian band [0, 2]"
+                )
+
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so each one's largest-magnitude component is
     positive; magnitude ties resolve to the lowest index (argmax picks
-    the first maximum).
+    the first maximum). The result is column-major, the layout that a
+    cache hit reads back without a transposing copy.
     """
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return np.multiply(vectors, signs, order="F")
 
 
 def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
@@ -120,47 +155,81 @@ def reconstruct_basis(basis: SpectralBasis, new_eigenvalues: np.ndarray) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# Cache: one file per Laplacian, keyed by a content hash.
-# Layout (little-endian): n (u64), eigenvalues (n f64), eigenvectors
-# (n*n f64, column-major).
+# Cache: one file per Laplacian, named by its matrix_digest.
+# Layout v2 (little-endian): an 80-byte header of CACHE_MAGIC (8 bytes),
+# n (u64), the raw 32-byte matrix_digest of the decomposed Laplacian and
+# the SHA-256 of the payload (32 bytes); then the payload: eigenvalues
+# (n f64) and eigenvectors (n*n f64, column-major).
 # ---------------------------------------------------------------------------
+
+CACHE_MAGIC = b"GNFEIG\x00\x02"
+_HEADER = struct.Struct("<8sQ32s32s")
 
 
 def matrix_digest(matrix: np.ndarray) -> str:
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     h = hashlib.sha256()
     h.update(struct.pack("<QQ", *matrix.shape))
-    h.update(matrix.tobytes())
+    h.update(matrix)
     return h.hexdigest()
 
 
-def save_basis(basis: SpectralBasis, path: str | Path) -> Path:
+def save_basis(basis: SpectralBasis, path: str | Path, digest: str) -> Path:
+    """Write ``basis`` as the cache entry of the matrix whose
+    matrix_digest is ``digest``."""
     path = Path(path)
+    vals = np.ascontiguousarray(basis.eigenvalues, dtype="<f8")
+    # the transpose of a column-major array is C-contiguous, with the same bytes
+    vecs_t = np.asfortranarray(basis.eigenvectors, dtype="<f8").T
+    checksum = hashlib.sha256(vals)
+    checksum.update(vecs_t)
+    header = _HEADER.pack(CACHE_MAGIC, basis.n, bytes.fromhex(digest), checksum.digest())
     with atomic_writer(path) as fh:
-        fh.write(struct.pack("<Q", basis.n))
-        fh.write(basis.eigenvalues.astype("<f8").tobytes())
-        fh.write(np.asfortranarray(basis.eigenvectors.astype("<f8")).tobytes(order="F"))
+        fh.write(header)
+        fh.write(vals)
+        fh.write(vecs_t)
     return path
 
 
-def load_basis(path: str | Path) -> SpectralBasis:
+def load_basis(path: str | Path, digest: str | None = None) -> SpectralBasis:
+    """Read a cache entry; raise NumericsError unless its tag, length and
+    payload checksum hold and, when ``digest`` is given, it records that
+    matrix_digest. The eigenvalues and eigenvectors are views of the one
+    buffer the file is read into.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 8:
-        raise NumericsError(f"cache file {path} truncated")
-    (n,) = struct.unpack_from("<Q", raw, 0)
-    expected = 8 + 8 * n + 8 * n * n
-    if len(raw) != expected:
-        raise NumericsError(
-            f"cache file {path} has {len(raw)} bytes, expected {expected}"
-        )
-    vals = np.frombuffer(raw, dtype="<f8", count=n, offset=8).copy()
-    vecs = (
-        np.frombuffer(raw, dtype="<f8", count=n * n, offset=8 + 8 * n)
-        .reshape((n, n), order="F")
-        .copy()
-    )
-    return SpectralBasis(eigenvalues=vals, eigenvectors=vecs)
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise NumericsError(f"cache file {path} truncated")
+        magic, n, stored, checksum = _HEADER.unpack(head)
+        if magic != CACHE_MAGIC:
+            raise NumericsError(
+                f"cache file {path} has tag {magic!r}, expected {CACHE_MAGIC!r}"
+            )
+        expected = _HEADER.size + 8 * n * (n + 1)
+        if size != expected:
+            raise NumericsError(
+                f"cache file {path} has {size} bytes, expected {expected}"
+            )
+        if digest is not None and stored != bytes.fromhex(digest):
+            raise NumericsError(
+                f"cache file {path} decomposes matrix {stored.hex()[:16]}, "
+                f"not {digest[:16]}"
+            )
+        payload = np.empty(n * (n + 1), dtype="<f8")
+        view = memoryview(payload).cast("B")
+        filled = 0
+        while filled < len(view):  # one read returns at most 2 GiB on Linux
+            got = fh.readinto(view[filled:])
+            if not got:
+                raise NumericsError(f"cache file {path} truncated")
+            filled += got
+    if hashlib.sha256(payload).digest() != checksum:
+        raise NumericsError(f"cache file {path} fails its payload checksum")
+    vecs = payload[n:].reshape((n, n), order="F")
+    return SpectralBasis(eigenvalues=payload[:n], eigenvectors=vecs)
 
 
 def load_or_compute(
@@ -169,17 +238,22 @@ def load_or_compute(
     unit_band: bool = False,
 ) -> SpectralBasis:
     """Return the decomposition of matrix, reusing a cached copy when
-    its content hash matches. A corrupt or invalid cache entry is
-    recomputed and rewritten, not trusted.
+    its content hash matches.
+
+    A hit must pass load_basis's checksum and digest checks and the
+    O(n^2) probe_check, with probes seeded from the digest; any other
+    entry is recomputed with the full O(n^3) validation and rewritten.
     """
     if cache_dir is None:
         return sym_eig(matrix, unit_band=unit_band)
-    path = Path(cache_dir) / f"{matrix_digest(matrix)}.eig"
+    digest = matrix_digest(matrix)
+    path = Path(cache_dir) / f"{digest}.eig"
     if path.exists():
         try:
-            return load_basis(path).validate(matrix, unit_band=unit_band)
+            seed = int.from_bytes(bytes.fromhex(digest)[:8], "little")
+            return load_basis(path, digest).probe_check(matrix, seed, unit_band=unit_band)
         except NumericsError as exc:
             log.warning("discarding bad cache entry %s: %s", path, exc)
     basis = sym_eig(matrix, unit_band=unit_band)
-    save_basis(basis, path)
+    save_basis(basis, path, digest)
     return basis

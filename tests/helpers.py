@@ -4,14 +4,31 @@ central_difference_grads is the independent gradient check: it knows
 nothing about the backward rules and just perturbs raw parameter
 storage one entry at a time. reference_train_centralized is the epoch
 loop without forward reuse: every step runs its own forward, then the
-validation forward runs again at the new parameters.
+validation forward runs again at the new parameters. package_env sets
+up child processes that import the package under test.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 
+import gnodeformer
 from gnodeformer.model import init_params
 from gnodeformer.optim import init_optimizer
 from gnodeformer.training import CentralRecord, evaluate, run_epochs
+
+
+def package_env():
+    """os.environ with PYTHONPATH led by the directory holding the imported
+    gnodeformer, so a child process imports the copy under test whatever
+    its working directory or any installed copy."""
+    src_dir = str(Path(gnodeformer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def central_difference_grads(func, tensors, h=1e-5):

@@ -1,5 +1,4 @@
 import csv
-import os
 import shutil
 import subprocess
 import sys
@@ -8,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gnodeformer
 from gnodeformer import cli, training
 from gnodeformer.cli import main, parse_sbm_spec
 from gnodeformer.errors import ConfigError
 from gnodeformer.optim import load_checkpoint
+from tests.helpers import package_env
 
 TINY_SBM = "blocks=20,20,20;p_in=0.3;p_out=0.03;feature_dim=8;seed=1"
 SMALL_MODEL = ["--width", "8", "--heads", "2", "--layers", "1", "--hidden", "8"]
@@ -197,6 +196,15 @@ class TestTrain:
     def test_missing_source_is_config_error(self, tmp_path):
         assert run_cli("train", "--epochs", 1, "--out", tmp_path / "x") == 2
 
+    def test_gelu_activation(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(
+            "train", "--sbm", TINY_SBM, *SMALL_MODEL, "--activation", "gelu",
+            "--epochs", 2, "--out", out,
+        ) == 0
+        assert "activation=gelu" in (out / "manifest.txt").read_text().splitlines()
+        assert len(read_csv(out / "metrics.csv")) == 1 + 2
+
 
 class TestFedTrain:
     def test_degenerate_federation_matches_centralized_cli(self, tmp_path):
@@ -328,6 +336,17 @@ class TestCommReport:
         assert run_cli("comm-report", "--spec", "nocomma=12") == 2
 
 
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about 0.2 s to import and only gelu needs it
+    probe = "import sys, gnodeformer.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=package_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         assert run_cli("train", "--sbm", "p_in=0.5", "--out", tmp_path / "x") == 2
@@ -375,13 +394,7 @@ class TestExitCodes:
             with open(pyproject, "rb") as fh:
                 scripts = tomllib.load(fh)["project"]["scripts"]
             assert scripts["gnodeformer"] == "gnodeformer.cli:main"
-        # children import the package under test, whatever the working
-        # directory or any installed copy
-        src_dir = str(Path(gnodeformer.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p
-        )
+        env = package_env()
         launchers = [[sys.executable, "-m", "gnodeformer"]]
         script = shutil.which("gnodeformer")
         if script is not None:

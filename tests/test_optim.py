@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnodeformer.autodiff import Tensor
 from gnodeformer.errors import ConfigError, DataError, NumericsError
@@ -211,3 +216,40 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(DataError, match="trailing"):
             load_checkpoint(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(
+        lambda tail: CHECKPOINT_MAGIC + tail)))
+    def test_arbitrary_bytes_load_or_reject(self, raw):
+        self.assert_load_or_reject(raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+            max_size=4,
+        ),
+        cut=st.integers(min_value=0, max_value=200),
+        tail=st.binary(max_size=16),
+    )
+    def test_damaged_checkpoint_load_or_reject(self, edits, cut, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            raw = bytearray(
+                save_checkpoint(small_params(np.random.default_rng(0)),
+                                Path(tmp) / "c.ckpt").read_bytes()
+            )
+        for offset, mask in edits:
+            raw[offset % len(raw)] ^= mask
+        self.assert_load_or_reject(bytes(raw[:cut]) + tail)
+
+    @staticmethod
+    def assert_load_or_reject(raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.ckpt"
+            path.write_bytes(raw)
+            try:
+                params = load_checkpoint(path)
+            except DataError:
+                return
+        for name in params.names():
+            assert params[name].data.dtype == np.float64

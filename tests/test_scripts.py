@@ -1,29 +1,23 @@
 """Smoke runs of the experiment scripts under scripts/, each in a child
 process that imports the package under test."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import gnodeformer
+from tests.helpers import package_env
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_script(name, *argv):
-    src_dir = str(Path(gnodeformer.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p
-    )
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=package_env(),
         timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -1,12 +1,18 @@
+import hashlib
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gnodeformer.errors import ConfigError, NumericsError
 from gnodeformer.graphs import build_normalized_laplacian
 from gnodeformer.spectral import (
+    CACHE_MAGIC,
     SpectralBasis,
     load_basis,
     load_or_compute,
@@ -146,34 +152,119 @@ class TestReconstruct:
             reconstruct_basis(basis, np.zeros(4))
 
 
+def path_laplacian(n=8):
+    # a path graph's normalized Laplacian has n distinct eigenvalues
+    adjacency = np.eye(n, k=1) + np.eye(n, k=-1)
+    return build_normalized_laplacian(make_dataset(adjacency))
+
+
+def flip_byte(path, offset, mask=0xFF):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= mask
+    path.write_bytes(bytes(raw))
+
+
+def move_one_eigenvalue(basis):
+    vals = basis.eigenvalues.copy()
+    vals[1] += 1e-6
+    return SpectralBasis(vals, basis.eigenvectors)
+
+
+def swap_first_and_last_columns(basis):
+    vecs = basis.eigenvectors.copy()
+    vecs[:, [0, -1]] = vecs[:, [-1, 0]]
+    return SpectralBasis(basis.eigenvalues, vecs)
+
+
+def v1_entry(basis):
+    """The pre-checksum layout: n (u64), eigenvalues, column-major eigenvectors."""
+    return (
+        basis.n.to_bytes(8, "little")
+        + basis.eigenvalues.astype("<f8").tobytes()
+        + basis.eigenvectors.astype("<f8").tobytes(order="F")
+    )
+
+
+class TestProbeCheck:
+    def test_accepts_exact_decomposition(self):
+        lap = path_laplacian()
+        basis = sym_eig(lap, unit_band=True)
+        assert basis.probe_check(lap, seed=3, unit_band=True) is basis
+
+    @pytest.mark.parametrize("forge", [move_one_eigenvalue, swap_first_and_last_columns])
+    def test_rejects_wrong_basis_that_is_well_formed(self, forge):
+        lap = path_laplacian()
+        forged = forge(sym_eig(lap, unit_band=True))
+        with pytest.raises(NumericsError, match="reconstruction"):
+            forged.probe_check(lap, seed=3, unit_band=True)
+
+    def test_rejects_non_orthonormal_columns(self):
+        lap = path_laplacian()
+        basis = sym_eig(lap)
+        skewed = SpectralBasis(basis.eigenvalues, basis.eigenvectors * 1.001)
+        with pytest.raises(NumericsError, match="orthonormal"):
+            skewed.probe_check(lap, seed=3)
+
+    def test_rejects_other_size(self):
+        basis = sym_eig(path_laplacian(8))
+        with pytest.raises(NumericsError, match="size 8"):
+            basis.probe_check(path_laplacian(6), seed=3)
+
+    def test_cheap_checks_still_apply(self):
+        lap = path_laplacian()
+        basis = sym_eig(lap)
+        vals = basis.eigenvalues.copy()
+        vals[0] = np.nan
+        with pytest.raises(NumericsError, match="non-finite"):
+            SpectralBasis(vals, basis.eigenvectors).probe_check(lap, seed=3)
+        descending = basis.eigenvalues[::-1].copy()
+        with pytest.raises(NumericsError, match="ascending"):
+            SpectralBasis(descending, basis.eigenvectors).probe_check(lap, seed=3)
+        with pytest.raises(NumericsError, match="band"):
+            SpectralBasis(basis.eigenvalues * 5, basis.eigenvectors).probe_check(
+                5 * lap, seed=3, unit_band=True
+            )
+
+    @given(symmetric_matrices())
+    def test_passes_whatever_sym_eig_returns(self, m):
+        sym_eig(m).probe_check(m, seed=0)
+
+
 class TestCache:
     def lap(self):
         ds = make_dataset(np.ones((5, 5)) - np.eye(5))
         return build_normalized_laplacian(ds)
 
     def test_save_load_bit_exact(self, tmp_path):
-        basis = sym_eig(self.lap())
-        path = save_basis(basis, tmp_path / "k5.eig")
+        lap = self.lap()
+        basis = sym_eig(lap)
+        path = save_basis(basis, tmp_path / "k5.eig", matrix_digest(lap))
         back = load_basis(path)
         assert np.array_equal(back.eigenvalues, basis.eigenvalues)
         assert np.array_equal(back.eigenvectors, basis.eigenvectors)
 
     def test_file_layout(self, tmp_path):
-        # n as u64, then eigenvalues, then column-major eigenvectors
-        basis = sym_eig(path2_laplacian())
-        raw = save_basis(basis, tmp_path / "p2.eig").read_bytes()
-        assert len(raw) == 8 + 2 * 8 + 4 * 8
-        assert int.from_bytes(raw[:8], "little") == 2
-        vals = np.frombuffer(raw, dtype="<f8", count=2, offset=8)
+        # 80-byte header: tag, n as u64, raw matrix digest, payload SHA-256;
+        # then eigenvalues and column-major eigenvectors
+        lap = path2_laplacian()
+        basis = sym_eig(lap)
+        raw = save_basis(basis, tmp_path / "p2.eig", matrix_digest(lap)).read_bytes()
+        assert len(raw) == 80 + 2 * 8 + 4 * 8
+        assert raw[:8] == CACHE_MAGIC == b"GNFEIG\x00\x02"
+        assert int.from_bytes(raw[8:16], "little") == 2
+        assert raw[16:48] == bytes.fromhex(matrix_digest(lap))
+        assert raw[48:80] == hashlib.sha256(raw[80:]).digest()
+        vals = np.frombuffer(raw, dtype="<f8", count=2, offset=80)
         np.testing.assert_array_equal(vals, basis.eigenvalues)
-        vecs = np.frombuffer(raw, dtype="<f8", count=4, offset=24)
+        vecs = np.frombuffer(raw, dtype="<f8", count=4, offset=96)
         np.testing.assert_array_equal(vecs, basis.eigenvectors.flatten(order="F"))
 
     def test_save_uses_unique_temp_file(self, tmp_path):
         stale = tmp_path / "k5.eig.tmp"
         stale.write_bytes(b"another writer")
-        basis = sym_eig(self.lap())
-        back = load_basis(save_basis(basis, tmp_path / "k5.eig"))
+        lap = self.lap()
+        basis = sym_eig(lap)
+        back = load_basis(save_basis(basis, tmp_path / "k5.eig", matrix_digest(lap)))
         assert stale.read_bytes() == b"another writer"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["k5.eig", "k5.eig.tmp"]
         assert np.array_equal(back.eigenvectors, basis.eigenvectors)
@@ -189,6 +280,29 @@ class TestCache:
         assert files[0].stat().st_mtime_ns == mtime
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
+    def test_miss_then_hit_bitwise_equal(self, tmp_path, monkeypatch):
+        lap = path_laplacian(30)
+        miss = load_or_compute(lap, tmp_path, unit_band=True)
+        monkeypatch.setattr(
+            "gnodeformer.spectral.sym_eig",
+            lambda *a, **k: pytest.fail("a hit must not solve"),
+        )
+        hit = load_or_compute(lap, tmp_path, unit_band=True)
+        assert np.array_equal(hit.eigenvalues, miss.eigenvalues)
+        assert np.array_equal(hit.eigenvectors, miss.eigenvectors)
+        # one layout on both paths, so products downstream round alike
+        assert miss.eigenvectors.flags.f_contiguous
+        assert hit.eigenvectors.flags.f_contiguous
+
+    def test_hit_skips_full_validation(self, tmp_path, monkeypatch):
+        lap = path_laplacian()
+        load_or_compute(lap, tmp_path, unit_band=True)
+        monkeypatch.setattr(
+            SpectralBasis, "validate",
+            lambda *a, **k: pytest.fail("a hit must not run the O(n^3) validate"),
+        )
+        load_or_compute(lap, tmp_path, unit_band=True)
+
     def test_corrupt_cache_recomputed(self, tmp_path, caplog):
         lap = self.lap()
         load_or_compute(lap, tmp_path)
@@ -201,9 +315,87 @@ class TestCache:
         # the rewritten entry is valid again
         load_basis(path).validate(lap)
 
+    @pytest.mark.parametrize(
+        "offset, match",
+        [
+            (0, "tag"),  # magic
+            (8, "bytes, expected"),  # n
+            (16, "decomposes matrix"),  # matrix digest
+            (48, "checksum"),  # payload checksum
+            (80, "checksum"),  # first eigenvalue
+            (80 + 8 * 8 + 5 * 8, "checksum"),  # an eigenvector entry
+        ],
+    )
+    def test_flipped_byte_recomputed(self, tmp_path, caplog, offset, match):
+        lap = path_laplacian()
+        good = load_or_compute(lap, tmp_path, unit_band=True)
+        path = tmp_path / f"{matrix_digest(lap)}.eig"
+        flip_byte(path, offset)
+        self.assert_discarded_and_rewritten(lap, path, good, caplog, match)
+
+    def test_low_order_bit_flip_caught_by_checksum(self, tmp_path, caplog):
+        # flipping the last mantissa bit of one eigenvector entry leaves a
+        # basis that the full validation accepts; only the checksum sees it
+        lap = path_laplacian()
+        good = load_or_compute(lap, tmp_path, unit_band=True)
+        path = tmp_path / f"{matrix_digest(lap)}.eig"
+        flip_byte(path, 80 + 8 * 8, mask=0x01)
+        vecs = good.eigenvectors.copy()
+        vecs[0, 0] = np.frombuffer(path.read_bytes(), "<f8", count=1, offset=80 + 8 * 8)[0]
+        assert vecs[0, 0] != good.eigenvectors[0, 0]
+        SpectralBasis(good.eigenvalues, vecs).validate(lap, unit_band=True)
+        self.assert_discarded_and_rewritten(lap, path, good, caplog, "checksum")
+
+    def test_v1_entry_recomputed(self, tmp_path, caplog):
+        lap = path_laplacian()
+        good = sym_eig(lap, unit_band=True)
+        path = tmp_path / f"{matrix_digest(lap)}.eig"
+        path.write_bytes(v1_entry(good))
+        self.assert_discarded_and_rewritten(lap, path, good, caplog, "tag")
+
+    @pytest.mark.parametrize("same_size", [False, True])
+    def test_entry_of_another_matrix_recomputed(self, tmp_path, caplog, same_size):
+        lap = path_laplacian()
+        other = path_laplacian() if same_size else self.lap()
+        if same_size:
+            other[0, 0] += 1e-3
+        load_or_compute(other, tmp_path)
+        path = tmp_path / f"{matrix_digest(lap)}.eig"
+        shutil.copy(tmp_path / f"{matrix_digest(other)}.eig", path)
+        good = sym_eig(lap, unit_band=True)
+        self.assert_discarded_and_rewritten(lap, path, good, caplog, "decomposes matrix")
+
+    @pytest.mark.parametrize("forge", [move_one_eigenvalue, swap_first_and_last_columns])
+    def test_forged_entry_with_right_checksum_recomputed(self, tmp_path, caplog, forge):
+        lap = path_laplacian()
+        good = sym_eig(lap, unit_band=True)
+        digest = matrix_digest(lap)
+        path = save_basis(forge(good), tmp_path / f"{digest}.eig", digest)
+        load_basis(path, digest)  # tag, digest and checksum all hold
+        self.assert_discarded_and_rewritten(lap, path, good, caplog, "reconstruction")
+
+    @staticmethod
+    def assert_discarded_and_rewritten(lap, path, good, caplog, match):
+        with caplog.at_level("WARNING"):
+            basis = load_or_compute(lap, path.parent, unit_band=True)
+        assert "discarding bad cache entry" in caplog.text
+        assert match in caplog.text
+        assert np.array_equal(basis.eigenvalues, good.eigenvalues)
+        assert np.array_equal(basis.eigenvectors, good.eigenvectors)
+        assert path.read_bytes()[:8] == CACHE_MAGIC
+        back = load_basis(path, matrix_digest(lap)).validate(lap, unit_band=True)
+        assert np.array_equal(back.eigenvectors, good.eigenvectors)
+        caplog.clear()
+        load_or_compute(lap, path.parent, unit_band=True)
+        assert "bad cache entry" not in caplog.text
+
     def test_digest_distinguishes_matrices(self):
         assert matrix_digest(np.eye(3)) != matrix_digest(2 * np.eye(3))
         assert matrix_digest(np.zeros((2, 3))) != matrix_digest(np.zeros((3, 2)))
+
+    def test_digest_ignores_memory_layout(self):
+        m = path_laplacian() + np.triu(np.ones((8, 8)))
+        assert matrix_digest(m) == matrix_digest(np.asfortranarray(m))
 
     def test_no_cache_dir_computes(self):
         basis = load_or_compute(path2_laplacian(), None)
@@ -214,3 +406,44 @@ class TestCache:
         p.write_bytes(b"\x01\x02")
         with pytest.raises(NumericsError, match="truncated"):
             load_basis(p)
+
+    def test_forged_size_rejected_before_allocation(self, tmp_path):
+        p = tmp_path / "big.eig"
+        p.write_bytes(CACHE_MAGIC + (4_000_000_000).to_bytes(8, "little") + bytes(64))
+        with pytest.raises(NumericsError, match="bytes, expected"):
+            load_basis(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes_load_or_reject(self, raw):
+        self.assert_load_or_reject(raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=80 + 8 * 12 - 1),
+                      st.integers(min_value=1, max_value=255)),
+            max_size=4,
+        ),
+        cut=st.integers(min_value=0, max_value=80 + 8 * 12),
+        tail=st.binary(max_size=16),
+    )
+    def test_damaged_entry_load_or_reject(self, edits, cut, tail):
+        lap = path_laplacian(3)
+        with tempfile.TemporaryDirectory() as tmp:
+            good = save_basis(sym_eig(lap), Path(tmp) / "e.eig", matrix_digest(lap))
+            raw = bytearray(good.read_bytes())
+        for offset, mask in edits:
+            raw[offset] ^= mask
+        self.assert_load_or_reject(bytes(raw[:cut]) + tail)
+
+    @staticmethod
+    def assert_load_or_reject(raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.eig"
+            path.write_bytes(raw)
+            try:
+                basis = load_basis(path)
+            except NumericsError:
+                return
+        assert basis.eigenvectors.shape == (basis.n, basis.n)
