@@ -21,6 +21,9 @@ from .errors import DataError, NumericsError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-12
+# rows of dS per block in attention's softmax backward are sized to this
+# many bytes, which bounds the (dS * P) temporary of the row sums
+_SOFTMAX_BLOCK_BYTES = 256 * 1024
 
 
 class Tensor:
@@ -48,14 +51,20 @@ class Tensor:
     # binary ops --------------------------------------------------------
 
     def __add__(self, other):
-        return _broadcast_op(self, other, np.add, lambda a, b, g: (g, g))
+        return _broadcast_op(self, other, np.add, lambda a, b, g: g, lambda a, b, g: g)
 
     def __sub__(self, other):
-        return _broadcast_op(self, other, np.subtract, lambda a, b, g: (g, -g))
+        return _broadcast_op(
+            self, other, np.subtract, lambda a, b, g: g, lambda a, b, g: -g
+        )
 
     def __mul__(self, other):
         return _broadcast_op(
-            self, other, np.multiply, lambda a, b, g: (g * b.data, g * a.data)
+            self,
+            other,
+            np.multiply,
+            lambda a, b, g: g * b.data,
+            lambda a, b, g: g * a.data,
         )
 
     def __matmul__(self, other):
@@ -68,8 +77,10 @@ class Tensor:
         if out.requires_grad:
 
             def backward(g):
-                _acc(a, g @ b.data.T)
-                _acc(b, a.data.T @ g)
+                if a.requires_grad:
+                    _acc(a, g @ b.data.T)
+                if b.requires_grad:
+                    _acc(b, a.data.T @ g)
 
             out._backward = backward
         return out
@@ -264,7 +275,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _broadcast_op(a: Tensor, b, fwd, grads) -> Tensor:
+def _broadcast_op(a: Tensor, b, fwd, grad_a, grad_b) -> Tensor:
+    """fwd(a, b) with numpy broadcasting; grad_a(a, b, g) and grad_b(a, b, g)
+    give each operand's gradient before unbroadcasting, and run only for an
+    operand that requires one.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = fwd(a.data, b.data)
@@ -276,9 +291,10 @@ def _broadcast_op(a: Tensor, b, fwd, grads) -> Tensor:
     if out.requires_grad:
 
         def backward(g):
-            ga, gb = grads(a, b, g)
-            _acc(a, ga)
-            _acc(b, gb)
+            if a.requires_grad:
+                _acc(a, grad_a(a, b, g))
+            if b.requires_grad:
+                _acc(b, grad_b(a, b, g))
 
         out._backward = backward
     return out
@@ -312,10 +328,12 @@ def attention(
     Returns (context, probabilities): probabilities P is the read-only
     row-stochastic softmax_rows((q * scale) k^T), and context is
     dropout(P, p, seed) v, with dropout as in dropout() (identity when
-    p=0). Of the n x n arrays, backward keeps only P and the dropout
-    mask; the others live for one call. The floating-point operations are those of
-    the composition scale, @, softmax_rows, dropout, @ in the same order,
-    so results match it bit for bit.
+    p=0). Of the n x n arrays, the graph keeps only P and the dropout
+    mask. Backward allocates one n x n buffer, dS: it holds dP = g v^T,
+    and the softmax backward then turns it into dS in place, a block of
+    rows at a time, with no second n x n temporary. The floating-point
+    operations are those of the composition scale, @, softmax_rows,
+    dropout, @ in the same order, so results match it bit for bit.
     """
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
         raise NumericsError(
@@ -344,18 +362,30 @@ def attention(
     if out.requires_grad:
 
         def backward(g):
-            _acc(v, dropped(probs).T @ g)
-            # dP, then dS = (dP - rowsum(dP * P)) * P, in one n x n buffer
+            if v.requires_grad:
+                _acc(v, dropped(probs).T @ g)
+            if not (q.requires_grad or k.requires_grad):
+                return
+            # dP, then dS = (dP - rowsum(dP * P)) * P in place. Only the
+            # elementwise work and row sums go by row blocks: they give the
+            # same bits per row, while a row-split GEMM can differ in the
+            # last bit (BLAS edge kernels).
             ds = g @ v.data.T
-            if keep is not None:
-                ds *= keep
-                ds *= keep_scale
-            ds -= (ds * probs).sum(axis=1, keepdims=True)
-            ds *= probs
-            _acc(q, (ds @ k.data) * scale)
-            # (qs^T dS)^T rather than dS^T qs: the product and layout the
-            # unfused matmul-then-transpose backward passes on
-            _acc(k, (qs.T @ ds).T)
+            rows = max(1, _SOFTMAX_BLOCK_BYTES // (ds.shape[1] * ds.itemsize))
+            for start in range(0, ds.shape[0], rows):
+                blk = ds[start : start + rows]
+                pb = probs[start : start + rows]
+                if keep is not None:
+                    blk *= keep[start : start + rows]
+                    blk *= keep_scale
+                blk -= (blk * pb).sum(axis=1, keepdims=True)
+                blk *= pb
+            if q.requires_grad:
+                _acc(q, (ds @ k.data) * scale)
+            if k.requires_grad:
+                # (qs^T dS)^T rather than dS^T qs: the product and layout the
+                # unfused matmul-then-transpose backward passes on
+                _acc(k, (qs.T @ ds).T)
 
         out._backward = backward
     return out, probs

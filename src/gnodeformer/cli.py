@@ -220,15 +220,19 @@ def cmd_train(args) -> int:
     config = model_config_from_args(args, dataset)
     optimizer = AdamConfig(lr=args.lr, weight_decay=args.weight_decay)
 
-    params, history = train_centralized(
+    params, history, last = train_centralized(
         dataset, basis, config, optimizer,
         epochs=args.epochs, seed=args.seed, patience=args.patience,
+        keep_forward=True,
     )
 
     _write_central_csv(out / "metrics.csv", history)
     save_checkpoint(params, out / "checkpoint.bin")
-    # one eval forward serves both the filter table and the test score
-    logits, gamma = forward(dataset, basis, config, params, training=False)
+    # one eval forward serves both the filter table and the test score: the
+    # last validation forward when it ran at these params, else a new one
+    if last is None:
+        last = forward(dataset, basis, config, params, training=False)
+    logits, gamma = last
     write_filter_table(out / "filters.txt", basis.eigenvalues, gamma.data)
     write_manifest(out / "manifest.txt", manifest_entries(args, "train"))
 

@@ -10,7 +10,8 @@ forward gives the same logits, bit for bit, as the eval forward, so
 built for the parameters after step e to ``run_epochs`` as the forward of
 step e + 1, which then runs only the loss, backward and Adam. The first
 step, and every step of a run with dropout or without a validation mask,
-runs its own forward.
+runs its own forward. The last validation forward can likewise go back to
+the caller, whose filter table and test score need that same eval forward.
 """
 
 import logging
@@ -104,20 +105,21 @@ def evaluate(
     params: ParamSet,
     mask: np.ndarray,
     logits: Tensor | None = None,
-    keep_logits: bool = False,
-) -> tuple[float, float] | tuple[float, float, Tensor]:
+    keep_forward: bool = False,
+) -> tuple[float, float] | tuple[float, float, tuple[Tensor, Tensor]]:
     """Loss and accuracy on ``mask`` with dropout disabled.
 
     ``logits``, if given, is an eval forward already made at ``params``
-    and is scored instead of running a new one. With ``keep_logits`` the
-    logits come back as a third item, graph included, so the caller can
-    reuse the forward.
+    and is scored instead of running a new one. With ``keep_forward`` the
+    forward's (logits, gamma) come back as a third item, graph included,
+    so the caller can reuse it (gamma is None when ``logits`` was given).
     """
+    gamma = None
     if logits is None:
-        logits, _ = forward(dataset, basis, config, params, training=False)
+        logits, gamma = forward(dataset, basis, config, params, training=False)
     loss, accuracy = loss_and_metrics(logits, dataset.labels, mask)
-    if keep_logits:
-        return loss.item(), accuracy, logits
+    if keep_forward:
+        return loss.item(), accuracy, (logits, gamma)
     return loss.item(), accuracy
 
 
@@ -129,12 +131,21 @@ def train_centralized(
     epochs: int,
     seed: int,
     patience: int | None = None,
-) -> tuple[ParamSet, list[CentralRecord]]:
+    keep_forward: bool = False,
+) -> (
+    tuple[ParamSet, list[CentralRecord]]
+    | tuple[ParamSet, list[CentralRecord], tuple[Tensor, Tensor] | None]
+):
     """Train from a fresh initialization, returning params and history.
 
     With ``patience`` set and a nonempty validation mask, training stops
     once validation accuracy has not improved for that many consecutive
     epochs, and the best-validation parameters are restored.
+
+    With ``keep_forward`` a third item is returned: the eval forward's
+    (logits, gamma) at the returned params, graph included, when the last
+    validation ``evaluate`` ran at them, else None (no epochs, no
+    validation mask, or parameters restored from an earlier epoch).
     """
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
@@ -146,9 +157,10 @@ def train_centralized(
     has_val = bool(dataset.val_mask.any())
     track_best = patience is not None and has_val
 
-    # the validation graph of the params after step e, held for step e + 1
+    # the validation (logits, gamma) of the params after step e, held for
+    # step e + 1 and, after the last step, for the caller
     reuse = has_val and config.dropout == 0
-    logits = None
+    held = None
 
     history: list[CentralRecord] = []
     best_accuracy = -1.0
@@ -156,12 +168,13 @@ def train_centralized(
     stale = 0
     for epoch in range(epochs):
         record = run_epochs(
-            dataset, basis, config, params, state, 1, seed, epoch, logits=logits
+            dataset, basis, config, params, state, 1, seed, epoch,
+            logits=None if held is None else held[0],
         )[0]
-        logits = None
-        if reuse:
-            val_loss, val_accuracy, logits = evaluate(
-                dataset, basis, config, params, dataset.val_mask, keep_logits=True
+        held = None
+        if has_val and (reuse or (keep_forward and epoch + 1 == epochs)):
+            val_loss, val_accuracy, held = evaluate(
+                dataset, basis, config, params, dataset.val_mask, keep_forward=True
             )
         elif has_val:
             val_loss, val_accuracy = evaluate(
@@ -192,6 +205,9 @@ def train_centralized(
                 stale += 1
                 if stale >= patience:
                     break
-    if track_best and best_params is not None:
-        params = best_params
+    # stale is 0 when the last epoch was the best: params already hold it
+    if track_best and stale and best_params is not None:
+        params, held = best_params, None
+    if keep_forward:
+        return params, history, held
     return params, history

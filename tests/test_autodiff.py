@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gnodeformer import autodiff
 from gnodeformer.autodiff import (
     LAYER_NORM_EPS,
     Tensor,
@@ -180,6 +181,43 @@ class TestAttention:
         np.testing.assert_allclose(fused_out.data, plain_out.data, rtol=0, atol=1e-12)
         for name in named:
             np.testing.assert_allclose(fused[name], plain[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("n, rows", [(7, 2), (50, 3)])
+    def test_blocked_backward_equals_whole_array_formula(
+        self, rng, monkeypatch, n, rows, p
+    ):
+        # a budget of `rows` rows of dS: several blocks, the last one partial
+        assert n % rows
+        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", rows * n * 8)
+        q, k, v = leaf(rng, n, 3, -2, 2), leaf(rng, n, 3, -2, 2), leaf(rng, n, 4)
+        w = rng.uniform(-1, 1, size=(n, 4))
+        scale, seed = 0.5, 3
+        out, probs = attention(q, k, v, scale, p, seed)
+        got = backward((out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
+
+        dropped = probs
+        ds = w @ v.data.T
+        if p:
+            keep = np.random.default_rng(seed).random(probs.shape) >= p
+            dropped = probs * keep * (1.0 / (1.0 - p))
+            ds *= keep
+            ds *= 1.0 / (1.0 - p)
+        ds -= (ds * probs).sum(axis=1, keepdims=True)
+        ds *= probs
+        np.testing.assert_array_equal(got["v"], dropped.T @ w)
+        np.testing.assert_array_equal(got["q"], (ds @ k.data) * scale)
+        np.testing.assert_array_equal(got["k"], ((q.data * scale).T @ ds).T)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_blocked_gradients_match_finite_differences(self, rng, monkeypatch, p):
+        # 2 rows of dS per block over 5 rows: blocks of 2, 2 and 1
+        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 2 * 5 * 8)
+        q, k, v = leaf(rng, 5, 3), leaf(rng, 5, 3), leaf(rng, 5, 4)
+        read = weighting(rng, 5, 4)
+        check_against_fd(
+            lambda: read(attention(q, k, v, 0.7, p, seed=11)[0]), [q, k, v]
+        )
 
     def test_probabilities_are_the_softmax_before_dropout(self, rng):
         q, k, v = leaf(rng, 6, 2), leaf(rng, 6, 2), leaf(rng, 6, 3)

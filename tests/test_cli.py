@@ -127,8 +127,8 @@ class TestTrain:
              "val_loss", "val_accuracy", "seconds"]
         ]
 
-    def test_one_forward_after_training(self, tmp_path, monkeypatch):
-        # filters.txt and the test score share one eval forward
+    @staticmethod
+    def _count_phases(monkeypatch):
         phases = []
         real_train = cli.train_centralized
 
@@ -149,11 +149,31 @@ class TestTrain:
         monkeypatch.setattr(cli, "train_centralized", train)
         counted(cli)
         counted(training)
+        return phases
+
+    def test_one_forward_after_training(self, tmp_path, monkeypatch):
+        # filters.txt and the test score share one eval forward: the last
+        # validation forward, made inside training
+        phases = self._count_phases(monkeypatch)
         out = tmp_path / "run"
         assert run_cli(
             "train", "--sbm", TINY_SBM, *SMALL_MODEL, "--epochs", 3, "--out", out
         ) == 0
-        assert phases == ["forward"] * 4 + ["trained", "forward"]
+        assert phases == ["forward"] * 4 + ["trained"]
+
+    def test_one_forward_after_patience_restore(self, tmp_path, monkeypatch):
+        # restored params have no forward yet: filters.txt and the test
+        # score share one eval forward
+        phases = self._count_phases(monkeypatch)
+        out = tmp_path / "run"
+        epochs = 30
+        assert run_cli(
+            "train", "--sbm", TINY_SBM, *SMALL_MODEL, "--epochs", epochs,
+            "--lr", "0.3", "--patience", 1, "--out", out,
+        ) == 0
+        assert len(read_csv(out / "metrics.csv")) - 1 < epochs
+        assert phases[-2:] == ["trained", "forward"]
+        assert phases.count("trained") == 1
 
     def test_manifest_replay_reproduces_metrics(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gnodeformer import autodiff
 from gnodeformer.autodiff import Tensor, attention, backward
 from gnodeformer.errors import ConfigError
 from gnodeformer.graphs import SbmConfig, build_normalized_laplacian, generate_sbm
@@ -518,3 +519,25 @@ class TestFilterExport:
         body = np.loadtxt(path, skiprows=1)
         np.testing.assert_array_equal(body[:, 0], basis.eigenvalues)
         np.testing.assert_array_equal(body[:, 1:], gamma.data)
+
+
+class TestBackwardWork:
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_no_gradient_built_for_constants(self, monkeypatch, dropout):
+        # the basis U, the features, the encoded eigenvalues and the one-hot
+        # and channel-mask constants need no gradient: no rule may build one
+        ds, basis = tiny_dataset()
+        cfg = tiny_config(rk_order=4, dropout=dropout)
+        params = init_params(cfg, seed=0)
+        targets = []
+        real_acc = autodiff._acc
+
+        def acc(t, g):
+            targets.append(t.requires_grad)
+            real_acc(t, g)
+
+        monkeypatch.setattr(autodiff, "_acc", acc)
+        logits, _ = forward(ds, basis, cfg, params, training=True, dropout_seed=5)
+        loss, _ = loss_and_metrics(logits, ds.labels, ds.train_mask)
+        backward(loss, dict(params.items()))
+        assert targets and all(targets)

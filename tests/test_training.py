@@ -257,6 +257,31 @@ class TestForwardReuse:
         train_centralized(ds, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0)
         assert len(made) == 2 * 5
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_kept_forward_is_the_eval_forward_at_returned_params(
+        self, monkeypatch, dropout
+    ):
+        ds, basis, cfg = small_problem(dropout=dropout)
+        made = counting_forward(monkeypatch, training)
+        params, history, (logits, gamma) = train_centralized(
+            ds, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0, keep_forward=True
+        )
+        # dropout makes every step run its own forward; the kept one is not new
+        assert len(made) == (5 + 1 if dropout == 0 else 2 * 5)
+        want_logits, want_gamma = forward(ds, basis, cfg, params, training=False)
+        assert logits.data.tobytes() == want_logits.data.tobytes()
+        assert gamma.data.tobytes() == want_gamma.data.tobytes()
+
+    def test_restored_params_keep_no_forward(self):
+        ds, basis, cfg = small_problem()
+        epochs = 30
+        _, history, last = train_centralized(
+            ds, basis, cfg, AdamConfig(lr=0.3), epochs, seed=1, patience=2,
+            keep_forward=True,
+        )
+        assert len(history) < epochs
+        assert last is None
+
     def test_no_validation_mask_runs_step_forwards_only(self, monkeypatch):
         ds, basis, cfg = small_problem()
         bare = replace(ds, val_mask=np.zeros(ds.n, dtype=bool))
@@ -298,10 +323,13 @@ class TestForwardReuse:
     def test_evaluate_scores_given_logits(self, monkeypatch):
         ds, basis, cfg = small_problem()
         params = init_params(cfg, seed=2)
-        loss, acc, logits = evaluate(
-            ds, basis, cfg, params, ds.val_mask, keep_logits=True
+        loss, acc, (logits, gamma) = evaluate(
+            ds, basis, cfg, params, ds.val_mask, keep_forward=True
         )
         assert (loss, acc) == evaluate(ds, basis, cfg, params, ds.val_mask)
+        want_logits, want_gamma = forward(ds, basis, cfg, params, training=False)
+        np.testing.assert_array_equal(logits.data, want_logits.data)
+        np.testing.assert_array_equal(gamma.data, want_gamma.data)
         made = counting_forward(monkeypatch, training)
         got = evaluate(ds, basis, cfg, params, ds.test_mask, logits=logits)
         assert made == []
