@@ -303,14 +303,14 @@ def _broadcast_op(a: Tensor, b, fwd, grad_a, grad_b) -> Tensor:
 # free-function ops ---------------------------------------------------------
 
 
-def dropout(t: Tensor, p: float, seed: int, training: bool) -> Tensor:
+def dropout(t: Tensor, p: float, seed: int) -> Tensor:
     """Inverted dropout: zero entries with probability p and rescale the
-    survivors by 1/(1-p). Identity when p=0 or not training. The mask is
-    a pure function of the seed.
+    survivors by 1/(1-p). Identity when p=0. The mask is a pure function
+    of the seed.
     """
     if not 0.0 <= p < 1.0:
         raise NumericsError(f"dropout probability {p} outside [0, 1)")
-    if not training or p == 0.0:
+    if p == 0.0:
         return t
     keep = np.random.default_rng(seed).random(t.data.shape) >= p
     scale = 1.0 / (1.0 - p)

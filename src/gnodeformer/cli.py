@@ -126,10 +126,10 @@ def load_source(args) -> GraphDataset:
     return replace(dataset, train_mask=train, val_mask=val, test_mask=test)
 
 
-def model_config_from_args(args, dataset: GraphDataset) -> ModelConfig:
+def model_config_from_args(args, feature_dim: int, classes: int) -> ModelConfig:
     return ModelConfig(
-        feature_dim=dataset.feature_dim,
-        classes=dataset.num_classes,
+        feature_dim=feature_dim,
+        classes=classes,
         d=args.width,
         heads=args.heads,
         layers=args.layers,
@@ -214,11 +214,11 @@ def cmd_train(args) -> int:
     if args.from_manifest:
         apply_manifest(args, args.from_manifest)
     dataset = load_source(args)
+    config = model_config_from_args(args, dataset.feature_dim, dataset.num_classes)
+    optimizer = AdamConfig(lr=args.lr, weight_decay=args.weight_decay)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     basis = _basis_for(dataset, out)
-    config = model_config_from_args(args, dataset)
-    optimizer = AdamConfig(lr=args.lr, weight_decay=args.weight_decay)
 
     params, history, last = train_centralized(
         dataset, basis, config, optimizer,
@@ -248,11 +248,13 @@ def cmd_train(args) -> int:
 def cmd_fed_train(args) -> int:
     if args.from_manifest:
         apply_manifest(args, args.from_manifest)
+    if args.checkpoint_every < 0:
+        raise ConfigError(f"--checkpoint-every {args.checkpoint_every} must be >= 0")
     dataset = load_source(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = FedConfig(
-        model=model_config_from_args(args, dataset),
+        model=model_config_from_args(args, dataset.feature_dim, dataset.num_classes),
         optimizer=AdamConfig(lr=args.lr, weight_decay=args.weight_decay),
         clients=args.clients,
         alpha=args.alpha,
@@ -290,6 +292,8 @@ def cmd_fed_train(args) -> int:
 
 
 def cmd_partition_report(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds {args.seeds} must be >= 1")
     dataset = load_source(args)
     classes = dataset.num_classes
     header = ["seed", "client_id", "nodes"]
@@ -329,18 +333,7 @@ def cmd_comm_report(args) -> int:
             feature_dim, classes = int(f_text), int(c_text)
         except ValueError:
             raise ConfigError(f"--spec {spec!r} has non-integer sizes") from None
-        config = ModelConfig(
-            feature_dim=feature_dim,
-            classes=classes,
-            d=args.width,
-            heads=args.heads,
-            layers=args.layers,
-            rk_order=args.rk,
-            epsilon=args.epsilon,
-            hidden=args.hidden,
-            activation=args.activation,
-        )
-        count, nbytes = comm_accounting(config)
+        count, nbytes = comm_accounting(model_config_from_args(args, feature_dim, classes))
         rows.append((name, count, nbytes))
     print("name,params,bytes")
     for name, count, nbytes in sorted(rows):
@@ -354,7 +347,8 @@ def _add_source_flags(parser, require=True):
     group.add_argument("--sbm", help="synthetic graph spec, e.g. "
                        "'blocks=100,100,100;p_in=0.1;p_out=0.01'")
     parser.add_argument("--symmetrize", action="store_true",
-                        help="repair asymmetric adjacency on load")
+                        help="no effect: edge lists always load undirected "
+                        "(kept so existing manifests replay)")
 
 
 def _add_model_flags(parser):

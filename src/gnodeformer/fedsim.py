@@ -11,7 +11,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,8 @@ class FedConfig:
     def __post_init__(self):
         if self.clients < 1:
             raise ConfigError(f"clients={self.clients} must be >= 1")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha={self.alpha} must be positive")
+        if not 0.0 < self.alpha < inf:
+            raise ConfigError(f"alpha={self.alpha} must be positive and finite")
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
         if self.local_epochs < 0:
@@ -98,8 +98,8 @@ def dirichlet_partition(
     """
     if clients < 1:
         raise ConfigError("clients must be >= 1")
-    if not alpha > 0:
-        raise ConfigError("alpha must be positive")
+    if not 0.0 < alpha < inf:
+        raise ConfigError(f"alpha={alpha} must be positive and finite")
     labels = np.asarray(labels)
     rng = rng_for(seed, PARTITION)
 
@@ -288,7 +288,7 @@ def run_rounds(
     """
     clients = build_clients(dataset, config)
     global_params = init_params(config.model, config.seed)
-    param_count = count_parameters(config.model)
+    _, one_way_bytes = comm_accounting(config.model)
     records: list[RoundRecord] = []
     bytes_cum = 0
 
@@ -307,11 +307,8 @@ def run_rounds(
                 return client_update(global_params, clients[cid], config, offset)
 
             participants = [int(c) for c in participants]
-            if pool is None:
-                results = {cid: update(cid) for cid in participants}
-            else:
-                futures = {cid: pool.submit(update, cid) for cid in participants}
-                results = {cid: futures[cid].result() for cid in participants}
+            run = pool.map if pool else map
+            results = dict(zip(participants, run(update, participants)))
 
             survivors = [
                 (cid, results[cid][0]) for cid in participants if results[cid][0] is not None
@@ -334,7 +331,7 @@ def run_rounds(
                 )
 
             global_loss, global_accuracy = evaluate_global(clients, config.model, global_params)
-            round_bytes = 2 * len(participants) * BYTES_PER_PARAM * param_count
+            round_bytes = 2 * len(participants) * one_way_bytes
             bytes_cum += round_bytes
             records.append(
                 RoundRecord(

@@ -8,6 +8,7 @@ stored without self-loops.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,7 +82,7 @@ class GraphDataset:
         if not np.isin(a, (0.0, 1.0)).all():
             raise DataError("adjacency entries must be 0 or 1")
         if np.trace(a) != 0:
-            log.warning("dropping %d self-loops", int(np.trace(a)))
+            log.warning("%s: dropping %d self-loops", self.name, int(np.trace(a)))
             np.fill_diagonal(a, 0.0)
         self.adjacency = a
 
@@ -131,8 +132,8 @@ class SbmConfig:
         for p in (self.p_in, self.p_out):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
-        if self.signal < 0:
-            raise ConfigError("feature signal must be >= 0")
+        if not 0.0 <= self.signal < np.inf:
+            raise ConfigError(f"feature signal {self.signal} must be finite and >= 0")
 
 
 def build_normalized_laplacian(dataset: GraphDataset) -> np.ndarray:
@@ -250,10 +251,7 @@ def save_dataset(dataset: GraphDataset, path: str | Path) -> Path:
         fh.write(f"f={dataset.feature_dim}\n")
         fh.write(f"c={dataset.num_classes}\n")
         fh.write(f"name={dataset.name}\n")
-    us, vs = np.nonzero(np.triu(dataset.adjacency, k=1))
-    with open(path / "edges", "w") as fh:
-        for u, v in zip(us, vs):
-            fh.write(f"{u} {v}\n")
+    np.savetxt(path / "edges", np.argwhere(np.triu(dataset.adjacency, k=1)), fmt="%d")
     np.savetxt(path / "features", dataset.features, fmt="%.17g")
     np.savetxt(path / "labels", dataset.labels[:, None], fmt="%d")
     return path
@@ -283,32 +281,24 @@ def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
     if labels.shape != (n,):
         raise DataError(f"labels file has {labels.shape[0]} rows, meta says {n}")
 
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    dropped_loops = 0
     try:
-        with open(path / "edges") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise DataError(f"edges line {lineno}: expected two node ids")
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise DataError(f"edges line {lineno}: {exc}") from exc
-                if not (0 <= u < n and 0 <= v < n):
-                    raise DataError(f"edges line {lineno}: node id outside [0, {n})")
-                if u == v:
-                    dropped_loops += 1
-                    continue
-                adjacency[u, v] = 1.0
-                adjacency[v, u] = 1.0
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path / 'edges'}: not text: {exc}") from None
-    if dropped_loops:
-        log.warning("%s: dropped %d self-loop edges", path, dropped_loops)
+        with warnings.catch_warnings():
+            # a file without rows is an edgeless graph, not a mistake
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            edges = np.loadtxt(path / "edges", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DataError(f"{path / 'edges'}: {exc}") from None
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.shape[1] != 2:
+        raise DataError(f"edges: expected two node ids per line, got {edges.shape[1]}")
+    bad = edges[(edges < 0) | (edges >= n)]
+    if bad.size:
+        raise DataError(f"edges: node id {bad[0]} outside [0, {n})")
+    # self-loops land on the diagonal, which validate() clears with a warning
+    adjacency = np.zeros((n, n), dtype=np.float64)
+    adjacency[edges[:, 0], edges[:, 1]] = 1.0
+    adjacency[edges[:, 1], edges[:, 0]] = 1.0
 
     ds = GraphDataset(
         n=n,

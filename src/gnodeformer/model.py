@@ -68,8 +68,10 @@ class ModelConfig:
             raise ConfigError("need at least one block")
         if self.rk_order not in RK_WEIGHTS:
             raise ConfigError(f"rk_order={self.rk_order} not one of 1, 2, 4")
-        if self.epsilon <= 0:
-            raise ConfigError("encoding temperature epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(
+                f"encoding temperature epsilon={self.epsilon} must be positive and finite"
+            )
         if self.hidden < 1:
             raise ConfigError("head hidden width must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -209,7 +211,7 @@ def transformer_layer_f(
     hidden = (ff_in @ p("ffn/w1") + p("ffn/b1")).gelu()
     out = hidden @ p("ffn/w2") + p("ffn/b2")
     if drop:
-        out = dropout(out, drop, next(seeds), training=True)
+        out = dropout(out, drop, next(seeds))
     return out
 
 

@@ -46,9 +46,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -86,10 +83,10 @@ class AdamConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate {self.lr} must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight decay must be >= 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"learning rate {self.lr} must be positive and finite")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight decay {self.weight_decay} must be finite and >= 0")
 
 
 @dataclass

@@ -42,8 +42,9 @@ class SpectralBasis:
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def validate(self, matrix: np.ndarray | None = None, unit_band: bool = False):
-        """Check invariants; raise NumericsError on violation.
+    def validate(self, matrix: np.ndarray, unit_band: bool = False):
+        """Check invariants, and that the basis reconstructs ``matrix``;
+        raise NumericsError on violation.
 
         unit_band additionally requires eigenvalues in [0, 2] up to
         1e-8 * n slack, which holds for normalized Laplacians but not
@@ -54,11 +55,10 @@ class SpectralBasis:
         gram_err = np.abs(vecs.T @ vecs - np.eye(self.n)).max()
         if gram_err > ORTHO_TOL:
             raise NumericsError(f"eigenvector columns not orthonormal ({gram_err:.2e})")
-        if matrix is not None:
-            scale = np.linalg.norm(matrix)
-            err = np.linalg.norm(vecs @ (vals[:, None] * vecs.T) - matrix)
-            if err > RECON_TOL * max(scale, 1.0):
-                raise NumericsError(f"reconstruction error {err:.2e} too large")
+        scale = np.linalg.norm(matrix)
+        err = np.linalg.norm(vecs @ (vals[:, None] * vecs.T) - matrix)
+        if err > RECON_TOL * max(scale, 1.0):
+            raise NumericsError(f"reconstruction error {err:.2e} too large")
         return self
 
     def probe_check(self, matrix: np.ndarray, seed: int, unit_band: bool = False):
@@ -233,19 +233,15 @@ def load_basis(path: str | Path, digest: str | None = None) -> SpectralBasis:
 
 
 def load_or_compute(
-    matrix: np.ndarray,
-    cache_dir: str | Path | None = None,
-    unit_band: bool = False,
+    matrix: np.ndarray, cache_dir: str | Path, unit_band: bool = False
 ) -> SpectralBasis:
-    """Return the decomposition of matrix, reusing a cached copy when
-    its content hash matches.
+    """Return the decomposition of matrix, reusing the copy cached in
+    ``cache_dir`` when its content hash matches.
 
     A hit must pass load_basis's checksum and digest checks and the
     O(n^2) probe_check, with probes seeded from the digest; any other
     entry is recomputed with the full O(n^3) validation and rewritten.
     """
-    if cache_dir is None:
-        return sym_eig(matrix, unit_band=unit_band)
     digest = matrix_digest(matrix)
     path = Path(cache_dir) / f"{digest}.eig"
     if path.exists():

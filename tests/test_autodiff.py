@@ -136,7 +136,7 @@ class TestPrimitiveGradients:
     def test_dropout_fixed_seed(self, rng):
         a, read = leaf(rng, 5, 4), weighting(rng, 5, 4)
         check_against_fd(
-            lambda: read(dropout(a, 0.4, seed=7, training=True)), [a]
+            lambda: read(dropout(a, 0.4, seed=7)), [a]
         )
 
     def test_sum(self, rng):
@@ -157,7 +157,7 @@ class TestPrimitiveGradients:
 def unfused_attention(q, k, v, scale, p, seed):
     """The op composition that attention() fuses."""
     weights = (q.scale(scale) @ k.T).softmax_rows()
-    return dropout(weights, p, seed, training=True) @ v
+    return dropout(weights, p, seed) @ v
 
 
 class TestAttention:
@@ -328,20 +328,19 @@ class TestForwardValues:
 
     def test_dropout_eval_is_identity(self, rng):
         a = leaf(rng, 3, 3)
-        assert dropout(a, 0.5, seed=1, training=False) is a
-        assert dropout(a, 0.0, seed=1, training=True) is a
+        assert dropout(a, 0.0, seed=1) is a
 
     def test_dropout_deterministic_by_seed(self, rng):
         a = leaf(rng, 8, 8)
-        x = dropout(a, 0.5, seed=3, training=True).data
-        y = dropout(a, 0.5, seed=3, training=True).data
-        z = dropout(a, 0.5, seed=4, training=True).data
+        x = dropout(a, 0.5, seed=3).data
+        y = dropout(a, 0.5, seed=3).data
+        z = dropout(a, 0.5, seed=4).data
         np.testing.assert_array_equal(x, y)
         assert not np.array_equal(x, z)
 
     def test_dropout_rescales_survivors(self, rng):
         a = Tensor(np.ones((100, 100)))
-        out = dropout(a, 0.25, seed=5, training=True)
+        out = dropout(a, 0.25, seed=5)
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 4.0 / 3.0, atol=1e-12)
         assert abs(out.data.mean() - 1.0) < 0.05
@@ -495,7 +494,7 @@ class TestErrors:
 
     def test_dropout_bad_probability(self, rng):
         with pytest.raises(NumericsError, match="probability"):
-            dropout(leaf(rng, 2, 2), 1.0, seed=0, training=True)
+            dropout(leaf(rng, 2, 2), 1.0, seed=0)
 
     def test_no_debug_flag_allows_overflow(self):
         with np.errstate(over="ignore"):

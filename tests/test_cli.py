@@ -403,6 +403,27 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", tmp_path / "out") == 3
         assert "data error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fed-train", "--alpha", "inf"],
+            ["partition-report", "--alpha", "inf"],
+            ["train", "--lr", "nan"],
+            ["train", "--lr", "inf"],
+            ["train", "--weight-decay", "nan"],
+            ["train", "--epsilon", "nan"],
+            ["train", "--epsilon", "inf"],
+            ["fed-train", "--checkpoint-every", "-1"],
+            ["partition-report", "--seeds", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, argv):
+        out = [] if argv[0] == "partition-report" else ["--out", tmp_path / "out"]
+        code = run_cli(*argv, "--sbm", TINY_SBM, *out)
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_console_script_end_to_end(self, tmp_path):
         # exercises the entry point across a process boundary rather than
         # in-process main: `python -m gnodeformer` always, and the installed

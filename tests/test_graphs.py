@@ -211,6 +211,9 @@ class TestSbm:
             SbmConfig(block_sizes=(5,), p_in=1.5, p_out=0.1)
         with pytest.raises(ConfigError):
             SbmConfig(block_sizes=(5, 0), p_in=0.1, p_out=0.1)
+        for signal in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="signal"):
+                SbmConfig(block_sizes=(5,), p_in=0.1, p_out=0.1, signal=signal)
 
 
 class TestSplitMasks:
@@ -300,11 +303,47 @@ class TestDiskFormat:
 
     def test_loader_drops_self_loops(self, tmp_path, caplog):
         save_dataset(triangle(), tmp_path / "t")
-        (tmp_path / "t" / "edges").write_text("0 0\n0 1\n")
+        (tmp_path / "t" / "edges").write_text("0 0\n2 2\n0 1\n")
         with caplog.at_level("WARNING"):
             ds = load_dataset(tmp_path / "t")
         assert ds.num_edges == 1
-        assert "self-loop" in caplog.text
+        assert np.trace(ds.adjacency) == 0
+        warnings = [r.getMessage() for r in caplog.records if "self-loop" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "2 self-loop" in warnings[0]
+
+    @pytest.mark.parametrize(
+        "text, edges",
+        [
+            ("0 1\n\n   \n\t\n1 2\n", [(0, 1), (1, 2)]),
+            ("0 1\n1 0\n0 1\n", [(0, 1)]),
+            (" 0\t1 \r\n1  2\r\n", [(0, 1), (1, 2)]),
+            ("", []),
+            ("\n  \n", []),
+        ],
+        ids=["blank_lines", "duplicates", "mixed_whitespace", "empty", "whitespace_only"],
+    )
+    def test_loader_accepts(self, tmp_path, text, edges):
+        save_dataset(triangle(), tmp_path / "t")
+        (tmp_path / "t" / "edges").write_text(text)
+        ds = load_dataset(tmp_path / "t")
+        expected = np.zeros((3, 3))
+        for u, v in edges:
+            expected[u, v] = expected[v, u] = 1.0
+        np.testing.assert_array_equal(ds.adjacency, expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# comment\n0 1\n", "0 1 # comment\n", "0 99999999999999999999\n",
+         "-1 2\n", "0 1\n2\n", "0 1.0\n"],
+        ids=["comment_line", "trailing_comment", "beyond_int64", "negative_id",
+             "ragged", "float_id"],
+    )
+    def test_loader_rejects(self, tmp_path, text):
+        save_dataset(triangle(), tmp_path / "t")
+        (tmp_path / "t" / "edges").write_text(text)
+        with pytest.raises(DataError):
+            load_dataset(tmp_path / "t")
 
     def test_loader_missing_meta_key(self, tmp_path):
         save_dataset(triangle(), tmp_path / "t")

@@ -397,10 +397,6 @@ class TestCache:
         m = path_laplacian() + np.triu(np.ones((8, 8)))
         assert matrix_digest(m) == matrix_digest(np.asfortranarray(m))
 
-    def test_no_cache_dir_computes(self):
-        basis = load_or_compute(path2_laplacian(), None)
-        np.testing.assert_allclose(basis.eigenvalues, [0.0, 2.0], atol=1e-12)
-
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "bad.eig"
         p.write_bytes(b"\x01\x02")
