@@ -118,8 +118,10 @@ class Tensor:
         return out
 
     def gelu(self):
-        # exact form x * Phi(x) with the Gaussian CDF, not the tanh fit;
-        # scipy.special is imported here so other activations never load it
+        # exact form x * Phi(x) with the Gaussian CDF, not the tanh fit.
+        # scipy.special is imported on the first call, not with the package;
+        # the FFN and decoder always use gelu, so every run loads it (about
+        # 0.3 s) in its first forward, whatever the head's activation
         from scipy.special import erf
 
         x = self.data
@@ -185,22 +187,26 @@ class Tensor:
 
     def layer_norm_rows(self):
         """Normalize each row to mean 0 and variance 1 (no affine part;
-        compose with a gain/bias tensor for that).
+        layer_norm_affine() adds the gain and bias).
         """
-        # sum / d rather than mean: the same bits, without mean's dispatch
-        x = self.data
-        d = x.shape[1]
-        mu = x.sum(axis=1, keepdims=True) / d
-        var = ((x - mu) ** 2).sum(axis=1, keepdims=True) / d
-        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-        y = (x - mu) * inv
+        y, inv = _layer_norm(self.data)
         out = _make(y, (self,))
+        if out.requires_grad:
+            out._backward = lambda g: _acc(self, _layer_norm_grad(g, y, inv))
+        return out
+
+    def column(self, index: int):
+        """Column ``index`` as an (n, 1) tensor. Its gradient is the output
+        gradient in that column and zero elsewhere: the values of the
+        product with a one-hot column, without the product.
+        """
+        out = _make(self.data[:, index : index + 1].copy(), (self,))
         if out.requires_grad:
 
             def backward(g):
-                gm = g.sum(axis=1, keepdims=True) / d
-                gym = (g * y).sum(axis=1, keepdims=True) / d
-                _acc(self, inv * (g - gm - y * gym))
+                grad = np.zeros_like(self.data)
+                grad[:, index : index + 1] = g
+                _acc(self, grad)
 
             out._backward = backward
         return out
@@ -262,6 +268,24 @@ def _softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _layer_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x at mean 0 and variance 1, and the per-row 1/std."""
+    # sum / d rather than mean: the same bits, without mean's dispatch
+    d = x.shape[1]
+    mu = x.sum(axis=1, keepdims=True) / d
+    var = ((x - mu) ** 2).sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    return (x - mu) * inv, inv
+
+
+def _layer_norm_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Input gradient of _layer_norm for output y and output gradient g."""
+    d = y.shape[1]
+    gm = g.sum(axis=1, keepdims=True) / d
+    gym = (g * y).sum(axis=1, keepdims=True) / d
+    return inv * (g - gm - y * gym)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient over the axes that were broadcast in the forward op."""
     if g.shape == shape:
@@ -320,31 +344,84 @@ def dropout(t: Tensor, p: float, seed: int) -> Tensor:
     return out
 
 
-def attention(
-    q: Tensor, k: Tensor, v: Tensor, scale: float, p: float, seed: int
-) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention as one node.
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, for a (1, cols) bias row b.
 
-    Returns (context, probabilities): probabilities P is the read-only
-    row-stochastic softmax_rows((q * scale) k^T), and context is
-    dropout(P, p, seed) v, with dropout as in dropout() (identity when
-    p=0). Of the n x n arrays, the graph keeps only P and the dropout
-    mask. Backward allocates one n x n buffer, dS: it holds dP = g v^T,
-    and the softmax backward then turns it into dS in place, a block of
-    rows at a time, with no second n x n temporary. The floating-point
-    operations are those of the composition scale, @, softmax_rows,
-    dropout, @ in the same order, so results match it bit for bit.
+    Bit for bit the matmul-then-add composition: backward passes the
+    gradients to b, x and w in that order, as the add and matmul nodes
+    did, so every gradient sum keeps its order.
     """
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
+    if x.data.shape[1] != w.data.shape[0] or b.data.shape != (1, w.data.shape[1]):
         raise NumericsError(
-            f"attention shapes q {q.data.shape}, k {k.data.shape}, "
-            f"v {v.data.shape} incompatible"
+            f"linear shapes x {x.data.shape}, w {w.data.shape}, b {b.data.shape} "
+            "incompatible"
         )
+    data = x.data @ w.data
+    data += b.data
+    out = _make(data, (x, w, b))
+    if out.requires_grad:
+
+        def backward(g):
+            if b.requires_grad:
+                _acc(b, g)
+            if x.requires_grad:
+                _acc(x, g @ w.data.T)
+            if w.requires_grad:
+                _acc(w, x.data.T @ g)
+
+        out._backward = backward
+    return out
+
+
+def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """x.layer_norm_rows() * gain + bias as one node, for (1, cols) rows
+    gain and bias.
+
+    Bit for bit the composition: backward passes the gradients to bias,
+    gain and x in that order, as the add, multiply and normalization nodes
+    did.
+    """
+    if gain.data.shape != (1, x.data.shape[1]) or bias.data.shape != gain.data.shape:
+        raise NumericsError(
+            f"layer norm shapes x {x.data.shape}, gain {gain.data.shape}, "
+            f"bias {bias.data.shape} incompatible"
+        )
+    y, inv = _layer_norm(x.data)
+    data = y * gain.data
+    data += bias.data
+    out = _make(data, (x, gain, bias))
+    if out.requires_grad:
+
+        def backward(g):
+            if bias.requires_grad:
+                _acc(bias, g)
+            if gain.requires_grad:
+                _acc(gain, g * y)
+            if x.requires_grad:
+                _acc(x, _layer_norm_grad(g * gain.data, y, inv))
+
+        out._backward = backward
+    return out
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float, seed: int):
+    """Scaled dot-product attention over arrays.
+
+    Returns (context, probabilities, grads): context is
+    dropout(P, p, seed) v for the read-only P = softmax_rows((q * scale)
+    k^T), and grads(g, need_v, need_q, need_k) gives (dv, dq, dk) for
+    context gradient g, each None unless asked for. Of the n x n arrays,
+    grads keeps only P and the dropout mask. It allocates one n x n
+    buffer, dS: it holds dP = g v^T, and the softmax backward then turns
+    it into dS in place, a block of rows at a time, with no second n x n
+    temporary. The floating-point operations are those of the
+    composition scale, @, softmax_rows, dropout, @ in the same order.
+    """
     if not 0.0 <= p < 1.0:
         raise NumericsError(f"dropout probability {p} outside [0, 1)")
     scale = float(scale)
-    qs = q.data * scale
-    probs = _softmax_rows_inplace(qs @ k.data.T)
+    qs = q * scale
+    probs = _softmax_rows_inplace(qs @ k.T)
     probs.flags.writeable = False
     keep = None
     if p:
@@ -358,37 +435,106 @@ def attention(
         x *= keep_scale
         return x
 
-    out = _make(dropped(probs) @ v.data, (q, k, v))
+    def grads(g, need_v, need_q, need_k):
+        dv = dropped(probs).T @ g if need_v else None
+        if not (need_q or need_k):
+            return dv, None, None
+        # dP, then dS = (dP - rowsum(dP * P)) * P in place. Only the
+        # elementwise work and row sums go by row blocks: they give the
+        # same bits per row, while a row-split GEMM can differ in the
+        # last bit (BLAS edge kernels).
+        ds = g @ v.T
+        rows = max(1, _SOFTMAX_BLOCK_BYTES // (ds.shape[1] * ds.itemsize))
+        for start in range(0, ds.shape[0], rows):
+            blk = ds[start : start + rows]
+            pb = probs[start : start + rows]
+            if keep is not None:
+                blk *= keep[start : start + rows]
+                blk *= keep_scale
+            blk -= (blk * pb).sum(axis=1, keepdims=True)
+            blk *= pb
+        dq = (ds @ k) * scale if need_q else None
+        # (qs^T dS)^T rather than dS^T qs: the product and layout the
+        # unfused matmul-then-transpose backward passes on
+        dk = (qs.T @ ds).T if need_k else None
+        return dv, dq, dk
+
+    return dropped(probs) @ v, probs, grads
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, scale: float, p: float, seed: int
+) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention as one node.
+
+    Returns (context, probabilities) as _attend() does, with dropout as in
+    dropout() (identity when p=0); results match the composition scale,
+    @, softmax_rows, dropout, @ bit for bit.
+    """
+    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
+        raise NumericsError(
+            f"attention shapes q {q.data.shape}, k {k.data.shape}, "
+            f"v {v.data.shape} incompatible"
+        )
+    context, probs, grads = _attend(q.data, k.data, v.data, scale, p, seed)
+    out = _make(context, (q, k, v))
     if out.requires_grad:
 
         def backward(g):
-            if v.requires_grad:
-                _acc(v, dropped(probs).T @ g)
-            if not (q.requires_grad or k.requires_grad):
-                return
-            # dP, then dS = (dP - rowsum(dP * P)) * P in place. Only the
-            # elementwise work and row sums go by row blocks: they give the
-            # same bits per row, while a row-split GEMM can differ in the
-            # last bit (BLAS edge kernels).
-            ds = g @ v.data.T
-            rows = max(1, _SOFTMAX_BLOCK_BYTES // (ds.shape[1] * ds.itemsize))
-            for start in range(0, ds.shape[0], rows):
-                blk = ds[start : start + rows]
-                pb = probs[start : start + rows]
-                if keep is not None:
-                    blk *= keep[start : start + rows]
-                    blk *= keep_scale
-                blk -= (blk * pb).sum(axis=1, keepdims=True)
-                blk *= pb
-            if q.requires_grad:
-                _acc(q, (ds @ k.data) * scale)
-            if k.requires_grad:
-                # (qs^T dS)^T rather than dS^T qs: the product and layout the
-                # unfused matmul-then-transpose backward passes on
-                _acc(k, (qs.T @ ds).T)
+            dv, dq, dk = grads(g, v.requires_grad, q.requires_grad, k.requires_grad)
+            for t, d in ((v, dv), (q, dq), (k, dk)):
+                if d is not None:
+                    _acc(t, d)
 
         out._backward = backward
     return out, probs
+
+
+def attention_head(
+    x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+    scale: float, p: float, seed: int,
+) -> Tensor:
+    """One attention head as one node:
+    attention(x @ wq, x @ wk, x @ wv, scale, p, seed)[0] @ wo.
+
+    Bit for bit the composition: the same products in the same order, and
+    backward passes the gradients to wo, then x and wv, x and wk, x and wq,
+    the order in which the five unfused nodes did.
+    """
+    xd = x.data
+    if not (
+        wq.data.shape == wk.data.shape
+        and wq.data.shape[0] == wv.data.shape[0] == xd.shape[1]
+        and wo.data.shape[0] == wv.data.shape[1]
+    ):
+        raise NumericsError(
+            f"attention head shapes x {xd.shape}, q {wq.data.shape}, "
+            f"k {wk.data.shape}, v {wv.data.shape}, o {wo.data.shape} incompatible"
+        )
+    context, _, grads = _attend(xd @ wq.data, xd @ wk.data, xd @ wv.data, scale, p, seed)
+    out = _make(context @ wo.data, (x, wq, wk, wv, wo))
+    if out.requires_grad:
+
+        def backward(g):
+            need_v = x.requires_grad or wv.requires_grad
+            need_k = x.requires_grad or wk.requires_grad
+            need_q = x.requires_grad or wq.requires_grad
+            dctx = g @ wo.data.T if (need_v or need_k or need_q) else None
+            if wo.requires_grad:
+                _acc(wo, context.T @ g)
+            if dctx is None:
+                return
+            dv, dq, dk = grads(dctx, need_v, need_q, need_k)
+            for d, w in ((dv, wv), (dk, wk), (dq, wq)):
+                if d is None:
+                    continue
+                if x.requires_grad:
+                    _acc(x, d @ w.data.T)
+                if w.requires_grad:
+                    _acc(w, xd.T @ d)
+
+        out._backward = backward
+    return out
 
 
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
@@ -476,12 +622,13 @@ def backward(loss: Tensor, params: dict) -> dict:
                 node._backward = _released
                 node._parents = ()
 
-    grads = {}
-    for name, p in params.items():
-        if p.grad is None:
-            grads[name] = np.zeros_like(p.data)
-        else:
-            grads[name] = p.grad
-            if not np.isfinite(grads[name]).all():
-                raise NumericsError(f"non-finite gradient for parameter {name!r}")
+    grads = {
+        name: np.zeros_like(p.data) if p.grad is None else p.grad
+        for name, p in params.items()
+    }
+    # one check over all entries; the per-tensor search runs only to name
+    # the culprit
+    if grads and not np.isfinite(np.concatenate([g.ravel() for g in grads.values()])).all():
+        bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NumericsError(f"non-finite gradient for parameter {bad!r}")
     return grads

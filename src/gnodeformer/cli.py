@@ -45,7 +45,7 @@ from .training import evaluate, train_centralized
 logger = logging.getLogger(__name__)
 
 # Manifest field parsers, by canonical key. Booleans are "true"/"false",
-# empty string decodes to None.
+# and the empty string decodes to None, which only the _NULLABLE fields take.
 _FIELDS = {
     "dataset": str,
     "sbm": str,
@@ -72,6 +72,8 @@ _FIELDS = {
     "threads": int,
     "checkpoint_every": int,
 }
+# fields whose flag defaults to None ("not given")
+_NULLABLE = {"dataset", "sbm", "patience"}
 
 
 def parse_sbm_spec(spec: str) -> SbmConfig:
@@ -170,6 +172,8 @@ def apply_manifest(args, path: str):
         if not hasattr(args, key):
             continue
         if raw == "":
+            if key not in _NULLABLE:
+                raise ConfigError(f"manifest value {key}= is empty")
             value = None
         elif _FIELDS[key] is bool:
             if raw not in ("true", "false"):

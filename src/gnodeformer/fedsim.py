@@ -3,6 +3,9 @@
 Clients hold disjoint induced subgraphs of one global graph. Each round
 samples a client subset, runs local full-batch epochs from a copy of the
 global parameters, and aggregates with a node-count-weighted average.
+With dropout 0, each client's first local forward also scores the
+parameters it received, which gives the previous round's global test
+row without a second forward (see run_rounds).
 No network transport: byte counts follow a 4-bytes-per-parameter wire
 model for accounting only.
 """
@@ -172,18 +175,31 @@ def client_update(
     client: ClientState,
     config: FedConfig,
     epoch_offset: int,
-) -> tuple[ParamSet | None, list[EpochRecord]]:
+) -> tuple[ParamSet | None, list[EpochRecord], tuple[float, float] | None]:
     """Run local epochs from a copy of the global parameters.
 
-    Returns (updated params, per-epoch records), or (None, []) when a
-    local step hits non-finite numbers; the optimizer state rolls back
-    so a failed round leaves no trace.
+    Returns (updated params, per-epoch records, score). When the client
+    shares its first forward (see _shares_forward), that forward is an
+    eval forward at the received parameters: score is the (test loss,
+    test accuracy) that evaluate() gives there, and the same graph then
+    serves as the first local step's forward. Otherwise score is None.
+
+    When a local step hits non-finite numbers the result is (None, [],
+    score), with the score of a forward that completed; the optimizer
+    state rolls back so a failed round leaves no trace.
     """
     local = global_params.copy()
     if client.opt_state is None:
         client.opt_state = init_optimizer(local, config.optimizer)
     state = client.opt_state.copy()
+    score = logits = None
     try:
+        if _shares_forward(client, config):
+            loss, accuracy, (logits, _) = evaluate(
+                client.dataset, client.basis, config.model, local,
+                client.dataset.test_mask, keep_forward=True,
+            )
+            score = (loss, accuracy)
         records = run_epochs(
             client.dataset,
             client.basis,
@@ -193,12 +209,26 @@ def client_update(
             config.local_epochs,
             config.seed,
             epoch_offset,
+            logits=logits,
         )
     except NumericsError as exc:
         logger.warning("client %d aborted this round: %s", client.client_id, exc)
-        return None, []
+        return None, [], score
     client.opt_state = state
-    return local, records
+    return local, records, score
+
+
+def _shares_forward(client: ClientState, config: FedConfig) -> bool:
+    """Whether client_update scores the received parameters from its first
+    local forward. That needs dropout 0, where the training forward equals
+    the eval forward bit for bit, a local step to use the forward, and
+    test nodes to score.
+    """
+    return (
+        config.model.dropout == 0
+        and config.local_epochs >= 1
+        and bool(client.dataset.test_mask.any())
+    )
 
 
 def fedavg(param_sets: list[ParamSet], weights: list[float]) -> ParamSet:
@@ -217,22 +247,21 @@ def fedavg(param_sets: list[ParamSet], weights: list[float]) -> ParamSet:
     if len(param_sets) == 1:
         return param_sets[0].copy()
     names = param_sets[0].names()
+    layout = param_sets[0].layout()
     for other in param_sets[1:]:
         if other.names() != names:
             raise ConfigError("parameter sets disagree on names")
-        for name in names:
-            if other[name].shape != param_sets[0][name].shape:
+        for (name, want), (_, got) in zip(layout, other.layout()):
+            if got != want:
                 raise ConfigError(f"shape mismatch for {name}")
 
+    # over the flat buffers: per entry the same sums as tensor by tensor
     scale = weights / weights.sum()
-    result = param_sets[0].copy()
-    for name in names:
-        anchor = param_sets[0][name].data
-        total = np.zeros_like(anchor)
-        for s, other in zip(scale[1:], param_sets[1:]):
-            total += s * (other[name].data - anchor)
-        result[name].data[:] = anchor + total
-    return result
+    anchor = param_sets[0].flat
+    total = np.zeros_like(anchor)
+    for s, other in zip(scale[1:], param_sets[1:]):
+        total += s * (other.flat - anchor)
+    return param_sets[0].like(anchor + total)
 
 
 def build_clients(dataset: GraphDataset, config: FedConfig) -> list[ClientState]:
@@ -252,13 +281,39 @@ def build_clients(dataset: GraphDataset, config: FedConfig) -> list[ClientState]
 
 
 def evaluate_global(
-    clients: list[ClientState], config: ModelConfig, params: ParamSet
+    clients: list[ClientState],
+    config: ModelConfig,
+    params: ParamSet,
+    scores: dict[int, tuple[float, float]] | None = None,
 ) -> tuple[float, float]:
     """Test loss/accuracy over the union of client test masks.
 
     Each client is evaluated on its own subgraph; contributions are
-    weighted by the client's test-node count.
+    weighted by the client's test-node count. ``scores`` maps client ids
+    to (loss, accuracy) already measured at ``params`` (client_update's
+    score); only the other clients with test nodes run a forward.
     """
+    scores = dict(scores or {})
+    for client in _unscored(clients, scores):
+        scores[client.client_id] = evaluate(
+            client.dataset, client.basis, config, params, client.dataset.test_mask
+        )
+    return _pool_scores(clients, scores)
+
+
+def _unscored(clients: list[ClientState], scores: dict) -> list[ClientState]:
+    """Clients with test nodes and no entry in ``scores``."""
+    return [
+        c for c in clients
+        if c.client_id not in scores and c.dataset.test_mask.any()
+    ]
+
+
+def _pool_scores(
+    clients: list[ClientState], scores: dict[int, tuple[float, float]]
+) -> tuple[float, float]:
+    """Test-node-weighted mean of per-client (loss, accuracy), summed in
+    client-id order; clients without test nodes are skipped."""
     total = 0
     loss_sum = 0.0
     acc_sum = 0.0
@@ -266,9 +321,7 @@ def evaluate_global(
         count = int(client.dataset.test_mask.sum())
         if count == 0:
             continue
-        loss, accuracy = evaluate(
-            client.dataset, client.basis, config, params, client.dataset.test_mask
-        )
+        loss, accuracy = scores[client.client_id]
         total += count
         loss_sum += count * loss
         acc_sum += count * accuracy
@@ -284,7 +337,15 @@ def run_rounds(
 
     Deterministic given the seed: client updates may run on a thread
     pool, but aggregation always consumes results in client-id order.
-    ``on_round(record, global_params)`` fires after each aggregation.
+
+    Round r's global row scores its aggregate, the parameters that round
+    r + 1 sends out, so it is finished one round late: from the scores
+    that round r + 1's participants return (client_update), plus an
+    evaluate_global forward for every other client with test nodes. The
+    last round's row, and every row of a run whose clients share no
+    forward, takes evaluate_global's forwards alone. Either way the row
+    equals evaluate_global at those parameters bit for bit.
+    ``on_round(record, global_params)`` fires once the row is finished.
     """
     clients = build_clients(dataset, config)
     global_params = init_params(config.model, config.seed)
@@ -292,6 +353,24 @@ def run_rounds(
     records: list[RoundRecord] = []
     bytes_cum = 0
 
+    def finish(fields: dict, params: ParamSet, scores: dict):
+        """Add the global row to a round's fields, record and report it."""
+        # evaluate_global runs only when some forward is missing, so its
+        # calls time evaluation work, never a sum of known scores
+        if _unscored(clients, scores):
+            global_loss, global_accuracy = evaluate_global(
+                clients, config.model, params, scores
+            )
+        else:
+            global_loss, global_accuracy = _pool_scores(clients, scores)
+        records.append(
+            RoundRecord(**fields, global_loss=global_loss, global_accuracy=global_accuracy)
+        )
+        if on_round is not None:
+            on_round(records[-1], params)
+
+    # the last round's fields and aggregate, awaiting its global row
+    pending = None
     # one worker pool serves every round; a single thread needs none
     pool = None
     if config.threads > 1:
@@ -309,6 +388,13 @@ def run_rounds(
             participants = [int(c) for c in participants]
             run = pool.map if pool else map
             results = dict(zip(participants, run(update, participants)))
+            if pending is not None:
+                scores = {
+                    cid: results[cid][2]
+                    for cid in participants
+                    if results[cid][2] is not None
+                }
+                finish(*pending, scores)
 
             survivors = [
                 (cid, results[cid][0]) for cid in participants if results[cid][0] is not None
@@ -323,31 +409,27 @@ def run_rounds(
 
             client_loss, client_accuracy, client_seconds = {}, {}, {}
             for cid in participants:
-                _, epochs = results[cid]
+                _, epochs, _ = results[cid]
                 client_loss[cid] = epochs[-1].loss if epochs else float("nan")
                 client_accuracy[cid] = epochs[-1].accuracy if epochs else float("nan")
                 client_seconds[cid] = (
                     float(np.mean([e.seconds for e in epochs])) if epochs else float("nan")
                 )
 
-            global_loss, global_accuracy = evaluate_global(clients, config.model, global_params)
             round_bytes = 2 * len(participants) * one_way_bytes
             bytes_cum += round_bytes
-            records.append(
-                RoundRecord(
-                    round_index=round_index,
-                    participants=tuple(participants),
-                    client_loss=client_loss,
-                    client_accuracy=client_accuracy,
-                    client_epoch_seconds=client_seconds,
-                    global_loss=global_loss,
-                    global_accuracy=global_accuracy,
-                    round_bytes=round_bytes,
-                    bytes_cum=bytes_cum,
-                )
+            fields = dict(
+                round_index=round_index,
+                participants=tuple(participants),
+                client_loss=client_loss,
+                client_accuracy=client_accuracy,
+                client_epoch_seconds=client_seconds,
+                round_bytes=round_bytes,
+                bytes_cum=bytes_cum,
             )
-            if on_round is not None:
-                on_round(records[-1], global_params)
+            pending = (fields, global_params)
+        if pending is not None:
+            finish(*pending, {})
     return global_params, records, clients
 
 

@@ -266,9 +266,11 @@ def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
         if not (path / fname).exists():
             raise DataError(f"missing dataset file: {path / fname}")
 
+    # no comment syntax in any of the three files (comments=None): a '#'
+    # is a malformed value, never a skipped line or a cut-off row
     try:
-        features = np.loadtxt(path / "features", dtype=np.float64, ndmin=2)
-        labels = np.loadtxt(path / "labels", dtype=np.int64, ndmin=1)
+        features = np.loadtxt(path / "features", dtype=np.float64, ndmin=2, comments=None)
+        labels = np.loadtxt(path / "labels", dtype=np.int64, ndmin=1, comments=None)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
     if n == 0:

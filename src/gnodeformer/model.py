@@ -20,7 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, attention, dropout, masked_cross_entropy
+from .autodiff import (
+    Tensor,
+    attention_head,
+    dropout,
+    layer_norm_affine,
+    linear,
+    masked_cross_entropy,
+)
 from .errors import ConfigError
 from .graphs import GraphDataset
 from .optim import ParamSet
@@ -139,7 +146,7 @@ def init_params(config: ModelConfig, seed: int) -> ParamSet:
     classical RK combination weights (learnable unless frozen).
     """
     rng = rng_for(seed, INIT)
-    params = ParamSet()
+    tensors = {}
     for name, (rows, cols) in param_shapes(config).items():
         leaf = name.rsplit("/", 1)[-1]
         if leaf == "rk_w":
@@ -152,8 +159,9 @@ def init_params(config: ModelConfig, seed: int) -> ParamSet:
         else:
             bound = math.sqrt(6.0 / (rows + cols))
             t = Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
-        params.add(name, t)
-    return params
+        tensors[name] = t
+    # built in one go: each add() would copy the whole buffer again
+    return ParamSet(tensors)
 
 
 def eigen_encode(eigenvalues: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -169,10 +177,6 @@ def eigen_encode(eigenvalues: np.ndarray, config: ModelConfig) -> np.ndarray:
     out[:, 1::2] = np.sin(angles)
     out[:, 2::2] = np.cos(angles)
     return out
-
-
-def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return x.layer_norm_rows() * gain + bias
 
 
 def transformer_layer_f(
@@ -195,30 +199,23 @@ def transformer_layer_f(
     if drop and seeds is None:
         raise ConfigError("dropout enabled but no seed stream supplied")
 
-    zn = _ln_affine(z, p("ln1/gain"), p("ln1/bias"))
+    zn = layer_norm_affine(z, p("ln1/gain"), p("ln1/bias"))
     scale = 1.0 / math.sqrt(config.head_dim)
     mixed = None
     for h in range(config.heads):
-        q = zn @ p(f"attn/q{h}")
-        k = zn @ p(f"attn/k{h}")
-        v = zn @ p(f"attn/v{h}")
-        context, _ = attention(q, k, v, scale, drop, next(seeds) if drop else 0)
-        out = context @ p(f"attn/o{h}")
+        out = attention_head(
+            zn, p(f"attn/q{h}"), p(f"attn/k{h}"), p(f"attn/v{h}"), p(f"attn/o{h}"),
+            scale, drop, next(seeds) if drop else 0,
+        )
         mixed = out if mixed is None else mixed + out
     mixed = mixed + p("attn/b")
 
-    ff_in = _ln_affine(mixed, p("ln2/gain"), p("ln2/bias"))
-    hidden = (ff_in @ p("ffn/w1") + p("ffn/b1")).gelu()
-    out = hidden @ p("ffn/w2") + p("ffn/b2")
+    ff_in = layer_norm_affine(mixed, p("ln2/gain"), p("ln2/bias"))
+    hidden = linear(ff_in, p("ffn/w1"), p("ffn/b1")).gelu()
+    out = linear(hidden, p("ffn/w2"), p("ffn/b2"))
     if drop:
         out = dropout(out, drop, next(seeds))
     return out
-
-
-def _select_column(t: Tensor, index: int, width: int) -> Tensor:
-    onehot = np.zeros((width, 1))
-    onehot[index, 0] = 1.0
-    return t @ Tensor(onehot)
 
 
 def rk_increment(z: Tensor, f, order: int, weights: Tensor) -> Tensor:
@@ -240,7 +237,7 @@ def rk_increment(z: Tensor, f, order: int, weights: Tensor) -> Tensor:
         slopes.append(f(point))
     total = None
     for i, k in enumerate(slopes):
-        term = k * _select_column(weights, i, order)
+        term = k * weights.column(i)
         total = term if total is None else total + term
     return total
 
@@ -263,15 +260,15 @@ def residual_history_update(
             f"history shapes differ: {x_prev.shape} vs {y_prev.shape}"
         )
     raw = x_prev + y_prev
-    return _ln_affine(raw, gain, bias), raw
+    return layer_norm_affine(raw, gain, bias), raw
 
 
 def decode_eigenvalues(z_final: Tensor, params: ParamSet, config: ModelConfig) -> Tensor:
     """Two-layer gelu MLP mapping final token states to M filter
     channels; values are unconstrained reals.
     """
-    hidden = (z_final @ params["decoder/w1"] + params["decoder/b1"]).gelu()
-    return hidden @ params["decoder/w2"] + params["decoder/b2"]
+    hidden = linear(z_final, params["decoder/w1"], params["decoder/b1"]).gelu()
+    return linear(hidden, params["decoder/w2"], params["decoder/b2"])
 
 
 def spectral_filter_apply(u: Tensor, ut: Tensor, gamma_col: Tensor, h: Tensor) -> Tensor:
@@ -312,7 +309,7 @@ def spectral_conv_head(
             f"features {features.shape} != ({basis.n}, {config.feature_dim})"
         )
     x = Tensor(features)
-    h0 = x @ params["head/w_in"] + params["head/b_in"]
+    h0 = linear(x, params["head/w_in"], params["head/b_in"])
     h0 = getattr(h0, config.activation)()
 
     gamma_eff = force_identity_channel(gamma_new, config.channels)
@@ -320,10 +317,9 @@ def spectral_conv_head(
     projected = u.T @ h0  # U^T h0, shared by every channel's filter
     total = h0
     for m in range(config.channels):
-        col = _select_column(gamma_eff, m, config.channels)
-        filtered = u @ (col * projected)
+        filtered = u @ (gamma_eff.column(m) * projected)
         total = total + filtered @ params[f"head/mix{m}"]
-    logits = total @ params["head/w_out"] + params["head/b_out"]
+    logits = linear(total, params["head/w_out"], params["head/b_out"])
     return logits, gamma_eff
 
 
@@ -354,8 +350,8 @@ def forward(
     seeds = (derive_seed(dropout_seed, DROPOUT, i) for i in itertools.count())
 
     encoded = Tensor(eigen_encode(basis.eigenvalues, config))
-    raw = encoded @ params["input_proj/w"] + params["input_proj/b"]
-    normalized = _ln_affine(
+    raw = linear(encoded, params["input_proj/w"], params["input_proj/b"])
+    normalized = layer_norm_affine(
         raw, params["layer0/ln_hist/gain"], params["layer0/ln_hist/bias"]
     )
     for layer in range(config.layers):

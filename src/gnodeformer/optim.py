@@ -8,7 +8,7 @@ federated averaging all agree on one canonical parameter layout.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +28,43 @@ EPS = 1e-8
 
 
 class ParamSet:
-    """Ordered name -> Tensor map with a canonical flat layout."""
+    """Ordered name -> Tensor map with a canonical flat layout.
+
+    Every tensor's data is a view of one float64 buffer, ``flat``, laid out
+    in insertion order, so whole-set arithmetic (Adam, FedAvg, copies) runs
+    as a few vector operations. Parameters change in place; rebinding a
+    tensor's ``data`` would detach it from the buffer.
+    """
 
     def __init__(self, items: dict[str, Tensor] | None = None):
         self._items: dict[str, Tensor] = {}
-        if items:
-            for name, tensor in items.items():
-                self.add(name, tensor)
+        self.flat = np.zeros(0)
+        for name, tensor in (items or {}).items():
+            self._check_name(name)
+            self._items[name] = tensor
+        self._pack()
 
-    def add(self, name: str, tensor: Tensor):
+    def _check_name(self, name: str):
         if not _NAME_RE.match(name):
             raise ConfigError(f"bad parameter name {name!r}")
         if name in self._items:
             raise ConfigError(f"duplicate parameter name {name!r}")
+
+    def _pack(self):
+        """Copy every tensor into a new buffer and rebind it as a view."""
+        parts = [t.data.ravel() for t in self._items.values()]
+        self._bind(np.concatenate(parts) if parts else np.zeros(0))
+
+    def _bind(self, flat: np.ndarray):
+        self.flat = flat
+        views = _views(flat, self.layout())
+        for name, tensor in self._items.items():
+            tensor.data = views[name]
+
+    def add(self, name: str, tensor: Tensor):
+        self._check_name(name)
         self._items[name] = tensor
+        self._pack()
 
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
@@ -61,20 +84,43 @@ class ParamSet:
     def values(self):
         return self._items.values()
 
+    def layout(self) -> list[tuple[str, tuple[int, int]]]:
+        """(name, shape) per parameter, in layout order."""
+        return [(name, t.data.shape) for name, t in self._items.items()]
+
     def count(self) -> int:
         """Total scalar entries across all parameters."""
-        return sum(t.data.size for t in self._items.values())
+        return self.flat.size
 
     def copy(self) -> "ParamSet":
+        return self.like(self.flat.copy())
+
+    def like(self, flat: np.ndarray) -> "ParamSet":
+        """A set with this one's names, shapes and requires_grad flags whose
+        tensors are views of ``flat`` (not copied)."""
         out = ParamSet()
-        for name, t in self._items.items():
-            out.add(name, Tensor(t.data.copy(), requires_grad=t.requires_grad))
+        out._items = {
+            name: Tensor(t.data, requires_grad=t.requires_grad)
+            for name, t in self._items.items()
+        }
+        out._bind(flat)
         return out
 
     def flatten(self) -> np.ndarray:
-        if not self._items:
-            return np.zeros(0)
-        return np.concatenate([t.data.ravel() for t in self._items.values()])
+        """A copy of the flat buffer."""
+        return self.flat.copy()
+
+
+def _views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """name -> view of the consecutive slice of ``flat`` that ``layout``'s
+    (name, shape) pairs give it."""
+    views, offset = {}, 0
+    for name, (rows, cols) in layout:
+        views[name] = flat[offset : offset + rows * cols].reshape(rows, cols)
+        offset += rows * cols
+    if offset != flat.size:
+        raise ConfigError(f"layout of {offset} entries over a buffer of {flat.size}")
+    return views
 
 
 @dataclass
@@ -89,38 +135,50 @@ class AdamConfig:
             raise ConfigError(f"weight decay {self.weight_decay} must be finite and >= 0")
 
 
-@dataclass
 class OptimizerState:
-    config: AdamConfig
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
+    """Adam step count and moments.
+
+    The moments are flat buffers laid out like the parameters'
+    ``ParamSet.flat`` (``layout`` holds its (name, shape) pairs);
+    ``m[name]`` and ``v[name]`` are views of them.
+    """
+
+    def __init__(self, config: AdamConfig, layout, m_flat, v_flat, t: int = 0):
+        self.config = config
+        self.layout = layout
+        self.m_flat, self.v_flat = m_flat, v_flat
+        self.t = t
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        return _views(self.m_flat, self.layout)
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        return _views(self.v_flat, self.layout)
 
     def copy(self) -> "OptimizerState":
         return OptimizerState(
-            config=self.config,
-            m={k: a.copy() for k, a in self.m.items()},
-            v={k: a.copy() for k, a in self.v.items()},
-            t=self.t,
+            self.config, self.layout, self.m_flat.copy(), self.v_flat.copy(), self.t
         )
 
 
 def init_optimizer(params: ParamSet, config: AdamConfig) -> OptimizerState:
-    state = OptimizerState(config=config)
-    for name, tensor in params.items():
-        state.m[name] = np.zeros_like(tensor.data)
-        state.v[name] = np.zeros_like(tensor.data)
-    return state
+    size = params.flat.size
+    return OptimizerState(config, params.layout(), np.zeros(size), np.zeros(size))
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerState):
     """One in-place Adam update with bias correction; epsilon is added
     after the square root. Weight decay is decoupled from the moments.
 
+    The update runs over the flat parameter and moment buffers; per entry
+    it is the same arithmetic as a per-tensor update, so the bits agree.
     All gradients are validated before anything mutates, so a rejected
     step leaves parameters and state untouched.
     """
     cfg = state.config
+    parts = []
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -130,24 +188,24 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerSt
                 f"gradient shape {g.shape} != parameter shape {tensor.data.shape} "
                 f"for {name!r}"
             )
-        if not np.isfinite(g).all():
-            raise NumericsError(f"non-finite gradient for {name!r}; step aborted")
+        parts.append(g.ravel())
+    g = np.concatenate(parts) if parts else np.zeros(0)
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise NumericsError(f"non-finite gradient for {bad!r}; step aborted")
 
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    for name, tensor in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        if cfg.weight_decay:
-            update = update + cfg.lr * cfg.weight_decay * tensor.data
-        tensor.data -= update
+    m, v = state.m_flat, state.v_flat
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    if cfg.weight_decay:
+        update = update + cfg.lr * cfg.weight_decay * params.flat
+    params.flat -= update
     return params, state
 
 
@@ -208,7 +266,8 @@ def load_checkpoint(path: str | Path) -> ParamSet:
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise DataError(f"{path}: truncated data for {name!r}")
-            data = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            # read-only until add() copies it into the set's buffer
+            data = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
             try:
                 params.add(name, Tensor(data, requires_grad=True))
             except ConfigError as exc:

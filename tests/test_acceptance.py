@@ -188,6 +188,40 @@ def test_04_single_client_federation_is_centralized():
         assert fed_losses == [history[i].train_loss for i in (1, 3, 5)]
 
 
+def test_04b_single_client_federation_is_centralized_at_dropout_0():
+    # with dropout 0 both loops reuse forwards: centralized training takes
+    # each step's forward from the validation pass, the client from the
+    # forward that scores the received model; the trajectories still agree
+    with wall_clock_budget(60):
+        ds = generate_sbm(
+            SbmConfig(block_sizes=(50, 50, 50), p_in=0.10, p_out=0.01, seed=7)
+        )
+        model = desk_model(dropout=0.0)
+        cfg = FedConfig(
+            model=model, optimizer=OPT, clients=1, rounds=3, local_epochs=2,
+            fraction_fit=1.0, seed=11, threads=1,
+        )
+        fed_params, records, _ = run_rounds(ds, cfg)
+
+        client = build_clients(ds, cfg)[0]
+        central_params, history = train_centralized(
+            client.dataset, client.basis, model, cfg.optimizer,
+            epochs=cfg.rounds * cfg.local_epochs, seed=cfg.seed,
+        )
+
+        for name in fed_params.names():
+            fed, central = fed_params[name].data, central_params[name].data
+            assert fed.tobytes() == central.tobytes(), name
+        fed_losses = [r.client_loss[0] for r in records]
+        assert fed_losses == [history[i].train_loss for i in (1, 3, 5)]
+        test_loss, test_accuracy = evaluate(
+            client.dataset, client.basis, model, central_params, client.dataset.test_mask
+        )
+        assert (records[-1].global_loss, records[-1].global_accuracy) == (
+            test_loss, test_accuracy
+        )
+
+
 def test_05_fedavg_arithmetic_and_sampling():
     with wall_clock_budget(1.0):
         a = ParamSet({"w": Tensor(np.array([[1.0]]))})

@@ -12,8 +12,11 @@ from gnodeformer.autodiff import (
     LAYER_NORM_EPS,
     Tensor,
     attention,
+    attention_head,
     backward,
     dropout,
+    layer_norm_affine,
+    linear,
     masked_cross_entropy,
 )
 from gnodeformer.errors import DataError, NumericsError
@@ -252,6 +255,115 @@ class TestAttention:
         assert ref() is not None  # held by the graph until backward
         backward(loss, {"q": q, "k": k, "v": v})
         assert ref() is None
+
+
+def assert_same_bits(fused, plain, named, read):
+    """Output and every gradient of two graphs over the same leaves agree
+    bit for bit."""
+    np.testing.assert_array_equal(fused.data, plain.data)
+    got = backward(read(fused), named)
+    want = backward(read(plain), named)
+    for name in named:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestFusedNodes:
+    """Each fused node against the op composition it replaces. The input x
+    also feeds a second consumer, so its gradient is a sum of several
+    contributions whose order the fused backward must keep."""
+
+    def test_linear_matches_composition(self, rng):
+        x, w, b = leaf(rng, 6, 4), leaf(rng, 4, 3), leaf(rng, 1, 3)
+        m1, m2 = leaf(rng, 4, 3), leaf(rng, 4, 3)
+        read = weighting(rng, 6, 3)
+        named = {"x": x, "w": w, "b": b, "m1": m1, "m2": m2}
+        assert_same_bits(
+            x @ m1 + linear(x, w, b) + x @ m2, x @ m1 + (x @ w + b) + x @ m2, named, read
+        )
+
+    def test_linear_constant_input(self, rng):
+        x, w, b = Tensor(rng.uniform(-1, 1, (5, 4))), leaf(rng, 4, 2), leaf(rng, 1, 2)
+        read = weighting(rng, 5, 2)
+        assert_same_bits(linear(x, w, b), x @ w + b, {"w": w, "b": b}, read)
+        check_against_fd(lambda: read(linear(x, w, b)), [w, b])
+
+    def test_linear_gradients_match_finite_differences(self, rng):
+        x, w, b = leaf(rng, 5, 4), leaf(rng, 4, 3), leaf(rng, 1, 3)
+        read = weighting(rng, 5, 3)
+        check_against_fd(lambda: read(linear(x, w, b)), [x, w, b])
+
+    def test_linear_shape_mismatch(self, rng):
+        with pytest.raises(NumericsError, match="linear shapes"):
+            linear(leaf(rng, 5, 4), leaf(rng, 4, 3), leaf(rng, 5, 3))
+
+    def test_layer_norm_affine_matches_composition(self, rng):
+        x, gain, bias = leaf(rng, 6, 5, -2, 2), leaf(rng, 1, 5), leaf(rng, 1, 5)
+        read = weighting(rng, 6, 5)
+        named = {"x": x, "gain": gain, "bias": bias}
+        assert_same_bits(
+            layer_norm_affine(x, gain, bias) + x * x,
+            (x.layer_norm_rows() * gain + bias) + x * x,
+            named,
+            read,
+        )
+
+    def test_layer_norm_affine_gradients_match_finite_differences(self, rng):
+        x, gain, bias = leaf(rng, 4, 5, -2, 2), leaf(rng, 1, 5), leaf(rng, 1, 5)
+        read = weighting(rng, 4, 5)
+        check_against_fd(lambda: read(layer_norm_affine(x, gain, bias)), [x, gain, bias])
+
+    def test_layer_norm_affine_shape_mismatch(self, rng):
+        with pytest.raises(NumericsError, match="layer norm shapes"):
+            layer_norm_affine(leaf(rng, 4, 5), leaf(rng, 1, 4), leaf(rng, 1, 4))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_attention_head_matches_composition(self, rng, p):
+        x = leaf(rng, 7, 4, -2, 2)
+        wq, wk, wv = leaf(rng, 4, 2), leaf(rng, 4, 2), leaf(rng, 4, 3)
+        wo, m = leaf(rng, 3, 4), leaf(rng, 4, 4)
+        read = weighting(rng, 7, 4)
+        named = {"x": x, "wq": wq, "wk": wk, "wv": wv, "wo": wo, "m": m}
+        fused = attention_head(x, wq, wk, wv, wo, 0.5, p, seed=3) + x @ m
+        context, _ = attention(x @ wq, x @ wk, x @ wv, 0.5, p, seed=3)
+        assert_same_bits(fused, (context @ wo) + x @ m, named, read)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_attention_head_gradients_match_finite_differences(self, rng, p):
+        x = leaf(rng, 5, 4)
+        ws = [leaf(rng, 4, 2), leaf(rng, 4, 2), leaf(rng, 4, 3), leaf(rng, 3, 4)]
+        read = weighting(rng, 5, 4)
+        check_against_fd(
+            lambda: read(attention_head(x, *ws, 0.7, p, seed=11)), [x, *ws]
+        )
+
+    def test_attention_head_shape_mismatch(self, rng):
+        x = leaf(rng, 5, 4)
+        with pytest.raises(NumericsError, match="attention head shapes"):
+            attention_head(
+                x, leaf(rng, 4, 2), leaf(rng, 4, 3), leaf(rng, 4, 3), leaf(rng, 3, 4),
+                1.0, 0.0, 0,
+            )
+
+    @pytest.mark.parametrize("index", [0, 2, 3])
+    def test_column_matches_one_hot_product(self, rng, index):
+        t, m = leaf(rng, 5, 4), leaf(rng, 5, 1)
+        onehot = np.zeros((4, 1))
+        onehot[index, 0] = 1.0
+        read = weighting(rng, 5, 1)
+        assert_same_bits(
+            t.column(index) * m, (t @ Tensor(onehot)) * m, {"t": t, "m": m},
+            lambda out: read(out) + (t * t).sum(),
+        )
+        # the one-hot product's gradient, entry for entry (zeros off the column)
+        np.testing.assert_array_equal(
+            backward(read(t.column(index)), {"t": t})["t"],
+            backward(read(t @ Tensor(onehot)), {"t": t})["t"],
+        )
+
+    def test_column_gradients_match_finite_differences(self, rng):
+        t = leaf(rng, 5, 4)
+        read = weighting(rng, 5, 1)
+        check_against_fd(lambda: read(t.column(2)) + read(t.column(0)), [t])
 
 
 class TestForwardValues:

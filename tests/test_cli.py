@@ -213,6 +213,21 @@ class TestTrain:
                        "--out", tmp_path / "b")
         assert code == 2
 
+    @pytest.mark.parametrize("key", sorted(set(cli._FIELDS) - cli._NULLABLE))
+    def test_empty_manifest_value_is_config_error(self, tmp_path, capsys, key):
+        # only dataset, sbm and patience take an empty value (None)
+        parser = cli.build_parser()
+        command = next(
+            c for c in ("train", "fed-train")
+            if hasattr(parser.parse_args([c, "--out", "x"]), key)
+        )
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"command={command}\nsbm={TINY_SBM}\n{key}=\n")
+        capsys.readouterr()
+        code = run_cli(command, "--from-manifest", manifest, "--out", tmp_path / "o")
+        assert code == 2
+        assert f"config error: manifest value {key}= is empty" in capsys.readouterr().err
+
     def test_missing_source_is_config_error(self, tmp_path):
         assert run_cli("train", "--epochs", 1, "--out", tmp_path / "x") == 2
 

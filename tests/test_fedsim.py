@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnodeformer.errors import ConfigError, DataError
+from gnodeformer import fedsim, training
+from gnodeformer.errors import ConfigError, DataError, NumericsError
 from gnodeformer.fedsim import (
     FedConfig,
     build_clients,
     client_update,
     comm_accounting,
     dirichlet_partition,
+    evaluate_global,
     fedavg,
     induce_subgraph,
     param_bytes,
@@ -268,7 +270,7 @@ class TestClientUpdate:
         client, cfg = self.make_client()
         cfg = small_fed_config(clients=1, local_epochs=0)
         global_params = init_params(cfg.model, seed=0)
-        updated, records = client_update(global_params, client, cfg, 0)
+        updated, records, _ = client_update(global_params, client, cfg, 0)
         assert records == []
         assert updated is not global_params
         np.testing.assert_array_equal(updated.flatten(), global_params.flatten())
@@ -279,7 +281,7 @@ class TestClientUpdate:
             clients=1, local_epochs=3, optimizer=AdamConfig(lr=1e-300)
         )
         global_params = init_params(cfg.model, seed=0)
-        updated, _ = client_update(global_params, client, cfg, 0)
+        updated, _, _ = client_update(global_params, client, cfg, 0)
         np.testing.assert_allclose(
             updated.flatten(), global_params.flatten(), atol=1e-290
         )
@@ -287,7 +289,7 @@ class TestClientUpdate:
     def test_loss_decreases_over_local_epochs(self):
         client, cfg = self.make_client()
         global_params = init_params(cfg.model, seed=0)
-        updated, records = client_update(global_params, client, cfg, 0)
+        updated, records, _ = client_update(global_params, client, cfg, 0)
         losses = [r.loss for r in records]
         from gnodeformer.training import evaluate
 
@@ -312,7 +314,7 @@ class TestClientUpdate:
         global_params["head/w_out"].data[0, 0] = np.nan
         with caplog.at_level(logging.WARNING, logger="gnodeformer.fedsim"):
             with np.errstate(over="ignore", invalid="ignore"):
-                updated, records = client_update(global_params, client, cfg, 0)
+                updated, records, _ = client_update(global_params, client, cfg, 0)
         assert updated is None
         assert records == []
         assert client.opt_state is not None
@@ -365,6 +367,20 @@ class TestFedAvg:
             stack = np.stack([s["w"].data for s in sets])
             assert (out >= stack.min(axis=0) - 1e-12).all()
             assert (out <= stack.max(axis=0) + 1e-12).all()
+
+    def test_flat_average_equals_per_tensor_loop(self):
+        # the per-tensor loop fedavg ran before the flat buffers, kept as
+        # the reference: the same sums per entry, so the same bits
+        sets = [init_params(small_fed_config().model, seed) for seed in range(4)]
+        weights = [13, 7, 29, 2]
+        scale = np.asarray(weights, dtype=float) / sum(weights)
+        out = fedavg(sets, weights)
+        for name in out.names():
+            anchor = sets[0][name].data
+            total = np.zeros_like(anchor)
+            for s, other in zip(scale[1:], sets[1:]):
+                total += s * (other[name].data - anchor)
+            assert out[name].data.tobytes() == (anchor + total).tobytes(), name
 
     def test_errors(self):
         with pytest.raises(ConfigError, match="at least one"):
@@ -448,6 +464,125 @@ class TestRunRounds:
         cfg = small_fed_config(clients=3)
         _, _, clients = run_rounds(ds, small_fed_config(clients=3, rounds=0))
         assert sum(c.dataset.n for c in clients) == ds.n
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def spelled_out_global(clients, model, params):
+    """The global row's arithmetic: one evaluate per client with test
+    nodes, summed weighted by test count in client-id order."""
+    total, loss_sum, acc_sum = 0, 0.0, 0.0
+    for client in sorted(clients, key=lambda c: c.client_id):
+        count = int(client.dataset.test_mask.sum())
+        if count:
+            loss, accuracy = training.evaluate(
+                client.dataset, client.basis, model, params, client.dataset.test_mask
+            )
+            total += count
+            loss_sum += count * loss
+            acc_sum += count * accuracy
+    return loss_sum / total, acc_sum / total
+
+
+class TestDeferredGlobalRow:
+    """Round r's global row comes from round r + 1's client forwards where
+    it can; it must equal a separate evaluate_global at the parameters
+    on_round receives, bit for bit, in every case that mixes the two."""
+
+    def run(self, **overrides):
+        ds = global_sbm(n_per_block=15)
+        model = overrides.pop("model", small_fed_config().model)
+        cfg = small_fed_config(
+            **{"clients": 4, "rounds": 3, "local_epochs": 2, "model": model, **overrides}
+        )
+        seen = []
+        params, records, clients = run_rounds(
+            ds, cfg, on_round=lambda rec, params: seen.append((rec, params.copy()))
+        )
+        assert [rec for rec, _ in seen] == records
+        assert seen[-1][1].flat.tobytes() == params.flat.tobytes()
+        for rec, at in seen:
+            want = evaluate_global(clients, cfg.model, at)
+            assert want == spelled_out_global(clients, cfg.model, at)
+            assert bits(rec.global_loss) == bits(want[0]), rec.round_index
+            assert bits(rec.global_accuracy) == bits(want[1]), rec.round_index
+        return records
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(fraction_fit=1.0),
+            dict(fraction_fit=0.5),
+            dict(local_epochs=0),
+            dict(rounds=1),
+            dict(threads=2),
+        ],
+        ids=["full_participation", "half_participation", "no_local_epochs",
+             "last_round_only", "two_threads"],
+    )
+    def test_row_equals_fresh_evaluation(self, overrides):
+        self.run(**overrides)
+
+    def test_row_equals_fresh_evaluation_with_dropout(self):
+        model = ModelConfig(
+            feature_dim=8, classes=3, d=8, heads=2, layers=1, rk_order=2, hidden=8,
+            dropout=0.1,
+        )
+        self.run(model=model)
+
+    def test_row_after_a_client_aborts_past_its_forward(self, monkeypatch):
+        real = fedsim.run_epochs
+
+        def flaky(dataset, *args, **kwargs):
+            if dataset.name.endswith("client1") and args[6] > 0:
+                raise NumericsError("injected")
+            return real(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(fedsim, "run_epochs", flaky)
+        records = self.run()
+        assert math.isnan(records[1].client_loss[1])
+
+    def test_row_after_a_client_forward_raises(self, monkeypatch):
+        real = fedsim.evaluate
+
+        def flaky(dataset, *args, keep_forward=False, **kwargs):
+            if dataset.name.endswith("client1") and keep_forward:
+                raise NumericsError("injected")
+            return real(dataset, *args, keep_forward=keep_forward, **kwargs)
+
+        monkeypatch.setattr(fedsim, "evaluate", flaky)
+        records = self.run()
+        assert all(math.isnan(rec.client_loss[1]) for rec in records)
+
+    def test_clients_score_from_their_first_forward(self, monkeypatch):
+        # 4 clients x 3 rounds x 2 local steps, plus the last round's row:
+        # 28 forwards, where a separate row evaluation per round makes 36
+        calls = []
+        real = training.forward
+        monkeypatch.setattr(
+            training, "forward", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = small_fed_config(clients=4, rounds=3, local_epochs=2)
+        run_rounds(global_sbm(n_per_block=15), cfg)
+        assert len(calls) == 4 * 3 * 2 + 4
+
+    def test_client_update_returns_its_score(self):
+        ds = global_sbm(n_per_block=20)
+        cfg = small_fed_config(clients=1, local_epochs=2)
+        client = build_clients(ds, cfg)[0]
+        global_params = init_params(cfg.model, seed=0)
+        want = training.evaluate(
+            client.dataset, client.basis, cfg.model, global_params,
+            client.dataset.test_mask,
+        )
+        _, records, score = client_update(global_params, client, cfg, 0)
+        assert score == want and len(records) == 2
+        _, _, score = client_update(
+            global_params, client, small_fed_config(clients=1, local_epochs=0), 0
+        )
+        assert score is None
 
 
 class TestCommAccounting:

@@ -345,6 +345,20 @@ class TestDiskFormat:
         with pytest.raises(DataError):
             load_dataset(tmp_path / "t")
 
+    @pytest.mark.parametrize("target", ["edges", "features", "labels"])
+    @pytest.mark.parametrize("where", ["comment_line", "trailing_comment"])
+    def test_hash_is_a_data_error_in_every_file(self, tmp_path, target, where):
+        # no file has a comment syntax: '#' never skips a line or cuts a row
+        path = save_dataset(triangle(), tmp_path / "t")
+        lines = (path / target).read_text().splitlines()
+        if where == "comment_line":
+            lines.insert(1, "# note")
+        else:
+            lines[0] += " # 2"
+        (path / target).write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError):
+            load_dataset(path)
+
     def test_loader_missing_meta_key(self, tmp_path):
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "meta").write_text("n=3\nf=3\nname=x\n")

@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from gnodeformer.autodiff import Tensor
 from gnodeformer.errors import ConfigError, DataError, NumericsError
+from gnodeformer.fedsim import fedavg
+from gnodeformer.model import ModelConfig, init_params
 from gnodeformer.optim import (
+    BETA1,
+    BETA2,
     CHECKPOINT_MAGIC,
+    EPS,
     AdamConfig,
     ParamSet,
     adam_step,
@@ -53,7 +58,108 @@ class TestParamSet:
         assert small_params(rng).count() == 9
 
 
+def assert_views_of_buffer(ps):
+    """Every tensor is the next consecutive slice of ps.flat, in order."""
+    base = ps.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, t in ps.items():
+        assert t.data.base is ps.flat, name
+        assert t.data.flags.c_contiguous, name
+        assert t.data.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += t.data.size
+    assert offset == ps.flat.size
+    assert ps.flat.dtype == np.float64 and ps.flat.flags.owndata
+
+
+def desk_params(seed=0):
+    return init_params(ModelConfig(feature_dim=5, classes=3, d=8, layers=1), seed)
+
+
+class TestFlatLayout:
+    def test_built_sets_are_views(self, rng):
+        assert_views_of_buffer(small_params(rng))
+        assert_views_of_buffer(desk_params())
+
+    def test_copy_fedavg_and_load_are_views(self, rng, tmp_path):
+        ps = desk_params(0)
+        cp = ps.copy()
+        assert_views_of_buffer(cp)
+        assert not np.shares_memory(cp.flat, ps.flat)
+        merged = fedavg([ps, desk_params(1), desk_params(2)], [3, 1, 2])
+        assert_views_of_buffer(merged)
+        assert_views_of_buffer(fedavg([ps], [1]))
+        back = load_checkpoint(save_checkpoint(merged, tmp_path / "c.bin"))
+        assert_views_of_buffer(back)
+        assert back.flat.tobytes() == merged.flat.tobytes()
+
+    def test_writes_through_the_buffer_reach_the_tensors(self, rng):
+        ps = small_params(rng)
+        ps.flat[:] = 7.0
+        assert (ps["w"].data == 7.0).all() and (ps["b"].data == 7.0).all()
+        ps["b"].data[0, 2] = -1.0
+        assert ps.flat[-1] == -1.0
+
+    def test_flatten_is_a_copy(self, rng):
+        ps = small_params(rng)
+        flat = ps.flatten()
+        flat[:] = 0.0
+        assert ps["w"].data.any()
+
+    def test_optimizer_moments_are_views(self, rng):
+        ps = small_params(rng)
+        state = init_optimizer(ps, AdamConfig(lr=0.1))
+        for cur in (state, state.copy()):
+            assert list(cur.m) == ps.names() == list(cur.v)
+            for name, t in ps.items():
+                assert cur.m[name].base is cur.m_flat
+                assert cur.v[name].base is cur.v_flat
+                assert cur.m[name].shape == t.data.shape
+        cp = state.copy()
+        assert not np.shares_memory(cp.m_flat, state.m_flat)
+
+
+def per_tensor_adam(params, grads, state):
+    """Reference: the update tensor by tensor, on separate arrays."""
+    cfg = state["config"]
+    state["t"] += 1
+    bc1 = 1.0 - BETA1 ** state["t"]
+    bc2 = 1.0 - BETA2 ** state["t"]
+    for name, data in params.items():
+        g, m, v = grads[name], state["m"][name], state["v"][name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        if cfg.weight_decay:
+            update = update + cfg.lr * cfg.weight_decay * data
+        data -= update
+
+
 class TestAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_update_equals_per_tensor_update(self, weight_decay):
+        config = AdamConfig(lr=0.02, weight_decay=weight_decay)
+        ps = desk_params(3)
+        state = init_optimizer(ps, config)
+        ref_params = {name: t.data.copy() for name, t in ps.items()}
+        ref_state = {
+            "config": config, "t": 0,
+            "m": {n: np.zeros_like(a) for n, a in ref_params.items()},
+            "v": {n: np.zeros_like(a) for n, a in ref_params.items()},
+        }
+        r = np.random.default_rng(9)
+        for _ in range(6):
+            grads = {n: r.standard_normal(a.shape) * 10.0 ** r.integers(-6, 3)
+                     for n, a in ref_params.items()}
+            adam_step(ps, grads, state)
+            per_tensor_adam(ref_params, grads, ref_state)
+        for name, t in ps.items():
+            assert t.data.tobytes() == ref_params[name].tobytes(), name
+            assert state.m[name].tobytes() == ref_state["m"][name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state["v"][name].tobytes(), name
+        assert state.t == ref_state["t"]
+
     def test_zero_gradient_leaves_params(self, rng):
         ps = small_params(rng)
         before = ps.flatten()
