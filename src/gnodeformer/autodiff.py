@@ -462,44 +462,16 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     return dropped(probs) @ v, probs, grads
 
 
-def attention(
-    q: Tensor, k: Tensor, v: Tensor, scale: float, p: float, seed: int
-) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention as one node.
-
-    Returns (context, probabilities) as _attend() does, with dropout as in
-    dropout() (identity when p=0); results match the composition scale,
-    @, softmax_rows, dropout, @ bit for bit.
-    """
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
-        raise NumericsError(
-            f"attention shapes q {q.data.shape}, k {k.data.shape}, "
-            f"v {v.data.shape} incompatible"
-        )
-    context, probs, grads = _attend(q.data, k.data, v.data, scale, p, seed)
-    out = _make(context, (q, k, v))
-    if out.requires_grad:
-
-        def backward(g):
-            dv, dq, dk = grads(g, v.requires_grad, q.requires_grad, k.requires_grad)
-            for t, d in ((v, dv), (q, dq), (k, dk)):
-                if d is not None:
-                    _acc(t, d)
-
-        out._backward = backward
-    return out, probs
-
-
 def attention_head(
     x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     scale: float, p: float, seed: int,
 ) -> Tensor:
-    """One attention head as one node:
-    attention(x @ wq, x @ wk, x @ wv, scale, p, seed)[0] @ wo.
+    """One attention head as one node: dropout(softmax_rows((q * scale)
+    k^T), p, seed) v wo for q, k, v = x wq, x wk, x wv (see _attend).
 
-    Bit for bit the composition: the same products in the same order, and
-    backward passes the gradients to wo, then x and wv, x and wk, x and wq,
-    the order in which the five unfused nodes did.
+    Bit for bit the Tensor composition of those ops: the same products in
+    the same order, and backward passes the gradients to wo, then x and
+    wv, x and wk, x and wq, the order in which the unfused nodes did.
     """
     xd = x.data
     if not (

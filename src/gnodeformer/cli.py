@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerics.
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,7 +122,7 @@ def load_source(args) -> GraphDataset:
         return generate_sbm(parse_sbm_spec(args.sbm))
     if not getattr(args, "dataset", None):
         raise ConfigError("one of --dataset or --sbm is required")
-    dataset = load_dataset(args.dataset, symmetrize=args.symmetrize)
+    dataset = load_dataset(args.dataset)
     train, val, test = split_masks(
         dataset.labels, SPLIT_FRACTIONS, derive_seed(args.seed, MASKS, 0)
     )
@@ -188,6 +189,16 @@ def apply_manifest(args, path: str):
     return args
 
 
+@contextmanager
+def _writing(out):
+    """Turn an OSError from creating or writing ``out``, the --out path,
+    into a ConfigError, so the run exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from None
+
+
 def _basis_for(dataset: GraphDataset, out: Path):
     lap = build_normalized_laplacian(dataset)
     return load_or_compute(lap, cache_dir=out / "eig_cache", unit_band=True)
@@ -206,7 +217,8 @@ def _write_central_csv(path: Path, history) -> None:
 def cmd_gen_data(args) -> int:
     dataset = generate_sbm(parse_sbm_spec(args.sbm))
     out = Path(args.out)
-    save_dataset(dataset, out)
+    with _writing(out):
+        save_dataset(dataset, out)
     print(
         f"wrote {out}: n={dataset.n} edges={dataset.num_edges} "
         f"classes={dataset.num_classes} homophily={homophily_ratio(dataset):.4f}"
@@ -221,8 +233,9 @@ def cmd_train(args) -> int:
     config = model_config_from_args(args, dataset.feature_dim, dataset.num_classes)
     optimizer = AdamConfig(lr=args.lr, weight_decay=args.weight_decay)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    basis = _basis_for(dataset, out)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        basis = _basis_for(dataset, out)
 
     params, history, last = train_centralized(
         dataset, basis, config, optimizer,
@@ -230,15 +243,17 @@ def cmd_train(args) -> int:
         keep_forward=True,
     )
 
-    _write_central_csv(out / "metrics.csv", history)
-    save_checkpoint(params, out / "checkpoint.bin")
+    with _writing(out):
+        _write_central_csv(out / "metrics.csv", history)
+        save_checkpoint(params, out / "checkpoint.bin")
     # one eval forward serves both the filter table and the test score: the
     # last validation forward when it ran at these params, else a new one
     if last is None:
         last = forward(dataset, basis, config, params, training=False)
     logits, gamma = last
-    write_filter_table(out / "filters.txt", basis.eigenvalues, gamma.data)
-    write_manifest(out / "manifest.txt", manifest_entries(args, "train"))
+    with _writing(out):
+        write_filter_table(out / "filters.txt", basis.eigenvalues, gamma.data)
+        write_manifest(out / "manifest.txt", manifest_entries(args, "train"))
 
     if dataset.test_mask.any():
         test_loss, test_accuracy = evaluate(
@@ -256,7 +271,8 @@ def cmd_fed_train(args) -> int:
         raise ConfigError(f"--checkpoint-every {args.checkpoint_every} must be >= 0")
     dataset = load_source(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     config = FedConfig(
         model=model_config_from_args(args, dataset.feature_dim, dataset.num_classes),
         optimizer=AdamConfig(lr=args.lr, weight_decay=args.weight_decay),
@@ -276,14 +292,16 @@ def cmd_fed_train(args) -> int:
         )
         every = args.checkpoint_every
         if every and (record.round_index + 1) % every == 0:
-            save_checkpoint(
-                global_params, out / f"checkpoint_round{record.round_index}.bin"
-            )
+            with _writing(out):
+                save_checkpoint(
+                    global_params, out / f"checkpoint_round{record.round_index}.bin"
+                )
 
     params, records, _ = run_rounds(dataset, config, on_round=on_round)
-    write_metrics_csv(out / "metrics.csv", records)
-    save_checkpoint(params, out / "checkpoint.bin")
-    write_manifest(out / "manifest.txt", manifest_entries(args, "fed-train"))
+    with _writing(out):
+        write_metrics_csv(out / "metrics.csv", records)
+        save_checkpoint(params, out / "checkpoint.bin")
+        write_manifest(out / "manifest.txt", manifest_entries(args, "fed-train"))
 
     if records:
         last = records[-1]
@@ -318,7 +336,8 @@ def cmd_partition_report(args) -> int:
             rows.append(",".join(row))
     table = "\n".join(rows) + "\n"
     if args.out:
-        Path(args.out).write_text(table)
+        with _writing(args.out):
+            Path(args.out).write_text(table)
     else:
         print(table, end="")
     print(f"mean_max_share={float(np.mean(max_shares))!r}")

@@ -97,13 +97,21 @@ def dirichlet_partition(
     """Assign node ids to clients by per-class Dirichlet proportions.
 
     Every node lands on exactly one client. A client left empty at
-    extreme concentration receives one node from the largest client.
+    extreme concentration receives one node from the largest client, so
+    there may be no more clients than nodes.
     """
     if clients < 1:
         raise ConfigError("clients must be >= 1")
     if not 0.0 < alpha < inf:
         raise ConfigError(f"alpha={alpha} must be positive and finite")
     labels = np.asarray(labels)
+    # with no more clients than nodes the repair loop below ends: a donor
+    # always holds two or more nodes while some client is empty
+    if clients > labels.size:
+        raise ConfigError(
+            f"clients={clients} exceeds the graph's {labels.size} nodes; "
+            "every client needs at least one"
+        )
     rng = rng_for(seed, PARTITION)
 
     assigned: list[list[np.ndarray]] = [[] for _ in range(clients)]

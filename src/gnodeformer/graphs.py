@@ -61,12 +61,11 @@ class GraphDataset:
         """Number of undirected edges."""
         return int(self.adjacency.sum()) // 2
 
-    def validate(self, symmetrize: bool = False) -> "GraphDataset":
+    def validate(self) -> "GraphDataset":
         """Check all structural invariants; raise DataError on violation.
 
-        An asymmetric adjacency is rejected unless symmetrize is set,
-        in which case the union of directions is taken. Self-loops are
-        dropped with a warning.
+        An asymmetric adjacency is rejected. Self-loops are dropped with a
+        warning.
         """
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.shape != (self.n, self.n):
@@ -74,11 +73,7 @@ class GraphDataset:
         if not np.isfinite(a).all():
             raise DataError("adjacency contains non-finite entries")
         if not np.array_equal(a, a.T):
-            if not symmetrize:
-                raise DataError(
-                    "adjacency is not symmetric (pass symmetrize to take the union)"
-                )
-            a = np.maximum(a, a.T)
+            raise DataError("adjacency is not symmetric")
         if not np.isin(a, (0.0, 1.0)).all():
             raise DataError("adjacency entries must be 0 or 1")
         if np.trace(a) != 0:
@@ -147,9 +142,11 @@ def build_normalized_laplacian(dataset: GraphDataset) -> np.ndarray:
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = deg[nz] ** -0.5
-    lap = np.eye(dataset.n) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
-    # exact symmetry, not just up to rounding
-    return (lap + lap.T) / 2.0
+    # exactly symmetric, since validate() admits only a symmetric 0/1 A
+    # (and a client's is an induced submatrix of one): entry (i, j) is
+    # (d_i^-1/2 a_ij) d_j^-1/2, that is 0 or d_i^-1/2 d_j^-1/2, and
+    # floating-point products commute, so it has the bits of entry (j, i)
+    return np.eye(dataset.n) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
 
 
 def generate_sbm(config: SbmConfig) -> GraphDataset:
@@ -257,7 +254,7 @@ def save_dataset(dataset: GraphDataset, path: str | Path) -> Path:
     return path
 
 
-def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
+def load_dataset(path: str | Path) -> GraphDataset:
     """Read a dataset directory; all invariants are validated on load."""
     path = Path(path)
     meta = _read_meta(path / "meta")
@@ -271,7 +268,7 @@ def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
     try:
         features = np.loadtxt(path / "features", dtype=np.float64, ndmin=2, comments=None)
         labels = np.loadtxt(path / "labels", dtype=np.int64, ndmin=1, comments=None)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     if n == 0:
         raise DataError("dataset has no nodes")
@@ -288,7 +285,7 @@ def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
             # a file without rows is an edgeless graph, not a mistake
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             edges = np.loadtxt(path / "edges", dtype=np.int64, ndmin=2, comments=None)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"{path / 'edges'}: {exc}") from None
     if edges.size == 0:
         edges = edges.reshape(0, 2)
@@ -310,7 +307,7 @@ def load_dataset(path: str | Path, symmetrize: bool = False) -> GraphDataset:
         num_classes=num_classes,
         name=meta["name"],
     )
-    return ds.validate(symmetrize=symmetrize)
+    return ds.validate()
 
 
 def _read_meta(path: Path) -> dict:
@@ -329,6 +326,8 @@ def _read_meta(path: Path) -> dict:
                 values[key.strip()] = value.strip()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not text: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     for key in META_KEYS:
         if key not in values:
             raise DataError(f"meta file missing key {key!r}")

@@ -139,33 +139,21 @@ class OptimizerState:
     """Adam step count and moments.
 
     The moments are flat buffers laid out like the parameters'
-    ``ParamSet.flat`` (``layout`` holds its (name, shape) pairs);
-    ``m[name]`` and ``v[name]`` are views of them.
+    ``ParamSet.flat``; ``params.like(state.m_flat)`` reads them by name.
     """
 
-    def __init__(self, config: AdamConfig, layout, m_flat, v_flat, t: int = 0):
+    def __init__(self, config: AdamConfig, m_flat, v_flat, t: int = 0):
         self.config = config
-        self.layout = layout
         self.m_flat, self.v_flat = m_flat, v_flat
         self.t = t
 
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        return _views(self.m_flat, self.layout)
-
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        return _views(self.v_flat, self.layout)
-
     def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            self.config, self.layout, self.m_flat.copy(), self.v_flat.copy(), self.t
-        )
+        return OptimizerState(self.config, self.m_flat.copy(), self.v_flat.copy(), self.t)
 
 
 def init_optimizer(params: ParamSet, config: AdamConfig) -> OptimizerState:
     size = params.flat.size
-    return OptimizerState(config, params.layout(), np.zeros(size), np.zeros(size))
+    return OptimizerState(config, np.zeros(size), np.zeros(size))
 
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerState):

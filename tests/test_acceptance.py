@@ -345,7 +345,7 @@ CITATION_DIR = os.environ.get("GNODEFORMER_CORA_DIR", "")
 )
 def test_09_citation_benchmark():
     with wall_clock_budget(1800):
-        ds = load_dataset(CITATION_DIR, symmetrize=True)
+        ds = load_dataset(CITATION_DIR)
         train, val, test = split_masks(
             ds.labels, SPLIT_FRACTIONS, derive_seed(0, MASKS, 0)
         )

@@ -11,7 +11,6 @@ from gnodeformer import autodiff
 from gnodeformer.autodiff import (
     LAYER_NORM_EPS,
     Tensor,
-    attention,
     attention_head,
     backward,
     dropout,
@@ -158,32 +157,48 @@ class TestPrimitiveGradients:
 
 
 def unfused_attention(q, k, v, scale, p, seed):
-    """The op composition that attention() fuses."""
+    """The op composition that _attend() computes over arrays."""
     weights = (q.scale(scale) @ k.T).softmax_rows()
     return dropout(weights, p, seed) @ v
 
 
+def unfused_head(x, wq, wk, wv, wo, scale, p, seed):
+    """The op composition that attention_head() fuses."""
+    return unfused_attention(x @ wq, x @ wk, x @ wv, scale, p, seed) @ wo
+
+
+def head_leaves(rng, n, width=4, dk=2, dv=3):
+    """x and the head's (wq, wk, wv, wo) as leaves."""
+    x = leaf(rng, n, width, -2, 2)
+    return x, [leaf(rng, width, dk), leaf(rng, width, dk), leaf(rng, width, dv),
+               leaf(rng, dv, width)]
+
+
 class TestAttention:
-    @pytest.mark.parametrize("p", [0.0, 0.3])
-    def test_gradients_match_finite_differences(self, rng, p):
-        q, k, v = leaf(rng, 5, 3), leaf(rng, 5, 3), leaf(rng, 5, 4)
-        read = weighting(rng, 5, 4)
-        check_against_fd(
-            lambda: read(attention(q, k, v, 0.7, p, seed=11)[0]), [q, k, v]
-        )
+    """The attention head node, and the array kernel _attend() under it."""
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
-    def test_matches_unfused_composition(self, rng, p):
+    def test_gradients_match_finite_differences(self, rng, p):
+        # a constant input: gradients reach the weights only
+        x, ws = head_leaves(rng, 5)
+        x = Tensor(x.data)
+        read = weighting(rng, 5, 4)
+        check_against_fd(lambda: read(attention_head(x, *ws, 0.7, p, seed=11)), ws)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_matches_unfused_composition(self, rng, monkeypatch, p):
+        # 3 rows of dS per block over 7 rows: the blocked backward, too, has
+        # the composition's bits
+        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 3 * 7 * 8)
         q, k, v = leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 4)
-        read = weighting(rng, 7, 4)
-        named = {"q": q, "k": k, "v": v}
-        fused_out, _ = attention(q, k, v, 0.5, p, seed=3)
-        fused = backward(read(fused_out), named)
+        w = rng.uniform(-1, 1, size=(7, 4))
+        context, _, grads = autodiff._attend(q.data, k.data, v.data, 0.5, p, 3)
         plain_out = unfused_attention(q, k, v, 0.5, p, seed=3)
-        plain = backward(read(plain_out), named)
-        np.testing.assert_allclose(fused_out.data, plain_out.data, rtol=0, atol=1e-12)
-        for name in named:
-            np.testing.assert_allclose(fused[name], plain[name], rtol=0, atol=1e-12)
+        plain = backward((plain_out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
+        np.testing.assert_array_equal(context, plain_out.data)
+        dv, dq, dk = grads(w, True, True, True)
+        for name, got in (("v", dv), ("q", dq), ("k", dk)):
+            assert got.tobytes() == plain[name].tobytes(), name
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     @pytest.mark.parametrize("n, rows", [(7, 2), (50, 3)])
@@ -193,14 +208,15 @@ class TestAttention:
         # a budget of `rows` rows of dS: several blocks, the last one partial
         assert n % rows
         monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", rows * n * 8)
-        q, k, v = leaf(rng, n, 3, -2, 2), leaf(rng, n, 3, -2, 2), leaf(rng, n, 4)
+        q, k = rng.uniform(-2, 2, size=(n, 3)), rng.uniform(-2, 2, size=(n, 3))
+        v = rng.uniform(-1, 1, size=(n, 4))
         w = rng.uniform(-1, 1, size=(n, 4))
         scale, seed = 0.5, 3
-        out, probs = attention(q, k, v, scale, p, seed)
-        got = backward((out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
+        _, probs, grads = autodiff._attend(q, k, v, scale, p, seed)
+        dv, dq, dk = grads(w, True, True, True)
 
         dropped = probs
-        ds = w @ v.data.T
+        ds = w @ v.T
         if p:
             keep = np.random.default_rng(seed).random(probs.shape) >= p
             dropped = probs * keep * (1.0 / (1.0 - p))
@@ -208,52 +224,65 @@ class TestAttention:
             ds *= 1.0 / (1.0 - p)
         ds -= (ds * probs).sum(axis=1, keepdims=True)
         ds *= probs
-        np.testing.assert_array_equal(got["v"], dropped.T @ w)
-        np.testing.assert_array_equal(got["q"], (ds @ k.data) * scale)
-        np.testing.assert_array_equal(got["k"], ((q.data * scale).T @ ds).T)
+        np.testing.assert_array_equal(dv, dropped.T @ w)
+        np.testing.assert_array_equal(dq, (ds @ k) * scale)
+        np.testing.assert_array_equal(dk, ((q * scale).T @ ds).T)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_blocked_gradients_match_finite_differences(self, rng, monkeypatch, p):
         # 2 rows of dS per block over 5 rows: blocks of 2, 2 and 1
         monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 2 * 5 * 8)
-        q, k, v = leaf(rng, 5, 3), leaf(rng, 5, 3), leaf(rng, 5, 4)
+        x, ws = head_leaves(rng, 5)
         read = weighting(rng, 5, 4)
         check_against_fd(
-            lambda: read(attention(q, k, v, 0.7, p, seed=11)[0]), [q, k, v]
+            lambda: read(attention_head(x, *ws, 0.7, p, seed=11)), [x, *ws]
         )
 
     def test_probabilities_are_the_softmax_before_dropout(self, rng):
-        q, k, v = leaf(rng, 6, 2), leaf(rng, 6, 2), leaf(rng, 6, 3)
-        out, probs = attention(q, k, v, 0.5, 0.5, seed=1)
-        expected = (Tensor(q.data * 0.5) @ Tensor(k.data.T)).softmax_rows().data
+        q, k, v = (rng.uniform(-1, 1, size=(6, d)) for d in (2, 2, 3))
+        out, probs, _ = autodiff._attend(q, k, v, 0.5, 0.5, seed=1)
+        expected = (Tensor(q * 0.5) @ Tensor(k.T)).softmax_rows().data
         np.testing.assert_array_equal(probs, expected)
         assert not probs.flags.writeable
         assert out.shape == (6, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_score(self, rng, bad):
-        q, k, v = leaf(rng, 3, 2), leaf(rng, 3, 2), leaf(rng, 3, 2)
-        q.data[1, 0] = bad
-        with pytest.raises(NumericsError, match="non-finite"):
-            attention(q, k, v, 1.0, 0.0, seed=0)
+        x, ws = head_leaves(rng, 3)
+        x.data[1, 0] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericsError, match="non-finite"):
+                attention_head(x, *ws, 1.0, 0.0, seed=0)
 
     def test_shape_mismatch(self, rng):
-        with pytest.raises(NumericsError, match="attention shapes"):
-            attention(leaf(rng, 3, 2), leaf(rng, 3, 3), leaf(rng, 3, 2), 1.0, 0.0, 0)
+        x, (wq, wk, wv, wo) = head_leaves(rng, 3)
+        for bad in (
+            (leaf(rng, 5, 2), wk, wv, wo),  # wq against x's 4 columns
+            (wq, wk, wv, leaf(rng, 2, 4)),  # wo against wv's 3 columns
+            (wq, wk, leaf(rng, 3, 3), wo),  # wv against x's 4 columns
+        ):
+            with pytest.raises(NumericsError, match="attention head shapes"):
+                attention_head(x, *bad, 1.0, 0.0, 0)
 
     def test_bad_dropout_probability(self, rng):
-        q, k, v = leaf(rng, 3, 2), leaf(rng, 3, 2), leaf(rng, 3, 2)
+        x, ws = head_leaves(rng, 3)
         with pytest.raises(NumericsError, match="probability"):
-            attention(q, k, v, 1.0, 1.0, seed=0)
+            attention_head(x, *ws, 1.0, 1.0, seed=0)
 
-    def test_backward_frees_probabilities(self, rng):
-        q, k, v = leaf(rng, 4, 2), leaf(rng, 4, 2), leaf(rng, 4, 2)
-        out, probs = attention(q, k, v, 1.0, 0.0, seed=0)
-        ref = weakref.ref(probs)
-        del probs
-        loss = out.sum()
+    def test_backward_frees_probabilities(self, rng, monkeypatch):
+        attend, refs = autodiff._attend, []
+
+        def spy(*args):
+            result = attend(*args)
+            refs.append(weakref.ref(result[1]))
+            return result
+
+        monkeypatch.setattr(autodiff, "_attend", spy)
+        x, ws = head_leaves(rng, 4)
+        loss = attention_head(x, *ws, 1.0, 0.0, seed=0).sum()
+        (ref,) = refs
         assert ref() is not None  # held by the graph until backward
-        backward(loss, {"q": q, "k": k, "v": v})
+        backward(loss, {str(i): t for i, t in enumerate([x, *ws])})
         assert ref() is None
 
 
@@ -324,8 +353,8 @@ class TestFusedNodes:
         read = weighting(rng, 7, 4)
         named = {"x": x, "wq": wq, "wk": wk, "wv": wv, "wo": wo, "m": m}
         fused = attention_head(x, wq, wk, wv, wo, 0.5, p, seed=3) + x @ m
-        context, _ = attention(x @ wq, x @ wk, x @ wv, 0.5, p, seed=3)
-        assert_same_bits(fused, (context @ wo) + x @ m, named, read)
+        plain = unfused_head(x, wq, wk, wv, wo, 0.5, p, seed=3) + x @ m
+        assert_same_bits(fused, plain, named, read)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_attention_head_gradients_match_finite_differences(self, rng, p):

@@ -21,6 +21,16 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def run_child(*argv):
+    """``python -m gnodeformer argv`` in a child process. A hang fails the
+    test after 60 s rather than stalling the suite, and an uncaught error
+    shows as a traceback on stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "gnodeformer", *(str(a) for a in argv)],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
@@ -115,6 +125,31 @@ class TestTrain:
         assert filters[0].startswith("gamma_original channel0")
         accuracy = float(capsys.readouterr().out.split("test accuracy ")[1].split()[0])
         assert accuracy > 0.5
+
+    def test_symmetrize_is_recorded_and_ignored(self, tmp_path):
+        # accepted and written to the manifest only so that old manifests
+        # replay; the loader always reads edges as undirected
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        runs = {}
+        for flag in ([], ["--symmetrize"]):
+            out = tmp_path / f"run{len(flag)}"
+            assert run_cli(
+                "train", "--dataset", data, *SMALL_MODEL, "--epochs", 2, *flag,
+                "--out", out,
+            ) == 0
+            runs[bool(flag)] = out
+        assert "symmetrize=true" in (runs[True] / "manifest.txt").read_text()
+        assert (runs[True] / "checkpoint.bin").read_bytes() == (
+            runs[False] / "checkpoint.bin"
+        ).read_bytes()
+        replay = tmp_path / "replay"
+        assert run_cli(
+            "train", "--from-manifest", runs[True] / "manifest.txt", "--out", replay
+        ) == 0
+        assert (replay / "checkpoint.bin").read_bytes() == (
+            runs[True] / "checkpoint.bin"
+        ).read_bytes()
 
     def test_zero_epochs_near_chance(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -438,6 +473,48 @@ class TestExitCodes:
         code = run_cli(*argv, "--sbm", TINY_SBM, *out)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fed-train", "partition-report"])
+    def test_more_clients_than_nodes_is_config_error(self, tmp_path, command):
+        out = tmp_path / "out" if command == "fed-train" else tmp_path / "report.csv"
+        result = run_child(
+            command, "--sbm", "blocks=3,3;p_in=0.5;p_out=0.1", "--clients", 7,
+            "--out", out,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "clients=7 exceeds the graph's 6 nodes" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("report_out_in_missing_dir", 2), ("train_out_is_file", 2),
+         ("fed_out_is_file", 2), ("gen_data_out_is_file", 2),
+         ("features_is_dir", 3), ("meta_is_dir", 3)],
+    )
+    def test_os_error_exits_with_its_code(self, tmp_path, case, code):
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        train = ["train", "--dataset", data, "--epochs", 1, *SMALL_MODEL]
+        if case == "report_out_in_missing_dir":
+            argv = ["partition-report", "--sbm", TINY_SBM, "--seeds", 1,
+                    "--out", tmp_path / "missing" / "dir" / "x.csv"]
+        elif case == "train_out_is_file":
+            argv = [*train, "--out", a_file]
+        elif case == "fed_out_is_file":
+            argv = ["fed-train", "--dataset", data, "--rounds", 1, "--out", a_file]
+        elif case == "gen_data_out_is_file":
+            argv = ["gen-data", "--sbm", TINY_SBM, "--out", a_file]
+        else:
+            name = "features" if case == "features_is_dir" else "meta"
+            (data / name).unlink()
+            (data / name).mkdir()
+            argv = [*train, "--out", tmp_path / "out"]
+        result = run_child(*argv)
+        assert result.returncode == code, result.stderr
+        assert ("config error:" if code == 2 else "data error:") in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_console_script_end_to_end(self, tmp_path):
         # exercises the entry point across a process boundary rather than

@@ -138,6 +138,11 @@ class TestDirichletPartition:
         assert sum(sizes) == 3
         assert any("received no nodes" in r.message for r in caplog.records)
 
+    def test_more_clients_than_nodes(self):
+        # each repair would empty its one-node donor, so this used to loop
+        with pytest.raises(ConfigError, match="clients=4 exceeds the graph's 3 nodes"):
+            dirichlet_partition(np.zeros(3, dtype=int), 4, 1.0, seed=0)
+
     @given(
         clients=st.integers(1, 6),
         alpha=st.sampled_from([0.01, 1.0, 100.0]),

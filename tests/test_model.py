@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gnodeformer import autodiff
-from gnodeformer.autodiff import Tensor, attention, backward
+from gnodeformer.autodiff import Tensor, backward
 from gnodeformer.errors import ConfigError
 from gnodeformer.graphs import SbmConfig, build_normalized_laplacian, generate_sbm
 from gnodeformer.model import (
@@ -279,9 +279,9 @@ def layer_attention(z, params, layer, cfg):
     zn = z.layer_norm_rows() * p("ln1/gain") + p("ln1/bias")
     scale = 1.0 / math.sqrt(cfg.head_dim)
     return [
-        attention(
-            zn @ p(f"attn/q{h}"), zn @ p(f"attn/k{h}"), zn @ p(f"attn/v{h}"),
-            scale, 0.0, 0,
+        autodiff._attend(
+            (zn @ p(f"attn/q{h}")).data, (zn @ p(f"attn/k{h}")).data,
+            (zn @ p(f"attn/v{h}")).data, scale, 0.0, 0,
         )[1]
         for h in range(cfg.heads)
     ]

@@ -106,16 +106,20 @@ class TestFlatLayout:
         assert ps["w"].data.any()
 
     def test_optimizer_moments_are_views(self, rng):
+        # the moments are flat buffers in the parameters' layout, read by
+        # name through params.like
         ps = small_params(rng)
         state = init_optimizer(ps, AdamConfig(lr=0.1))
         for cur in (state, state.copy()):
-            assert list(cur.m) == ps.names() == list(cur.v)
-            for name, t in ps.items():
-                assert cur.m[name].base is cur.m_flat
-                assert cur.v[name].base is cur.v_flat
-                assert cur.m[name].shape == t.data.shape
+            assert cur.m_flat.shape == cur.v_flat.shape == ps.flat.shape
+            for flat in (cur.m_flat, cur.v_flat):
+                named = ps.like(flat)
+                assert named.names() == ps.names()
+                assert_views_of_buffer(named)
+                assert named.flat is flat
         cp = state.copy()
         assert not np.shares_memory(cp.m_flat, state.m_flat)
+        assert not np.shares_memory(cp.v_flat, state.v_flat)
 
 
 def per_tensor_adam(params, grads, state):
@@ -154,10 +158,11 @@ class TestAdam:
                      for n, a in ref_params.items()}
             adam_step(ps, grads, state)
             per_tensor_adam(ref_params, grads, ref_state)
+        m, v = ps.like(state.m_flat), ps.like(state.v_flat)
         for name, t in ps.items():
             assert t.data.tobytes() == ref_params[name].tobytes(), name
-            assert state.m[name].tobytes() == ref_state["m"][name].tobytes(), name
-            assert state.v[name].tobytes() == ref_state["v"][name].tobytes(), name
+            assert m[name].data.tobytes() == ref_state["m"][name].tobytes(), name
+            assert v[name].data.tobytes() == ref_state["v"][name].tobytes(), name
         assert state.t == ref_state["t"]
 
     def test_zero_gradient_leaves_params(self, rng):
@@ -205,7 +210,7 @@ class TestAdam:
             adam_step(ps, grads, state)
         np.testing.assert_array_equal(ps.flatten(), before)
         assert state.t == 0
-        assert not state.m["w"].any()
+        assert not state.m_flat.any() and not state.v_flat.any()
 
     def test_missing_gradient(self, rng):
         ps = small_params(rng)
