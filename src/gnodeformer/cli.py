@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, fed-train, partition-report, comm-report.
-Every run writes a key=value manifest; rerunning with --from-manifest
-reproduces the metrics (timing columns excepted) in single-thread mode.
+Every train and fed-train run writes a key=value manifest of its options
+but --out and --from-manifest (``args.settings``, the parser's actions);
+rerunning with --from-manifest reproduces the metrics (timing columns
+excepted) in single-thread mode.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerics.
 """
 
@@ -21,11 +23,10 @@ from .fedsim import (
     comm_accounting,
     dirichlet_partition,
     partition_stats,
-    read_manifest,
     run_rounds,
-    write_manifest,
     write_metrics_csv,
 )
+from .fileio import atomic_writer
 from .graphs import (
     SPLIT_FRACTIONS,
     GraphDataset,
@@ -44,38 +45,6 @@ from .spectral import load_or_compute
 from .training import evaluate, train_centralized
 
 logger = logging.getLogger(__name__)
-
-# Manifest field parsers, by canonical key. Booleans are "true"/"false",
-# and the empty string decodes to None, which only the _NULLABLE fields take.
-_FIELDS = {
-    "dataset": str,
-    "sbm": str,
-    "symmetrize": bool,
-    "rk": int,
-    "width": int,
-    "heads": int,
-    "layers": int,
-    "hidden": int,
-    "epsilon": float,
-    "dropout": float,
-    "activation": str,
-    "freeze_rk_weights": bool,
-    "lr": float,
-    "weight_decay": float,
-    "epochs": int,
-    "patience": int,
-    "seed": int,
-    "clients": int,
-    "alpha": float,
-    "rounds": int,
-    "local_epochs": int,
-    "fraction_fit": float,
-    "threads": int,
-    "checkpoint_every": int,
-}
-# fields whose flag defaults to None ("not given")
-_NULLABLE = {"dataset", "sbm", "patience"}
-
 
 def parse_sbm_spec(spec: str) -> SbmConfig:
     """Parse 'blocks=100,100,100;p_in=0.1;p_out=0.01[;key=value...]'.
@@ -145,44 +114,82 @@ def model_config_from_args(args, feature_dim: int, classes: int) -> ModelConfig:
     )
 
 
-def manifest_entries(args, command: str) -> dict:
-    entries = {"command": command}
-    for key in _FIELDS:
-        if not hasattr(args, key):
+def write_manifest(path, entries: dict) -> None:
+    """Write run settings as sorted ``key=value`` lines.
+
+    Values are rendered with repr for floats so a read-back reproduces
+    them exactly; keys may not contain '='.
+    """
+    lines = []
+    for key in sorted(entries):
+        if "=" in key:
+            raise ConfigError(f"manifest key {key!r} contains '='")
+        value = entries[key]
+        if isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key}={value}")
+    with atomic_writer(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+
+
+def read_manifest(path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not text: {exc}") from None
+    entries = {}
+    for line in text.splitlines():
+        if not line.strip():
             continue
-        value = getattr(args, key)
-        if value is None:
-            value = ""
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
+        if "=" not in line:
+            raise DataError(f"manifest line without '=': {line!r}")
+        key, _, value = line.partition("=")
         entries[key] = value
     return entries
 
 
+def manifest_entries(args) -> dict:
+    """The command and the value of each option in ``args.settings``."""
+    entries = {"command": args.command}
+    for action in args.settings:
+        value = getattr(args, action.dest)
+        if value is None:
+            value = ""
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        entries[action.dest] = value
+    return entries
+
+
 def apply_manifest(args, path: str):
-    """Overwrite config fields of ``args`` from a manifest file."""
+    """Overwrite the settings of ``args`` from a manifest file."""
     entries = read_manifest(path)
     command = entries.pop("command", None)
     if command != args.command:
         raise ConfigError(
             f"manifest was written by {command!r}, not {args.command!r}"
         )
+    # retired --symmetrize: the loader always reads edges as undirected
+    entries.pop("symmetrize", None)
+    settings = {action.dest: action for action in args.settings}
     for key, raw in entries.items():
-        if key not in _FIELDS:
+        action = settings.get(key)
+        if action is None:
             raise ConfigError(f"unknown manifest key {key!r}")
-        if not hasattr(args, key):
-            continue
         if raw == "":
-            if key not in _NULLABLE:
+            # only an option that defaults to None ("not given") takes None
+            if action.default is not None:
                 raise ConfigError(f"manifest value {key}= is empty")
             value = None
-        elif _FIELDS[key] is bool:
+        elif action.nargs == 0:  # a store_true flag
             if raw not in ("true", "false"):
                 raise ConfigError(f"manifest boolean {key}={raw!r}")
             value = raw == "true"
         else:
             try:
-                value = _FIELDS[key](raw)
+                value = (action.type or str)(raw)
             except ValueError:
                 raise ConfigError(f"manifest value {key}={raw!r}") from None
         setattr(args, key, value)
@@ -211,7 +218,8 @@ def _write_central_csv(path: Path, history) -> None:
             f"{h.epoch},{h.train_loss!r},{h.train_accuracy!r},"
             f"{h.val_loss!r},{h.val_accuracy!r},{h.seconds!r}"
         )
-    path.write_text("\n".join(rows) + "\n")
+    with atomic_writer(path) as fh:
+        fh.write(("\n".join(rows) + "\n").encode())
 
 
 def cmd_gen_data(args) -> int:
@@ -253,7 +261,7 @@ def cmd_train(args) -> int:
     logits, gamma = last
     with _writing(out):
         write_filter_table(out / "filters.txt", basis.eigenvalues, gamma.data)
-        write_manifest(out / "manifest.txt", manifest_entries(args, "train"))
+        write_manifest(out / "manifest.txt", manifest_entries(args))
 
     if dataset.test_mask.any():
         test_loss, test_accuracy = evaluate(
@@ -301,7 +309,7 @@ def cmd_fed_train(args) -> int:
     with _writing(out):
         write_metrics_csv(out / "metrics.csv", records)
         save_checkpoint(params, out / "checkpoint.bin")
-        write_manifest(out / "manifest.txt", manifest_entries(args, "fed-train"))
+        write_manifest(out / "manifest.txt", manifest_entries(args))
 
     if records:
         last = records[-1]
@@ -366,34 +374,37 @@ def cmd_comm_report(args) -> int:
 
 def _add_source_flags(parser, require=True):
     group = parser.add_mutually_exclusive_group(required=require)
-    group.add_argument("--dataset", help="dataset directory (graph text format)")
-    group.add_argument("--sbm", help="synthetic graph spec, e.g. "
-                       "'blocks=100,100,100;p_in=0.1;p_out=0.01'")
-    parser.add_argument("--symmetrize", action="store_true",
-                        help="no effect: edge lists always load undirected "
-                        "(kept so existing manifests replay)")
+    return [
+        group.add_argument("--dataset", help="dataset directory (graph text format)"),
+        group.add_argument("--sbm", help="synthetic graph spec, e.g. "
+                           "'blocks=100,100,100;p_in=0.1;p_out=0.01'"),
+    ]
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--rk", type=int, default=2, choices=(1, 2, 4),
-                        help="integration order per block")
-    parser.add_argument("--width", type=int, default=16, help="model width d")
-    parser.add_argument("--heads", type=int, default=2)
-    parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--hidden", type=int, default=64,
-                        help="convolution head hidden width")
-    parser.add_argument("--epsilon", type=float, default=100.0,
-                        help="eigenvalue encoding scale")
-    parser.add_argument("--dropout", type=float, default=0.0)
-    parser.add_argument("--activation", default="relu",
-                        choices=("relu", "gelu", "tanh"))
-    parser.add_argument("--freeze-rk-weights", action="store_true",
-                        help="keep classical stage weights fixed")
+    return [
+        parser.add_argument("--rk", type=int, default=2, choices=(1, 2, 4),
+                            help="integration order per block"),
+        parser.add_argument("--width", type=int, default=16, help="model width d"),
+        parser.add_argument("--heads", type=int, default=2),
+        parser.add_argument("--layers", type=int, default=2),
+        parser.add_argument("--hidden", type=int, default=64,
+                            help="convolution head hidden width"),
+        parser.add_argument("--epsilon", type=float, default=100.0,
+                            help="eigenvalue encoding scale"),
+        parser.add_argument("--dropout", type=float, default=0.0),
+        parser.add_argument("--activation", default="relu",
+                            choices=("relu", "gelu", "tanh")),
+        parser.add_argument("--freeze-rk-weights", action="store_true",
+                            help="keep classical stage weights fixed"),
+    ]
 
 
 def _add_optim_flags(parser):
-    parser.add_argument("--lr", type=float, default=0.01)
-    parser.add_argument("--weight-decay", type=float, default=0.0)
+    return [
+        parser.add_argument("--lr", type=float, default=0.01),
+        parser.add_argument("--weight-decay", type=float, default=0.0),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,33 +422,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="centralized training")
-    _add_source_flags(p, require=False)
-    _add_model_flags(p)
-    _add_optim_flags(p)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=None,
-                   help="early-stop after this many non-improving epochs")
-    p.add_argument("--seed", type=int, default=0)
+    settings = [
+        *_add_source_flags(p, require=False),
+        *_add_model_flags(p),
+        *_add_optim_flags(p),
+        p.add_argument("--epochs", type=int, default=200),
+        p.add_argument("--patience", type=int, default=None,
+                       help="early-stop after this many non-improving epochs"),
+        p.add_argument("--seed", type=int, default=0),
+    ]
     p.add_argument("--out", required=True)
     p.add_argument("--from-manifest", help="replay settings from a manifest")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, settings=settings)
 
     p = sub.add_parser("fed-train", help="federated simulation")
-    _add_source_flags(p, require=False)
-    _add_model_flags(p)
-    _add_optim_flags(p)
-    p.add_argument("--clients", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=100.0)
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--local-epochs", type=int, default=5)
-    p.add_argument("--fraction-fit", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--checkpoint-every", type=int, default=0,
-                   help="save the global model every k rounds (0: only final)")
-    p.add_argument("--seed", type=int, default=0)
+    settings = [
+        *_add_source_flags(p, require=False),
+        *_add_model_flags(p),
+        *_add_optim_flags(p),
+        p.add_argument("--clients", type=int, default=5),
+        p.add_argument("--alpha", type=float, default=100.0),
+        p.add_argument("--rounds", type=int, default=10),
+        p.add_argument("--local-epochs", type=int, default=5),
+        p.add_argument("--fraction-fit", type=float, default=1.0),
+        p.add_argument("--threads", type=int, default=1),
+        p.add_argument("--checkpoint-every", type=int, default=0,
+                       help="save the global model every k rounds (0: only final)"),
+        p.add_argument("--seed", type=int, default=0),
+    ]
     p.add_argument("--out", required=True)
     p.add_argument("--from-manifest", help="replay settings from a manifest")
-    p.set_defaults(func=cmd_fed_train)
+    p.set_defaults(func=cmd_fed_train, settings=settings)
 
     p = sub.add_parser("partition-report",
                        help="class histograms and skew across partition seeds")

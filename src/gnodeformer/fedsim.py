@@ -15,11 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from math import ceil, inf
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, NumericsError
+from .fileio import atomic_writer
 from .graphs import (
     SPLIT_FRACTIONS,
     GraphDataset,
@@ -451,41 +451,6 @@ def param_bytes(count: int) -> int:
     return BYTES_PER_PARAM * count
 
 
-def write_manifest(path, entries: dict) -> None:
-    """Write run settings as sorted ``key=value`` lines.
-
-    Values are rendered with repr for floats so a read-back reproduces
-    them exactly; keys may not contain '='.
-    """
-    lines = []
-    for key in sorted(entries):
-        if "=" in key:
-            raise ConfigError(f"manifest key {key!r} contains '='")
-        value = entries[key]
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key}={value}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_manifest(path) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"manifest {path} is not text: {exc}") from None
-    entries = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise DataError(f"manifest line without '=': {line!r}")
-        key, _, value = line.partition("=")
-        entries[key] = value
-    return entries
-
-
 def write_metrics_csv(path, records: list[RoundRecord]) -> None:
     """Per-round metrics: one row per participant plus one global row.
 
@@ -509,7 +474,8 @@ def write_metrics_csv(path, records: list[RoundRecord]) -> None:
             f"{fmt(rec.global_accuracy)},{rec.bytes_cum},"
             f"{fmt(rec.mean_epoch_seconds)}"
         )
-    Path(path).write_text("\n".join(rows) + "\n")
+    with atomic_writer(path) as fh:
+        fh.write(("\n".join(rows) + "\n").encode())
 
 
 def partition_stats(

@@ -1,4 +1,5 @@
-"""Atomic binary file writes for checkpoints and the eigen cache."""
+"""Atomic file writes for every run artifact: checkpoints, the eigen
+cache, manifests, metrics CSVs and filter tables."""
 
 from __future__ import annotations
 

@@ -146,7 +146,12 @@ def build_normalized_laplacian(dataset: GraphDataset) -> np.ndarray:
     # (and a client's is an induced submatrix of one): entry (i, j) is
     # (d_i^-1/2 a_ij) d_j^-1/2, that is 0 or d_i^-1/2 d_j^-1/2, and
     # floating-point products commute, so it has the bits of entry (j, i)
-    return np.eye(dataset.n) - (inv_sqrt[:, None] * a) * inv_sqrt[None, :]
+    lap = inv_sqrt[:, None] * a
+    lap *= inv_sqrt[None, :]
+    # 0.0 - x, not -x: zeros stay +0.0, so the bytes (and cache digest) hold
+    np.subtract(0.0, lap, out=lap)
+    lap.flat[:: dataset.n + 1] += 1.0
+    return lap
 
 
 def generate_sbm(config: SbmConfig) -> GraphDataset:

@@ -29,6 +29,7 @@ from .autodiff import (
     masked_cross_entropy,
 )
 from .errors import ConfigError
+from .fileio import atomic_writer
 from .graphs import GraphDataset
 from .optim import ParamSet
 from .seeding import DROPOUT, INIT, derive_seed, rng_for
@@ -391,9 +392,9 @@ def write_filter_table(
     as a plain text table for external plotting.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     n, m = gamma_channels.shape
     header = "gamma_original " + " ".join(f"channel{i}" for i in range(m))
     table = np.column_stack([np.asarray(eigenvalues), gamma_channels])
-    np.savetxt(path, table, fmt="%.17g", header=header, comments="")
+    with atomic_writer(path) as fh:
+        np.savetxt(fh, table, fmt="%.17g", header=header, comments="")
     return path

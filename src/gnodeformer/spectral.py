@@ -52,11 +52,16 @@ class SpectralBasis:
         """
         self._check_values(unit_band)
         vals, vecs = self.eigenvalues, self.eigenvectors
-        gram_err = np.abs(vecs.T @ vecs - np.eye(self.n)).max()
+        # in place: each check reuses its product instead of n x n temporaries
+        gram = vecs.T @ vecs
+        gram.flat[:: self.n + 1] -= 1.0
+        gram_err = np.abs(gram, out=gram).max()
         if gram_err > ORTHO_TOL:
             raise NumericsError(f"eigenvector columns not orthonormal ({gram_err:.2e})")
         scale = np.linalg.norm(matrix)
-        err = np.linalg.norm(vecs @ (vals[:, None] * vecs.T) - matrix)
+        recon = vecs @ (vals[:, None] * vecs.T)
+        recon -= matrix
+        err = np.linalg.norm(recon)
         if err > RECON_TOL * max(scale, 1.0):
             raise NumericsError(f"reconstruction error {err:.2e} too large")
         return self
@@ -130,7 +135,8 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
         raise NumericsError(f"expected a square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise NumericsError("matrix contains non-finite entries")
-    asym = np.abs(matrix - matrix.T).max(initial=0.0)
+    diff = matrix - matrix.T
+    asym = np.abs(diff, out=diff).max(initial=0.0)
     if asym > SYMMETRY_ATOL:
         raise NumericsError(f"matrix asymmetric by {asym:.2e} (> {SYMMETRY_ATOL})")
 

@@ -36,6 +36,28 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def settings_of(command):
+    """The actions that a ``command`` manifest records."""
+    return cli.build_parser().parse_args([command, "--out", "x"]).settings
+
+
+def setting_keys():
+    return {a.dest for c in ("train", "fed-train") for a in settings_of(c)}
+
+
+def other_value(action):
+    """A value of ``action``'s option that is not its default."""
+    if action.nargs == 0:
+        return not action.default
+    if action.choices:
+        return next(c for c in action.choices if c != action.default)
+    if action.type is int:
+        return (action.default or 0) + 3
+    if action.type is float:
+        return (action.default or 0.0) + 1 / 3
+    return f"{action.dest}-value"
+
+
 class TestParseSbmSpec:
     def test_full_spec(self):
         cfg = parse_sbm_spec(
@@ -126,30 +148,32 @@ class TestTrain:
         accuracy = float(capsys.readouterr().out.split("test accuracy ")[1].split()[0])
         assert accuracy > 0.5
 
-    def test_symmetrize_is_recorded_and_ignored(self, tmp_path):
-        # accepted and written to the manifest only so that old manifests
-        # replay; the loader always reads edges as undirected
+    def test_old_symmetrize_key_is_skipped(self, tmp_path):
+        # manifests written before --symmetrize retired record symmetrize=;
+        # replay skips it, since the loader always reads edges as undirected
         data = tmp_path / "data"
         assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
-        runs = {}
-        for flag in ([], ["--symmetrize"]):
-            out = tmp_path / f"run{len(flag)}"
-            assert run_cli(
-                "train", "--dataset", data, *SMALL_MODEL, "--epochs", 2, *flag,
-                "--out", out,
-            ) == 0
-            runs[bool(flag)] = out
-        assert "symmetrize=true" in (runs[True] / "manifest.txt").read_text()
-        assert (runs[True] / "checkpoint.bin").read_bytes() == (
-            runs[False] / "checkpoint.bin"
-        ).read_bytes()
-        replay = tmp_path / "replay"
+        first = tmp_path / "first"
         assert run_cli(
-            "train", "--from-manifest", runs[True] / "manifest.txt", "--out", replay
+            "train", "--dataset", data, *SMALL_MODEL, "--epochs", 2, "--out", first,
         ) == 0
-        assert (replay / "checkpoint.bin").read_bytes() == (
-            runs[True] / "checkpoint.bin"
-        ).read_bytes()
+        text = (first / "manifest.txt").read_text()
+        assert not any(line.startswith("symmetrize=") for line in text.splitlines())
+        checkpoints = {}
+        for line in ("", "symmetrize=true\n", "symmetrize=false\n"):
+            manifest = tmp_path / f"manifest{len(checkpoints)}.txt"
+            manifest.write_text(text + line)
+            out = tmp_path / f"replay{len(checkpoints)}"
+            assert run_cli("train", "--from-manifest", manifest, "--out", out) == 0
+            checkpoints[line] = (out / "checkpoint.bin").read_bytes()
+        assert checkpoints[""] == (first / "checkpoint.bin").read_bytes()
+        assert checkpoints["symmetrize=true\n"] == checkpoints[""]
+        assert checkpoints["symmetrize=false\n"] == checkpoints[""]
+
+    def test_symmetrize_flag_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--sbm", TINY_SBM, "--symmetrize", "--out", tmp_path / "x")
+        assert exc.value.code == 2
 
     def test_zero_epochs_near_chance(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -241,6 +265,24 @@ class TestTrain:
         assert len(read_csv(second / "metrics.csv")) == 1 + 2
         assert "epochs=2" in (second / "manifest.txt").read_text().splitlines()
 
+    @pytest.mark.parametrize("command", ["train", "fed-train"])
+    def test_manifest_carries_every_setting(self, tmp_path, command):
+        parser = cli.build_parser()
+        args = parser.parse_args([command, "--out", "x"])
+        # every option but --out and --from-manifest is a recorded setting
+        options = set(vars(args)) - {
+            "command", "func", "settings", "verbose", "out", "from_manifest"
+        }
+        assert {a.dest for a in args.settings} == options
+        for action in args.settings:
+            setattr(args, action.dest, other_value(action))
+        manifest = tmp_path / "manifest.txt"
+        cli.write_manifest(manifest, cli.manifest_entries(args))
+        replayed = cli.apply_manifest(parser.parse_args([command, "--out", "x"]), manifest)
+        for action in args.settings:
+            assert getattr(replayed, action.dest) == getattr(args, action.dest), action.dest
+            assert getattr(replayed, action.dest) != action.default, action.dest
+
     def test_wrong_manifest_command_rejected(self, tmp_path, capsys):
         out = tmp_path / "a"
         run_cli("train", "--sbm", TINY_SBM, *SMALL_MODEL, "--epochs", 0, "--out", out)
@@ -248,7 +290,9 @@ class TestTrain:
                        "--out", tmp_path / "b")
         assert code == 2
 
-    @pytest.mark.parametrize("key", sorted(set(cli._FIELDS) - cli._NULLABLE))
+    @pytest.mark.parametrize(
+        "key", sorted(setting_keys() - {"dataset", "sbm", "patience"})
+    )
     def test_empty_manifest_value_is_config_error(self, tmp_path, capsys, key):
         # only dataset, sbm and patience take an empty value (None)
         parser = cli.build_parser()
@@ -320,6 +364,22 @@ class TestFedTrain:
         assert (out / "checkpoint_round3.bin").exists()
         assert not (out / "checkpoint_round0.bin").exists()
         assert not (out / "checkpoint_round2.bin").exists()
+
+    def test_manifest_replay_reproduces_threaded_run(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run_cli(
+            "fed-train", "--sbm", "blocks=30,30,30;p_in=0.2;p_out=0.02;feature_dim=8;seed=1",
+            *SMALL_MODEL, "--dropout", 0, "--seed", 4, "--clients", 3, "--rounds", 3,
+            "--local-epochs", 2, "--threads", 2, "--checkpoint-every", 2, "--out", first,
+        ) == 0
+        assert run_cli(
+            "fed-train", "--from-manifest", first / "manifest.txt", "--out", second,
+        ) == 0
+        for name in ("checkpoint.bin", "checkpoint_round1.bin"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        a = [r[:5] for r in read_csv(first / "metrics.csv")]
+        b = [r[:5] for r in read_csv(second / "metrics.csv")]
+        assert a == b
 
     def test_alpha_sweep_manifests_differ_only_in_alpha(self, tmp_path):
         outs = []

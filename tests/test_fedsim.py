@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnodeformer import fedsim, training
+from gnodeformer.cli import read_manifest, write_manifest
 from gnodeformer.errors import ConfigError, DataError, NumericsError
 from gnodeformer.fedsim import (
     FedConfig,
@@ -21,10 +22,8 @@ from gnodeformer.fedsim import (
     induce_subgraph,
     param_bytes,
     partition_stats,
-    read_manifest,
     run_rounds,
     sample_clients,
-    write_manifest,
     write_metrics_csv,
 )
 from gnodeformer.graphs import GraphDataset, SbmConfig, generate_sbm

@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
+from gnodeformer import cli, fileio
+from gnodeformer.fedsim import RoundRecord, write_metrics_csv
 from gnodeformer.fileio import atomic_writer
+from gnodeformer.model import write_filter_table
+from gnodeformer.training import CentralRecord
 
 
 def test_replaces_target_and_leaves_no_temp(tmp_path):
@@ -31,3 +36,52 @@ def test_concurrent_writers_use_distinct_temp_files(tmp_path):
     # the outer writer renames last
     assert target.read_bytes() == b"first"
     assert [f.name for f in tmp_path.iterdir()] == ["f.bin"]
+
+
+class _FailsMidway:
+    """A file handle that writes half of its first buffer, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def _central_rows(path):
+    cli._write_central_csv(path, [CentralRecord(0, 1.0, 0.5, 1.0, 0.5, 0.1)])
+
+
+def _round_rows(path):
+    record = RoundRecord(0, (0,), {0: 1.0}, {0: 0.5}, {0: 0.1}, 1.0, 0.5, 8, 8)
+    write_metrics_csv(path, [record])
+
+
+def _filter_table(path):
+    write_filter_table(path, np.linspace(0.0, 2.0, 3), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "write",
+    [lambda path: cli.write_manifest(path, {"lr": 0.1, "seed": 3}),
+     _central_rows, _round_rows, _filter_table],
+    ids=["manifest", "central_csv", "metrics_csv", "filter_table"],
+)
+def test_text_artifact_failing_midway_keeps_old_file(tmp_path, monkeypatch, write):
+    target = tmp_path / "artifact.txt"
+    target.write_bytes(b"old")
+    real_open = open
+    monkeypatch.setattr(
+        fileio, "open", lambda *a: _FailsMidway(real_open(*a)), raising=False
+    )
+    with pytest.raises(OSError, match="disk full"):
+        write(target)
+    assert target.read_bytes() == b"old"
+    assert [f.name for f in tmp_path.iterdir()] == ["artifact.txt"]
