@@ -28,7 +28,7 @@ def benchmark(name: str, sbm: SbmConfig, rk_order: int, args) -> None:
         hidden=64,
     )
     start = time.perf_counter()
-    params, history = train_centralized(
+    params, history, _ = train_centralized(
         dataset, basis, config, AdamConfig(lr=args.lr), args.epochs, args.seed
     )
     wall = time.perf_counter() - start

@@ -59,7 +59,10 @@ def parse_sbm_spec(spec: str) -> SbmConfig:
         if "=" not in chunk:
             raise ConfigError(f"sbm spec chunk {chunk!r} is not key=value")
         key, _, value = chunk.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise ConfigError(f"sbm spec repeats key {key!r}")
+        entries[key] = value.strip()
     missing = {"blocks", "p_in", "p_out"} - set(entries)
     if missing:
         raise ConfigError(f"sbm spec missing {sorted(missing)}")
@@ -146,6 +149,8 @@ def read_manifest(path) -> dict[str, str]:
         if "=" not in line:
             raise DataError(f"manifest line without '=': {line!r}")
         key, _, value = line.partition("=")
+        if key in entries:
+            raise DataError(f"manifest repeats key {key!r}")
         entries[key] = value
     return entries
 
@@ -248,7 +253,6 @@ def cmd_train(args) -> int:
     params, history, last = train_centralized(
         dataset, basis, config, optimizer,
         epochs=args.epochs, seed=args.seed, patience=args.patience,
-        keep_forward=True,
     )
 
     with _writing(out):

@@ -156,9 +156,14 @@ def induce_subgraph(
     nodes = np.sort(nodes)
     labels = dataset.labels[nodes]
     train, val, test = split_masks(labels, SPLIT_FRACTIONS, mask_seed)
+    # new id of each kept node, -1 elsewhere; the ids rise with the old
+    # ones, so the kept rows stay sorted with u < v
+    index = np.full(dataset.n, -1, dtype=np.int64)
+    index[nodes] = np.arange(nodes.size)
+    edges = index[dataset.edges]
     return GraphDataset(
         n=nodes.size,
-        adjacency=dataset.adjacency[np.ix_(nodes, nodes)],
+        edges=edges[(edges >= 0).all(axis=1)],
         features=dataset.features[nodes],
         labels=labels,
         num_classes=dataset.num_classes,

@@ -1,8 +1,8 @@
 """Graph datasets: representation, normalized Laplacian, SBM generation,
 disk format, and train/val/test mask splitting.
 
-Everything is dense and 64-bit. Graphs are undirected, unweighted, and
-stored without self-loops.
+A graph is its edge list: undirected, unweighted, without self-loops.
+Everything is 64-bit; only the normalized Laplacian is dense.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 class GraphDataset:
     """One node-classification graph.
 
-    adjacency is a symmetric 0/1 float matrix with zero diagonal,
-    features is (n, F), labels is (n,) ints in [0, C), and the three
-    masks are disjoint boolean vectors over nodes.
+    edges is an (m, 2) int64 array holding each undirected edge once as
+    a (u, v) row with u < v, rows in ascending order; any edge list is
+    brought to that form on construction. features is (n, F), labels is
+    (n,) ints in [0, C), and the three masks are disjoint boolean
+    vectors over nodes.
     """
 
     n: int
-    adjacency: np.ndarray
+    edges: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
@@ -45,6 +47,23 @@ class GraphDataset:
     name: str = "graph"
 
     def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise DataError(f"edges: expected two node ids per line, got {edges.shape[-1]}")
+        bad = edges[(edges < 0) | (edges >= self.n)]
+        if bad.size:
+            raise DataError(f"edges: node id {bad[0]} outside [0, {self.n})")
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        loops = lo == hi
+        if loops.any():
+            log.warning(
+                "%s: dropping %d self-loops", self.name, np.unique(lo[loops]).size
+            )
+        # one key per edge: np.unique merges reversed and repeated rows and sorts
+        keys = np.unique(lo[~loops] * self.n + hi[~loops])
+        self.edges = np.stack(divmod(keys, self.n), axis=1)
         if self.train_mask is None:
             self.train_mask = np.zeros(self.n, dtype=bool)
         if self.val_mask is None:
@@ -59,28 +78,11 @@ class GraphDataset:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return int(self.adjacency.sum()) // 2
+        return len(self.edges)
 
     def validate(self) -> "GraphDataset":
-        """Check all structural invariants; raise DataError on violation.
-
-        An asymmetric adjacency is rejected. Self-loops are dropped with a
-        warning.
-        """
-        a = np.asarray(self.adjacency, dtype=np.float64)
-        if a.shape != (self.n, self.n):
-            raise DataError(f"adjacency shape {a.shape} does not match n={self.n}")
-        if not np.isfinite(a).all():
-            raise DataError("adjacency contains non-finite entries")
-        if not np.array_equal(a, a.T):
-            raise DataError("adjacency is not symmetric")
-        if not np.isin(a, (0.0, 1.0)).all():
-            raise DataError("adjacency entries must be 0 or 1")
-        if np.trace(a) != 0:
-            log.warning("%s: dropping %d self-loops", self.name, int(np.trace(a)))
-            np.fill_diagonal(a, 0.0)
-        self.adjacency = a
-
+        """Check the feature, label and mask invariants; raise DataError
+        on violation. The edge list is checked on construction."""
         if self.features.shape[0] != self.n:
             raise DataError(
                 f"feature matrix has {self.features.shape[0]} rows, expected {self.n}"
@@ -132,25 +134,22 @@ class SbmConfig:
 
 
 def build_normalized_laplacian(dataset: GraphDataset) -> np.ndarray:
-    """I - D^{-1/2} A D^{-1/2} for the dataset's adjacency.
+    """I - D^{-1/2} A D^{-1/2} for the dataset's edges, as a dense matrix.
 
     Isolated nodes get a zero inverse-sqrt degree, so their row equals
     the identity row and the spectrum stays within [0, 2].
     """
-    a = dataset.adjacency
-    deg = a.sum(axis=1)
+    n = dataset.n
+    u, v = dataset.edges.T
+    deg = np.bincount(dataset.edges.ravel(), minlength=n).astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = deg[nz] ** -0.5
-    # exactly symmetric, since validate() admits only a symmetric 0/1 A
-    # (and a client's is an induced submatrix of one): entry (i, j) is
-    # (d_i^-1/2 a_ij) d_j^-1/2, that is 0 or d_i^-1/2 d_j^-1/2, and
-    # floating-point products commute, so it has the bits of entry (j, i)
-    lap = inv_sqrt[:, None] * a
-    lap *= inv_sqrt[None, :]
-    # 0.0 - x, not -x: zeros stay +0.0, so the bytes (and cache digest) hold
-    np.subtract(0.0, lap, out=lap)
-    lap.flat[:: dataset.n + 1] += 1.0
+    # exactly symmetric: both entries of an edge get one product; every
+    # entry off the edges and the diagonal stays +0.0
+    lap = np.zeros((n, n))
+    lap[u, v] = lap[v, u] = -(inv_sqrt[u] * inv_sqrt[v])
+    lap.flat[:: n + 1] = 1.0
     return lap
 
 
@@ -162,8 +161,7 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
 
     rng = rng_for(config.seed, SBM)
     prob = np.where(labels[:, None] == labels[None, :], config.p_in, config.p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    adjacency = (upper | upper.T).astype(np.float64)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < prob, k=1))
 
     means = rng.standard_normal((len(sizes), config.feature_dim))
     noise = rng.standard_normal((n, config.feature_dim))
@@ -171,7 +169,7 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
 
     ds = GraphDataset(
         n=n,
-        adjacency=adjacency,
+        edges=edges,
         features=features,
         labels=labels.astype(np.int64),
         num_classes=len(sizes),
@@ -253,7 +251,7 @@ def save_dataset(dataset: GraphDataset, path: str | Path) -> Path:
         fh.write(f"f={dataset.feature_dim}\n")
         fh.write(f"c={dataset.num_classes}\n")
         fh.write(f"name={dataset.name}\n")
-    np.savetxt(path / "edges", np.argwhere(np.triu(dataset.adjacency, k=1)), fmt="%d")
+    np.savetxt(path / "edges", dataset.edges, fmt="%d")
     np.savetxt(path / "features", dataset.features, fmt="%.17g")
     np.savetxt(path / "labels", dataset.labels[:, None], fmt="%d")
     return path
@@ -277,7 +275,6 @@ def load_dataset(path: str | Path) -> GraphDataset:
         raise DataError(f"{path}: {exc}") from exc
     if n == 0:
         raise DataError("dataset has no nodes")
-    # checked before the n x n allocation, so a forged n cannot request it
     if features.shape != (n, feat_dim):
         raise DataError(
             f"feature matrix is {features.shape}, meta says ({n}, {feat_dim})"
@@ -292,21 +289,9 @@ def load_dataset(path: str | Path) -> GraphDataset:
             edges = np.loadtxt(path / "edges", dtype=np.int64, ndmin=2, comments=None)
     except (OSError, ValueError) as exc:
         raise DataError(f"{path / 'edges'}: {exc}") from None
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
-    if edges.shape[1] != 2:
-        raise DataError(f"edges: expected two node ids per line, got {edges.shape[1]}")
-    bad = edges[(edges < 0) | (edges >= n)]
-    if bad.size:
-        raise DataError(f"edges: node id {bad[0]} outside [0, {n})")
-    # self-loops land on the diagonal, which validate() clears with a warning
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    adjacency[edges[:, 0], edges[:, 1]] = 1.0
-    adjacency[edges[:, 1], edges[:, 0]] = 1.0
-
     ds = GraphDataset(
         n=n,
-        adjacency=adjacency,
+        edges=edges,
         features=features,
         labels=labels,
         num_classes=num_classes,
@@ -328,7 +313,10 @@ def _read_meta(path: Path) -> dict:
                 if "=" not in line:
                     raise DataError(f"meta line without '=': {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key in values:
+                    raise DataError(f"meta file repeats key {key!r}")
+                values[key] = value.strip()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not text: {exc}") from None
     except OSError as exc:
@@ -349,7 +337,7 @@ def _read_meta(path: Path) -> dict:
 
 def homophily_ratio(dataset: GraphDataset) -> float:
     """Fraction of edges whose endpoints share a label; nan if no edges."""
-    us, vs = np.nonzero(np.triu(dataset.adjacency, k=1))
+    us, vs = dataset.edges.T
     if us.size == 0:
         return float("nan")
     return float(np.mean(dataset.labels[us] == dataset.labels[vs]))

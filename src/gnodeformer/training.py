@@ -131,21 +131,18 @@ def train_centralized(
     epochs: int,
     seed: int,
     patience: int | None = None,
-    keep_forward: bool = False,
-) -> (
-    tuple[ParamSet, list[CentralRecord]]
-    | tuple[ParamSet, list[CentralRecord], tuple[Tensor, Tensor] | None]
-):
-    """Train from a fresh initialization, returning params and history.
+) -> tuple[ParamSet, list[CentralRecord], tuple[Tensor, Tensor] | None]:
+    """Train from a fresh initialization, returning params, history and
+    the last eval forward.
 
     With ``patience`` set and a nonempty validation mask, training stops
     once validation accuracy has not improved for that many consecutive
     epochs, and the best-validation parameters are restored.
 
-    With ``keep_forward`` a third item is returned: the eval forward's
-    (logits, gamma) at the returned params, graph included, when the last
-    validation ``evaluate`` ran at them, else None (no epochs, no
-    validation mask, or parameters restored from an earlier epoch).
+    The third item is the eval forward's (logits, gamma) at the returned
+    params, graph included, when the last validation ``evaluate`` ran at
+    them, else None (no epochs, no validation mask, or parameters
+    restored from an earlier epoch).
     """
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
@@ -172,7 +169,7 @@ def train_centralized(
             logits=None if held is None else held[0],
         )[0]
         held = None
-        if has_val and (reuse or (keep_forward and epoch + 1 == epochs)):
+        if has_val and (reuse or epoch + 1 == epochs):
             val_loss, val_accuracy, held = evaluate(
                 dataset, basis, config, params, dataset.val_mask, keep_forward=True
             )
@@ -208,6 +205,4 @@ def train_centralized(
     # stale is 0 when the last epoch was the best: params already hold it
     if track_best and stale and best_params is not None:
         params, held = best_params, None
-    if keep_forward:
-        return params, history, held
-    return params, history
+    return params, history, held

@@ -4,8 +4,10 @@ central_difference_grads is the independent gradient check: it knows
 nothing about the backward rules and just perturbs raw parameter
 storage one entry at a time. reference_train_centralized is the epoch
 loop without forward reuse: every step runs its own forward, then the
-validation forward runs again at the new parameters. package_env sets
-up child processes that import the package under test.
+validation forward runs again at the new parameters.
+reference_normalized_laplacian is the dense-adjacency Laplacian formula
+that the edge-list one must reproduce bit for bit. package_env sets up
+child processes that import the package under test.
 """
 
 import os
@@ -96,3 +98,24 @@ def reference_train_centralized(
     if track_best and best_params is not None:
         params = best_params
     return params, history
+
+
+def dense_adjacency(dataset):
+    """The dataset's edges as a symmetric 0/1 float matrix."""
+    a = np.zeros((dataset.n, dataset.n))
+    u, v = dataset.edges.T
+    a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def reference_normalized_laplacian(a):
+    """I - D^{-1/2} A D^{-1/2} computed on the dense adjacency ``a``."""
+    deg = a.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    nz = deg > 0
+    inv_sqrt[nz] = deg[nz] ** -0.5
+    lap = inv_sqrt[:, None] * a
+    lap *= inv_sqrt[None, :]
+    np.subtract(0.0, lap, out=lap)
+    lap.flat[:: a.shape[0] + 1] += 1.0
+    return lap

@@ -176,7 +176,7 @@ def test_04_single_client_federation_is_centralized():
         fed_params, records, _ = run_rounds(ds, cfg)
 
         client = build_clients(ds, cfg)[0]
-        central_params, history = train_centralized(
+        central_params, history, _ = train_centralized(
             client.dataset, client.basis, model, cfg.optimizer,
             epochs=cfg.rounds * cfg.local_epochs, seed=cfg.seed,
         )
@@ -204,7 +204,7 @@ def test_04b_single_client_federation_is_centralized_at_dropout_0():
         fed_params, records, _ = run_rounds(ds, cfg)
 
         client = build_clients(ds, cfg)[0]
-        central_params, history = train_centralized(
+        central_params, history, _ = train_centralized(
             client.dataset, client.basis, model, cfg.optimizer,
             epochs=cfg.rounds * cfg.local_epochs, seed=cfg.seed,
         )
@@ -293,7 +293,7 @@ def test_07_synthetic_learning(homophilic, heterophilic):
 
     ds, basis = homophilic
     with wall_clock_budget(300):
-        params, history = train_centralized(
+        params, history, _ = train_centralized(
             ds, basis, model, OPT, epochs=200, seed=0, patience=30
         )
         assert len(history) <= 200
@@ -302,7 +302,7 @@ def test_07_synthetic_learning(homophilic, heterophilic):
 
     ds, basis = heterophilic
     with wall_clock_budget(300):
-        params, _ = train_centralized(
+        params, _, _ = train_centralized(
             ds, basis, model, OPT, epochs=200, seed=0, patience=30
         )
         _, accuracy = evaluate(ds, basis, model, params, ds.test_mask)
@@ -320,8 +320,8 @@ def test_08_near_iid_federation_tracks_centralized():
                           seed=seed)
             )
             basis = sym_eig(build_normalized_laplacian(ds), unit_band=True)
-            params, _ = train_centralized(ds, basis, model, OPT, epochs=100,
-                                          seed=seed)
+            params, _, _ = train_centralized(ds, basis, model, OPT, epochs=100,
+                                             seed=seed)
             central.append(evaluate(ds, basis, model, params, ds.test_mask)[1])
 
             cfg = FedConfig(
@@ -355,7 +355,7 @@ def test_09_citation_benchmark():
             feature_dim=ds.feature_dim, classes=ds.num_classes, d=16, heads=2,
             layers=2, rk_order=4, hidden=64,
         )
-        params, _ = train_centralized(
+        params, _, _ = train_centralized(
             ds, basis, model, OPT, epochs=200, seed=0, patience=30
         )
         _, accuracy = evaluate(ds, basis, model, params, ds.test_mask)

@@ -513,6 +513,30 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", tmp_path / "out") == 3
         assert "data error:" in capsys.readouterr().err
 
+    def test_repeated_manifest_key_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"command=train\nsbm={TINY_SBM}\nepochs=1\nepochs=3\n")
+        capsys.readouterr()
+        code = run_cli("train", "--from-manifest", manifest, "--out", tmp_path / "o")
+        assert code == 3
+        assert "data error: manifest repeats key 'epochs'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_repeated_meta_key_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        (data / "meta").write_text("n=60\nf=8\nc=3\nc=2\nname=x\n")
+        capsys.readouterr()
+        code = run_cli("train", "--dataset", data, "--epochs", 1, "--out", tmp_path / "o")
+        assert code == 3
+        assert "data error: meta file repeats key 'c'" in capsys.readouterr().err
+
+    def test_repeated_sbm_key_is_config_error(self, tmp_path, capsys):
+        code = run_cli("gen-data", "--sbm", TINY_SBM + ";seed=2", "--out", tmp_path / "g")
+        assert code == 2
+        assert "config error: sbm spec repeats key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

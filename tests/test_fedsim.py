@@ -31,6 +31,7 @@ from gnodeformer.model import ModelConfig, count_parameters, init_params
 from gnodeformer.optim import AdamConfig, ParamSet
 from gnodeformer.autodiff import Tensor
 from gnodeformer.training import train_centralized
+from tests.helpers import dense_adjacency
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -165,12 +166,9 @@ class TestDirichletPartition:
 
 class TestInduceSubgraph:
     def triangle_plus_isolated(self):
-        adj = np.zeros((4, 4))
-        for u, v in ((0, 1), (0, 2), (1, 2)):
-            adj[u, v] = adj[v, u] = 1.0
         return GraphDataset(
             n=4,
-            adjacency=adj,
+            edges=[(0, 1), (0, 2), (1, 2)],
             features=np.arange(8.0).reshape(4, 2),
             labels=np.array([0, 0, 1, 1]),
             num_classes=2,
@@ -179,7 +177,7 @@ class TestInduceSubgraph:
     def test_full_node_set_keeps_graph(self):
         ds = global_sbm()
         sub = induce_subgraph(ds, np.arange(ds.n), mask_seed=0)
-        np.testing.assert_array_equal(sub.adjacency, ds.adjacency)
+        np.testing.assert_array_equal(sub.edges, ds.edges)
         np.testing.assert_array_equal(sub.features, ds.features)
         np.testing.assert_array_equal(sub.labels, ds.labels)
 
@@ -199,7 +197,7 @@ class TestInduceSubgraph:
                         adj[u, v] = 1.0
         ds = GraphDataset(
             n=6,
-            adjacency=adj,
+            edges=np.argwhere(np.triu(adj, k=1)),
             features=np.zeros((6, 1)),
             labels=np.array([0, 0, 0, 1, 1, 1]),
             num_classes=2,
@@ -207,6 +205,14 @@ class TestInduceSubgraph:
         a = induce_subgraph(ds, np.arange(3), mask_seed=0)
         b = induce_subgraph(ds, np.arange(3, 6), mask_seed=0)
         assert a.num_edges + b.num_edges == ds.num_edges
+
+    def test_matches_dense_slice_on_skewed_partition(self):
+        ds = global_sbm()
+        adj = dense_adjacency(ds)
+        for nodes in dirichlet_partition(ds.labels, 4, 0.1, seed=3):
+            sub = induce_subgraph(ds, nodes, mask_seed=0)
+            block = adj[np.ix_(np.sort(nodes), np.sort(nodes))]
+            np.testing.assert_array_equal(sub.edges, np.argwhere(np.triu(block, k=1)))
 
     def test_node_order_is_sorted(self):
         ds = self.triangle_plus_isolated()
@@ -443,7 +449,7 @@ class TestRunRounds:
         fed_params, records, clients = run_rounds(ds, cfg)
 
         client = build_clients(ds, cfg)[0]
-        central_params, history = train_centralized(
+        central_params, history, _ = train_centralized(
             client.dataset, client.basis, model, cfg.optimizer,
             epochs=cfg.rounds * cfg.local_epochs, seed=cfg.seed,
         )

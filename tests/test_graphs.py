@@ -18,9 +18,11 @@ from gnodeformer.graphs import (
     split_masks,
 )
 from gnodeformer.spectral import matrix_digest
+from tests.helpers import dense_adjacency, reference_normalized_laplacian
 
 
 def make_dataset(adjacency, labels=None, num_classes=None, features=None):
+    """A dataset from a dense symmetric 0/1 adjacency matrix."""
     adjacency = np.asarray(adjacency, dtype=np.float64)
     n = adjacency.shape[0]
     if labels is None:
@@ -32,7 +34,7 @@ def make_dataset(adjacency, labels=None, num_classes=None, features=None):
         features = np.eye(n)
     return GraphDataset(
         n=n,
-        adjacency=adjacency,
+        edges=np.argwhere(np.triu(adjacency, k=1)),
         features=np.asarray(features, dtype=np.float64),
         labels=labels,
         num_classes=num_classes,
@@ -113,6 +115,12 @@ class TestNormalizedLaplacian:
         )
 
     @given(random_graphs())
+    def test_matches_dense_formula_bit_for_bit(self, ds):
+        lap = build_normalized_laplacian(ds)
+        want = reference_normalized_laplacian(dense_adjacency(ds))
+        assert lap.tobytes() == want.tobytes()
+
+    @given(random_graphs())
     def test_connected_component_has_zero_eigenvalue(self, ds):
         # any node with an edge contributes a 0 eigenvalue through its component
         lap = build_normalized_laplacian(ds)
@@ -120,27 +128,35 @@ class TestNormalizedLaplacian:
             assert np.linalg.eigvalsh(lap).min() < 1e-10
 
 
+def dataset_with_edges(n, edges):
+    return GraphDataset(
+        n=n,
+        edges=edges,
+        features=np.eye(n),
+        labels=np.zeros(n, dtype=np.int64),
+        num_classes=1,
+    )
+
+
+class TestEdgeList:
+    def test_canonical_form(self):
+        ds = dataset_with_edges(4, [[3, 1], [0, 2], [1, 3], [2, 0], [0, 1], [1, 3]])
+        np.testing.assert_array_equal(ds.edges, [[0, 1], [0, 2], [1, 3]])
+        assert ds.edges.dtype == np.int64
+        assert ds.num_edges == 3
+
+    @pytest.mark.parametrize("edges, bad", [([[0, 3]], 3), ([[-1, 2]], -1)])
+    def test_out_of_range_id_rejected(self, edges, bad):
+        with pytest.raises(DataError, match=rf"node id {bad} outside \[0, 3\)"):
+            dataset_with_edges(3, edges)
+
+
 class TestValidate:
-    def test_asymmetric_rejected(self):
-        a = np.zeros((2, 2))
-        a[0, 1] = 1
-        with pytest.raises(DataError, match="symmetric"):
-            make_dataset(a).validate()
-
     def test_self_loops_dropped(self, caplog):
-        a = np.ones((2, 2))
         with caplog.at_level("WARNING"):
-            ds = make_dataset(a).validate()
-        assert np.trace(ds.adjacency) == 0
-        assert "self-loop" in caplog.text
-
-    def test_nonbinary_entries_rejected(self):
-        with pytest.raises(DataError, match="0 or 1"):
-            make_dataset([[0, 0.5], [0.5, 0]]).validate()
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DataError, match="finite"):
-            make_dataset([[0, np.nan], [np.nan, 0]]).validate()
+            ds = dataset_with_edges(2, [[0, 0], [0, 1], [1, 1], [1, 1]])
+        np.testing.assert_array_equal(ds.edges, [[0, 1]])
+        assert "dropping 2 self-loops" in caplog.text
 
     def test_label_out_of_range(self):
         ds = make_dataset(np.zeros((2, 2)), labels=[0, 5], num_classes=2)
@@ -165,7 +181,7 @@ class TestSbm:
         cfg = SbmConfig(block_sizes=(20, 20), p_in=0.3, p_out=0.05, seed=7)
         a = generate_sbm(cfg)
         b = generate_sbm(cfg)
-        np.testing.assert_array_equal(a.adjacency, b.adjacency)
+        np.testing.assert_array_equal(a.edges, b.edges)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.train_mask, b.train_mask)
 
@@ -173,7 +189,7 @@ class TestSbm:
         base = dict(block_sizes=(20, 20), p_in=0.3, p_out=0.05)
         a = generate_sbm(SbmConfig(seed=1, **base))
         b = generate_sbm(SbmConfig(seed=2, **base))
-        assert not np.array_equal(a.adjacency, b.adjacency)
+        assert not np.array_equal(a.edges, b.edges)
 
     def test_shapes_and_labels(self):
         ds = generate_sbm(
@@ -274,7 +290,7 @@ class TestDiskFormat:
         ds.name = "roundtrip"
         save_dataset(ds, tmp_path / "g")
         back = load_dataset(tmp_path / "g")
-        np.testing.assert_array_equal(back.adjacency, ds.adjacency)
+        np.testing.assert_array_equal(back.edges, ds.edges)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.name == "roundtrip"
@@ -312,8 +328,7 @@ class TestDiskFormat:
         (tmp_path / "t" / "edges").write_text("0 0\n2 2\n0 1\n")
         with caplog.at_level("WARNING"):
             ds = load_dataset(tmp_path / "t")
-        assert ds.num_edges == 1
-        assert np.trace(ds.adjacency) == 0
+        np.testing.assert_array_equal(ds.edges, [[0, 1]])
         warnings = [r.getMessage() for r in caplog.records if "self-loop" in r.getMessage()]
         assert len(warnings) == 1
         assert "2 self-loop" in warnings[0]
@@ -333,10 +348,22 @@ class TestDiskFormat:
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "edges").write_text(text)
         ds = load_dataset(tmp_path / "t")
-        expected = np.zeros((3, 3))
-        for u, v in edges:
-            expected[u, v] = expected[v, u] = 1.0
-        np.testing.assert_array_equal(ds.adjacency, expected)
+        np.testing.assert_array_equal(ds.edges, np.reshape(edges, (-1, 2)))
+
+    def test_unsorted_rows_load_to_canonical_form(self, tmp_path):
+        ds = generate_sbm(SbmConfig(block_sizes=(12, 12), p_in=0.4, p_out=0.1, seed=6))
+        save_dataset(ds, tmp_path / "canon")
+        save_dataset(ds, tmp_path / "messy")
+        # every edge reversed, a third of them repeated, shuffled, plus a self-loop
+        rows = np.concatenate([ds.edges[:, ::-1], ds.edges[::3], [[5, 5]]])
+        rows = np.random.default_rng(0).permutation(rows)
+        np.savetxt(tmp_path / "messy" / "edges", rows, fmt="%d")
+        canon = load_dataset(tmp_path / "canon")
+        messy = load_dataset(tmp_path / "messy")
+        np.testing.assert_array_equal(messy.edges, canon.edges)
+        assert matrix_digest(build_normalized_laplacian(messy)) == matrix_digest(
+            build_normalized_laplacian(canon)
+        )
 
     @pytest.mark.parametrize(
         "text",
@@ -382,7 +409,7 @@ class TestDiskFormat:
         [
             (b"n=3\nf=-1\nc=2\nname=x\n", "f=-1 is negative"),
             (b"n=3\nf=3\nc=-2\nname=x\n", "c=-2 is negative"),
-            # no n x n allocation before the shapes are checked
+            # a forged n fails the shape check before the edges are read
             (b"n=1000000000\nf=3\nc=2\nname=x\n", "feature matrix"),
         ],
         ids=["negative_f", "negative_c", "huge_n"],

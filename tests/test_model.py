@@ -421,7 +421,7 @@ class TestForward:
 
         permuted = type(ds)(
             n=ds.n,
-            adjacency=ds.adjacency[np.ix_(perm, perm)],
+            edges=np.argsort(perm)[ds.edges],
             features=ds.features[perm],
             labels=ds.labels[perm],
             num_classes=ds.num_classes,

@@ -105,7 +105,7 @@ class TestEvaluate:
 class TestTrainCentralized:
     def test_zero_epochs_returns_init(self):
         ds, basis, cfg = small_problem()
-        params, history = train_centralized(
+        params, history, _ = train_centralized(
             ds, basis, cfg, AdamConfig(lr=0.01), epochs=0, seed=3
         )
         assert history == []
@@ -116,14 +116,14 @@ class TestTrainCentralized:
     def test_deterministic(self):
         ds, basis, cfg = small_problem(dropout=0.2)
         opt = AdamConfig(lr=0.02)
-        params_a, hist_a = train_centralized(ds, basis, cfg, opt, 5, seed=9)
-        params_b, hist_b = train_centralized(ds, basis, cfg, opt, 5, seed=9)
+        params_a, hist_a, _ = train_centralized(ds, basis, cfg, opt, 5, seed=9)
+        params_b, hist_b, _ = train_centralized(ds, basis, cfg, opt, 5, seed=9)
         assert params_a.flatten().tobytes() == params_b.flatten().tobytes()
         assert [h.train_loss for h in hist_a] == [h.train_loss for h in hist_b]
 
     def test_learns_small_graph(self):
         ds, basis, cfg = small_problem()
-        params, history = train_centralized(
+        params, history, _ = train_centralized(
             ds, basis, cfg, AdamConfig(lr=0.05), epochs=40, seed=0
         )
         _, train_acc = evaluate(ds, basis, cfg, params, ds.train_mask)
@@ -132,7 +132,7 @@ class TestTrainCentralized:
 
     def test_patience_restores_best_validation(self):
         ds, basis, cfg = small_problem()
-        params, history = train_centralized(
+        params, history, _ = train_centralized(
             ds, basis, cfg, AdamConfig(lr=0.05), epochs=60, seed=1, patience=3
         )
         best = max(h.val_accuracy for h in history)
@@ -142,7 +142,7 @@ class TestTrainCentralized:
     def test_patience_can_stop_early(self):
         # high learning rate makes validation accuracy plateau quickly
         ds, basis, cfg = small_problem()
-        _, history = train_centralized(
+        _, history, _ = train_centralized(
             ds, basis, cfg, AdamConfig(lr=0.3), epochs=500, seed=1, patience=2
         )
         assert len(history) < 500
@@ -151,13 +151,13 @@ class TestTrainCentralized:
         ds, basis, cfg = small_problem()
         bare = type(ds)(
             n=ds.n,
-            adjacency=ds.adjacency,
+            edges=ds.edges,
             features=ds.features,
             labels=ds.labels,
             num_classes=ds.num_classes,
             train_mask=np.ones(ds.n, dtype=bool),
         )
-        params, history = train_centralized(
+        params, history, _ = train_centralized(
             bare, basis, cfg, AdamConfig(lr=0.05), epochs=4, seed=0, patience=1
         )
         assert len(history) == 4
@@ -233,7 +233,7 @@ class TestForwardReuse:
         ds, basis, cfg = small_problem(dropout=dropout)
         opt = AdamConfig(lr=0.3)
         epochs = 30
-        params, history = train_centralized(
+        params, history, _ = train_centralized(
             ds, basis, cfg, opt, epochs, seed=1, patience=patience
         )
         want_params, want_history = reference_train_centralized(
@@ -264,7 +264,7 @@ class TestForwardReuse:
         ds, basis, cfg = small_problem(dropout=dropout)
         made = counting_forward(monkeypatch, training)
         params, history, (logits, gamma) = train_centralized(
-            ds, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0, keep_forward=True
+            ds, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0
         )
         # dropout makes every step run its own forward; the kept one is not new
         assert len(made) == (5 + 1 if dropout == 0 else 2 * 5)
@@ -277,7 +277,6 @@ class TestForwardReuse:
         epochs = 30
         _, history, last = train_centralized(
             ds, basis, cfg, AdamConfig(lr=0.3), epochs, seed=1, patience=2,
-            keep_forward=True,
         )
         assert len(history) < epochs
         assert last is None
@@ -303,9 +302,10 @@ class TestForwardReuse:
 
         monkeypatch.setattr(training, "evaluate", evaluate_and_watch)
         epochs = 30
-        _, history = train_centralized(
+        # keep only the history: the returned forward must be the last holder
+        history = train_centralized(
             ds, basis, cfg, AdamConfig(lr=0.3), epochs, seed=1, patience=patience
-        )
+        )[1]
         if patience is not None:
             assert len(history) < epochs
         del made[:]
