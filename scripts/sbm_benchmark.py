@@ -32,7 +32,7 @@ def benchmark(name: str, sbm: SbmConfig, rk_order: int, args) -> None:
         dataset, basis, config, AdamConfig(lr=args.lr), args.epochs, args.seed
     )
     wall = time.perf_counter() - start
-    _, accuracy = evaluate(dataset, basis, config, params, dataset.test_mask)
+    _, accuracy, _ = evaluate(dataset, basis, config, params, dataset.test_mask)
     print(
         f"{name:<12} rk{rk_order}  test_acc={accuracy:.3f}  "
         f"epochs={len(history)}  {wall / len(history) * 1000:6.1f} ms/epoch"

@@ -12,7 +12,6 @@ import argparse
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,15 +89,19 @@ def parse_sbm_spec(spec: str) -> SbmConfig:
 def load_source(args) -> GraphDataset:
     """Dataset from --sbm (generator masks) or --dataset (masks from run
     seed, matching client 0 of a single-client federation)."""
-    if getattr(args, "sbm", None):
-        return generate_sbm(parse_sbm_spec(args.sbm))
-    if not getattr(args, "dataset", None):
+    sbm, directory = getattr(args, "sbm", None), getattr(args, "dataset", None)
+    if sbm and directory:
+        # the parser rejects the pair; a manifest can still name both
+        raise ConfigError(f"both --dataset {directory!r} and --sbm {sbm!r} given")
+    if sbm:
+        return generate_sbm(parse_sbm_spec(sbm))
+    if not directory:
         raise ConfigError("one of --dataset or --sbm is required")
-    dataset = load_dataset(args.dataset)
-    train, val, test = split_masks(
+    dataset = load_dataset(directory)
+    dataset.train_mask, dataset.val_mask, dataset.test_mask = split_masks(
         dataset.labels, SPLIT_FRACTIONS, derive_seed(args.seed, MASKS, 0)
     )
-    return replace(dataset, train_mask=train, val_mask=val, test_mask=test)
+    return dataset.validate()
 
 
 def model_config_from_args(args, feature_dim: int, classes: int) -> ModelConfig:
@@ -220,7 +223,7 @@ def _write_central_csv(path: Path, history) -> None:
     rows = ["epoch,train_loss,train_accuracy,val_loss,val_accuracy,seconds"]
     for h in history:
         rows.append(
-            f"{h.epoch},{h.train_loss!r},{h.train_accuracy!r},"
+            f"{h.epoch},{h.loss!r},{h.accuracy!r},"
             f"{h.val_loss!r},{h.val_accuracy!r},{h.seconds!r}"
         )
     with atomic_writer(path) as fh:
@@ -268,7 +271,7 @@ def cmd_train(args) -> int:
         write_manifest(out / "manifest.txt", manifest_entries(args))
 
     if dataset.test_mask.any():
-        test_loss, test_accuracy = evaluate(
+        test_loss, test_accuracy, _ = evaluate(
             dataset, basis, config, params, dataset.test_mask, logits=logits
         )
         print(f"test accuracy {test_accuracy:.4f} (loss {test_loss:.4f})")
@@ -348,8 +351,12 @@ def cmd_partition_report(args) -> int:
             rows.append(",".join(row))
     table = "\n".join(rows) + "\n"
     if args.out:
-        with _writing(args.out):
-            Path(args.out).write_text(table)
+        out = Path(args.out)
+        # the report makes no directory, unlike a run's --out
+        if not out.parent.is_dir():
+            raise ConfigError(f"cannot write --out {out}: no directory {out.parent}")
+        with _writing(out), atomic_writer(out) as fh:
+            fh.write(table.encode())
     else:
         print(table, end="")
     print(f"mean_max_share={float(np.mean(max_shares))!r}")

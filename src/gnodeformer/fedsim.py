@@ -3,9 +3,12 @@
 Clients hold disjoint induced subgraphs of one global graph. Each round
 samples a client subset, runs local full-batch epochs from a copy of the
 global parameters, and aggregates with a node-count-weighted average.
-With dropout 0, each client's first local forward also scores the
-parameters it received, which gives the previous round's global test
-row without a second forward (see run_rounds).
+Each participant's local steps are training.EpochRecords, as a central
+run's are. Where training.hands_off allows (dropout 0 and at least one
+local epoch), a client scores the parameters it received on its test
+nodes with evaluate and hands that forward to its first local step,
+which gives the previous round's global test row without a second
+forward (see run_rounds).
 No network transport: byte counts follow a 4-bytes-per-parameter wire
 model for accounting only.
 """
@@ -31,7 +34,7 @@ from .model import ModelConfig, count_parameters, init_params
 from .optim import AdamConfig, OptimizerState, ParamSet, init_optimizer
 from .seeding import MASKS, PARTITION, SAMPLING, derive_seed, rng_for
 from .spectral import SpectralBasis, sym_eig
-from .training import EpochRecord, evaluate, run_epochs
+from .training import EpochRecord, evaluate, hands_off, run_epochs
 
 logger = logging.getLogger(__name__)
 
@@ -75,20 +78,17 @@ class ClientState:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round: each participant's local steps (none when its update
+    failed or there are no local epochs), the global test row and the
+    bytes transferred."""
+
     round_index: int
     participants: tuple[int, ...]
-    client_loss: dict[int, float]
-    client_accuracy: dict[int, float]
-    client_epoch_seconds: dict[int, float]
+    client_epochs: dict[int, list[EpochRecord]]
     global_loss: float
     global_accuracy: float
     round_bytes: int
     bytes_cum: int
-
-    @property
-    def mean_epoch_seconds(self) -> float:
-        values = [s for s in self.client_epoch_seconds.values() if np.isfinite(s)]
-        return float(np.mean(values)) if values else float("nan")
 
 
 def dirichlet_partition(
@@ -192,10 +192,10 @@ def client_update(
     """Run local epochs from a copy of the global parameters.
 
     Returns (updated params, per-epoch records, score). When the client
-    shares its first forward (see _shares_forward), that forward is an
-    eval forward at the received parameters: score is the (test loss,
-    test accuracy) that evaluate() gives there, and the same graph then
-    serves as the first local step's forward. Otherwise score is None.
+    has test nodes and hands_off allows, score is the (test loss, test
+    accuracy) that evaluate gives at the received parameters, and that
+    evaluate's forward serves as the first local step's. Otherwise score
+    is None.
 
     When a local step hits non-finite numbers the result is (None, [],
     score), with the score of a forward that completed; the optimizer
@@ -207,10 +207,10 @@ def client_update(
     state = client.opt_state.copy()
     score = logits = None
     try:
-        if _shares_forward(client, config):
+        test_mask = client.dataset.test_mask
+        if test_mask.any() and hands_off(config.model, config.local_epochs):
             loss, accuracy, (logits, _) = evaluate(
-                client.dataset, client.basis, config.model, local,
-                client.dataset.test_mask, keep_forward=True,
+                client.dataset, client.basis, config.model, local, test_mask
             )
             score = (loss, accuracy)
         records = run_epochs(
@@ -229,19 +229,6 @@ def client_update(
         return None, [], score
     client.opt_state = state
     return local, records, score
-
-
-def _shares_forward(client: ClientState, config: FedConfig) -> bool:
-    """Whether client_update scores the received parameters from its first
-    local forward. That needs dropout 0, where the training forward equals
-    the eval forward bit for bit, a local step to use the forward, and
-    test nodes to score.
-    """
-    return (
-        config.model.dropout == 0
-        and config.local_epochs >= 1
-        and bool(client.dataset.test_mask.any())
-    )
 
 
 def fedavg(param_sets: list[ParamSet], weights: list[float]) -> ParamSet:
@@ -310,7 +297,7 @@ def evaluate_global(
     for client in _unscored(clients, scores):
         scores[client.client_id] = evaluate(
             client.dataset, client.basis, config, params, client.dataset.test_mask
-        )
+        )[:2]
     return _pool_scores(clients, scores)
 
 
@@ -420,23 +407,12 @@ def run_rounds(
             else:
                 logger.warning("round %d: every participant failed; keeping params", round_index)
 
-            client_loss, client_accuracy, client_seconds = {}, {}, {}
-            for cid in participants:
-                _, epochs, _ = results[cid]
-                client_loss[cid] = epochs[-1].loss if epochs else float("nan")
-                client_accuracy[cid] = epochs[-1].accuracy if epochs else float("nan")
-                client_seconds[cid] = (
-                    float(np.mean([e.seconds for e in epochs])) if epochs else float("nan")
-                )
-
             round_bytes = 2 * len(participants) * one_way_bytes
             bytes_cum += round_bytes
             fields = dict(
                 round_index=round_index,
                 participants=tuple(participants),
-                client_loss=client_loss,
-                client_accuracy=client_accuracy,
-                client_epoch_seconds=client_seconds,
+                client_epochs={cid: results[cid][1] for cid in participants},
                 round_bytes=round_bytes,
                 bytes_cum=bytes_cum,
             )
@@ -459,6 +435,9 @@ def param_bytes(count: int) -> int:
 def write_metrics_csv(path, records: list[RoundRecord]) -> None:
     """Per-round metrics: one row per participant plus one global row.
 
+    A participant's row holds its last local step's loss and accuracy and
+    the mean seconds of its steps, all nan when it took none; the global
+    row's epoch_seconds is the mean over participants that took steps.
     epoch_seconds is wall-clock and therefore excluded from any
     bit-for-bit reproducibility guarantee; every other column is
     deterministic given the run seed in single-thread mode.
@@ -466,18 +445,25 @@ def write_metrics_csv(path, records: list[RoundRecord]) -> None:
     def fmt(x: float) -> str:
         return repr(float(x))
 
+    nan = float("nan")
     rows = ["round,client_id,loss,accuracy,bytes_cum,epoch_seconds"]
     for rec in records:
+        seconds = []
         for cid in rec.participants:
+            epochs = rec.client_epochs[cid]
+            loss = accuracy = mean = nan
+            if epochs:
+                loss, accuracy = epochs[-1].loss, epochs[-1].accuracy
+                mean = float(np.mean([e.seconds for e in epochs]))
+                seconds.append(mean)
             rows.append(
-                f"{rec.round_index},{cid},{fmt(rec.client_loss[cid])},"
-                f"{fmt(rec.client_accuracy[cid])},{rec.bytes_cum},"
-                f"{fmt(rec.client_epoch_seconds[cid])}"
+                f"{rec.round_index},{cid},{fmt(loss)},{fmt(accuracy)},"
+                f"{rec.bytes_cum},{fmt(mean)}"
             )
         rows.append(
             f"{rec.round_index},global,{fmt(rec.global_loss)},"
             f"{fmt(rec.global_accuracy)},{rec.bytes_cum},"
-            f"{fmt(rec.mean_epoch_seconds)}"
+            f"{fmt(np.mean(seconds) if seconds else nan)}"
         )
     with atomic_writer(path) as fh:
         fh.write(("\n".join(rows) + "\n").encode())

@@ -1,5 +1,5 @@
 """Atomic file writes for every run artifact: checkpoints, the eigen
-cache, manifests, metrics CSVs and filter tables."""
+cache, manifests, metrics CSVs, filter tables and partition reports."""
 
 from __future__ import annotations
 

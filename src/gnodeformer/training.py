@@ -1,21 +1,25 @@
-"""Full-batch centralized training loop.
+"""Full-batch training: the step loop, its record and the scoring call.
 
 Federated clients reuse ``run_epochs`` with an epoch offset, so a
 single-client run and a centralized run walk the exact same sequence of
-forward seeds and optimizer steps.
+forward seeds and optimizer steps, and both record each step as an
+``EpochRecord``.
 
-Each parameter state is run forward once. With dropout 0 the training
-forward gives the same logits, bit for bit, as the eval forward, so
-``train_centralized`` hands the graph that the validation ``evaluate``
-built for the parameters after step e to ``run_epochs`` as the forward of
-step e + 1, which then runs only the loss, backward and Adam. The first
-step, and every step of a run with dropout or without a validation mask,
-runs its own forward. The last validation forward can likewise go back to
-the caller, whose filter table and test score need that same eval forward.
+Each parameter state is run forward once. ``evaluate`` returns the eval
+forward it scored, and the hand-off rule (``hands_off``) says when a
+training step may take that forward as its own: with dropout 0, where the
+training forward gives the same logits bit for bit, and only when a step
+at the same parameters follows. That step then runs only the loss,
+backward and Adam. ``train_centralized`` hands each validation forward
+to the next step, and ``fedsim.client_update`` hands the forward that
+scores the received parameters to the first local step. Where no step
+takes it, the forward is dropped before the next step runs, so no eval
+graph is held across one; only the last validation forward goes back to
+the caller, whose filter table and test score need that same forward.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -33,22 +37,25 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One optimizer step; loss/accuracy are measured before the step."""
+    """One optimizer step of ``seconds``. loss/accuracy are on the training
+    mask, measured before the step; val_loss/val_accuracy score the
+    parameters after it on the validation mask, nan where nothing scored
+    them (federated steps, or no validation split)."""
 
     epoch: int
     loss: float
     accuracy: float
     seconds: float
+    val_loss: float = float("nan")
+    val_accuracy: float = float("nan")
 
 
-@dataclass(frozen=True)
-class CentralRecord:
-    epoch: int
-    train_loss: float
-    train_accuracy: float
-    val_loss: float
-    val_accuracy: float
-    seconds: float
+def hands_off(config: ModelConfig, steps: int) -> bool:
+    """Whether an eval forward at the current parameters serves as the
+    forward of the next of ``steps`` training steps: only with dropout 0,
+    where the training forward equals the eval forward bit for bit, and
+    only when a step follows to take it."""
+    return config.dropout == 0 and steps >= 1
 
 
 def run_epochs(
@@ -67,14 +74,13 @@ def run_epochs(
     The dropout stream for epoch ``e`` depends only on (seed, e), never
     on how the epochs are batched into calls.
 
-    ``logits``, if given, is a forward already made at the current
+    ``logits``, if given, is an eval forward already made at the current
     ``params``; the first step takes its loss from it instead of running
-    a forward, and its backward consumes that graph. Only a run without
-    dropout may pass one, since only there does the eval forward equal
-    the training forward.
+    a forward, and its backward consumes that graph. Only a run that
+    ``hands_off`` allows may pass one.
     """
-    if logits is not None and config.dropout:
-        raise ConfigError("reusing a forward needs dropout 0")
+    if logits is not None and not hands_off(config, n_epochs):
+        raise ConfigError("reusing a forward needs dropout 0 and a step to take it")
     records = []
     for j in range(n_epochs):
         epoch = epoch_offset + j
@@ -105,22 +111,19 @@ def evaluate(
     params: ParamSet,
     mask: np.ndarray,
     logits: Tensor | None = None,
-    keep_forward: bool = False,
-) -> tuple[float, float] | tuple[float, float, tuple[Tensor, Tensor]]:
-    """Loss and accuracy on ``mask`` with dropout disabled.
+) -> tuple[float, float, tuple[Tensor, Tensor | None]]:
+    """Loss and accuracy on ``mask`` with dropout disabled, and the eval
+    forward's (logits, gamma) they were scored from, graph included, so
+    the caller may hand it to a training step (see ``hands_off``).
 
     ``logits``, if given, is an eval forward already made at ``params``
-    and is scored instead of running a new one. With ``keep_forward`` the
-    forward's (logits, gamma) come back as a third item, graph included,
-    so the caller can reuse it (gamma is None when ``logits`` was given).
+    and is scored instead of running a new one; gamma is then None.
     """
     gamma = None
     if logits is None:
         logits, gamma = forward(dataset, basis, config, params, training=False)
     loss, accuracy = loss_and_metrics(logits, dataset.labels, mask)
-    if keep_forward:
-        return loss.item(), accuracy, (logits, gamma)
-    return loss.item(), accuracy
+    return loss.item(), accuracy, (logits, gamma)
 
 
 def train_centralized(
@@ -131,7 +134,7 @@ def train_centralized(
     epochs: int,
     seed: int,
     patience: int | None = None,
-) -> tuple[ParamSet, list[CentralRecord], tuple[Tensor, Tensor] | None]:
+) -> tuple[ParamSet, list[EpochRecord], tuple[Tensor, Tensor] | None]:
     """Train from a fresh initialization, returning params, history and
     the last eval forward.
 
@@ -154,48 +157,37 @@ def train_centralized(
     has_val = bool(dataset.val_mask.any())
     track_best = patience is not None and has_val
 
-    # the validation (logits, gamma) of the params after step e, held for
-    # step e + 1 and, after the last step, for the caller
-    reuse = has_val and config.dropout == 0
-    held = None
-
-    history: list[CentralRecord] = []
+    history: list[EpochRecord] = []
     best_accuracy = -1.0
     best_params = None
     stale = 0
+    # the validation forward at params, kept for the next step that takes
+    # it and, after the last step, for the caller
+    last = None
     for epoch in range(epochs):
         record = run_epochs(
             dataset, basis, config, params, state, 1, seed, epoch,
-            logits=None if held is None else held[0],
+            logits=None if last is None else last[0],
         )[0]
-        held = None
-        if has_val and (reuse or epoch + 1 == epochs):
-            val_loss, val_accuracy, held = evaluate(
-                dataset, basis, config, params, dataset.val_mask, keep_forward=True
-            )
-        elif has_val:
-            val_loss, val_accuracy = evaluate(
+        last = None
+        if has_val:
+            val_loss, val_accuracy, last = evaluate(
                 dataset, basis, config, params, dataset.val_mask
             )
-        else:
-            val_loss = val_accuracy = float("nan")
-        history.append(
-            CentralRecord(
-                epoch,
-                record.loss,
-                record.accuracy,
-                val_loss,
-                val_accuracy,
-                record.seconds,
-            )
-        )
+            # a later step takes this forward only under the hand-off
+            # rule; after the last step it goes to the caller
+            left = epochs - epoch - 1
+            if left and not hands_off(config, left):
+                last = None
+            record = replace(record, val_loss=val_loss, val_accuracy=val_accuracy)
+        history.append(record)
         logger.info(
             "epoch %d: train_loss=%.4f val_loss=%.4f val_accuracy=%.4f",
-            epoch, record.loss, val_loss, val_accuracy,
+            epoch, record.loss, record.val_loss, record.val_accuracy,
         )
         if track_best:
-            if val_accuracy > best_accuracy:
-                best_accuracy = val_accuracy
+            if record.val_accuracy > best_accuracy:
+                best_accuracy = record.val_accuracy
                 best_params = params.copy()
                 stale = 0
             else:
@@ -204,5 +196,5 @@ def train_centralized(
                     break
     # stale is 0 when the last epoch was the best: params already hold it
     if track_best and stale and best_params is not None:
-        params, held = best_params, None
-    return params, history, held
+        params, last = best_params, None
+    return params, history, last

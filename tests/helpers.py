@@ -11,6 +11,7 @@ child processes that import the package under test.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 import gnodeformer
 from gnodeformer.model import init_params
 from gnodeformer.optim import init_optimizer
-from gnodeformer.training import CentralRecord, evaluate, run_epochs
+from gnodeformer.training import evaluate, run_epochs
 
 
 def package_env():
@@ -77,20 +78,15 @@ def reference_train_centralized(
     for epoch in range(epochs):
         record = run_epochs(dataset, basis, config, params, state, 1, seed, epoch)[0]
         if has_val:
-            val_loss, val_accuracy = evaluate(
+            val_loss, val_accuracy, _ = evaluate(
                 dataset, basis, config, params, dataset.val_mask
             )
-        else:
-            val_loss = val_accuracy = float("nan")
-        history.append(
-            CentralRecord(
-                epoch, record.loss, record.accuracy, val_loss, val_accuracy,
-                record.seconds,
-            )
-        )
+            record = replace(record, val_loss=val_loss, val_accuracy=val_accuracy)
+        history.append(record)
         if track_best:
-            if val_accuracy > best_accuracy:
-                best_accuracy, best_params, stale = val_accuracy, params.copy(), 0
+            if record.val_accuracy > best_accuracy:
+                best_accuracy = record.val_accuracy
+                best_params, stale = params.copy(), 0
             else:
                 stale += 1
                 if stale >= patience:

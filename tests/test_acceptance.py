@@ -184,8 +184,8 @@ def test_04_single_client_federation_is_centralized():
         for name in fed_params.names():
             fed, central = fed_params[name].data, central_params[name].data
             assert fed.tobytes() == central.tobytes(), name
-        fed_losses = [r.client_loss[0] for r in records]
-        assert fed_losses == [history[i].train_loss for i in (1, 3, 5)]
+        fed_losses = [r.client_epochs[0][-1].loss for r in records]
+        assert fed_losses == [history[i].loss for i in (1, 3, 5)]
 
 
 def test_04b_single_client_federation_is_centralized_at_dropout_0():
@@ -212,9 +212,9 @@ def test_04b_single_client_federation_is_centralized_at_dropout_0():
         for name in fed_params.names():
             fed, central = fed_params[name].data, central_params[name].data
             assert fed.tobytes() == central.tobytes(), name
-        fed_losses = [r.client_loss[0] for r in records]
-        assert fed_losses == [history[i].train_loss for i in (1, 3, 5)]
-        test_loss, test_accuracy = evaluate(
+        fed_losses = [r.client_epochs[0][-1].loss for r in records]
+        assert fed_losses == [history[i].loss for i in (1, 3, 5)]
+        test_loss, test_accuracy, _ = evaluate(
             client.dataset, client.basis, model, central_params, client.dataset.test_mask
         )
         assert (records[-1].global_loss, records[-1].global_accuracy) == (
@@ -297,7 +297,7 @@ def test_07_synthetic_learning(homophilic, heterophilic):
             ds, basis, model, OPT, epochs=200, seed=0, patience=30
         )
         assert len(history) <= 200
-        _, accuracy = evaluate(ds, basis, model, params, ds.test_mask)
+        _, accuracy, _ = evaluate(ds, basis, model, params, ds.test_mask)
         assert accuracy >= 0.90, f"homophilic test accuracy {accuracy:.3f}"
 
     ds, basis = heterophilic
@@ -305,7 +305,7 @@ def test_07_synthetic_learning(homophilic, heterophilic):
         params, _, _ = train_centralized(
             ds, basis, model, OPT, epochs=200, seed=0, patience=30
         )
-        _, accuracy = evaluate(ds, basis, model, params, ds.test_mask)
+        _, accuracy, _ = evaluate(ds, basis, model, params, ds.test_mask)
         margin = accuracy - 1.0 / ds.num_classes
         assert margin >= 0.25, f"heterophilic margin over chance {margin:.3f}"
 
@@ -358,7 +358,7 @@ def test_09_citation_benchmark():
         params, _, _ = train_centralized(
             ds, basis, model, OPT, epochs=200, seed=0, patience=30
         )
-        _, accuracy = evaluate(ds, basis, model, params, ds.test_mask)
+        _, accuracy, _ = evaluate(ds, basis, model, params, ds.test_mask)
         assert accuracy >= 0.78, f"citation test accuracy {accuracy:.3f}"
 
 

@@ -10,7 +10,9 @@ import pytest
 from gnodeformer import cli, training
 from gnodeformer.cli import main, parse_sbm_spec
 from gnodeformer.errors import ConfigError
+from gnodeformer.graphs import SPLIT_FRACTIONS, GraphDataset, split_masks
 from gnodeformer.optim import load_checkpoint
+from gnodeformer.seeding import MASKS, derive_seed
 from tests.helpers import package_env
 
 TINY_SBM = "blocks=20,20,20;p_in=0.3;p_out=0.03;feature_dim=8;seed=1"
@@ -309,6 +311,46 @@ class TestTrain:
 
     def test_missing_source_is_config_error(self, tmp_path):
         assert run_cli("train", "--epochs", 1, "--out", tmp_path / "x") == 2
+
+    def test_manifest_naming_both_sources_is_config_error(self, tmp_path, capsys):
+        # the parser rejects --dataset with --sbm; a hand-edited manifest
+        # that names both must be rejected too, not train on the SBM
+        data, first = tmp_path / "data", tmp_path / "first"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        assert run_cli(
+            "train", "--dataset", data, *SMALL_MODEL, "--epochs", 1, "--out", first,
+        ) == 0
+        text = (first / "manifest.txt").read_text()
+        assert "sbm=\n" in text.splitlines(keepends=True)
+        manifest = tmp_path / "manifest.txt"
+        sbm = "sbm=blocks=30,30;p_in=0.3;p_out=0.03\n"
+        manifest.write_text(text.replace("sbm=\n", sbm))
+        capsys.readouterr()
+        out = tmp_path / "replay"
+        assert run_cli("train", "--from-manifest", manifest, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "--dataset" in err and "--sbm" in err
+        assert not out.exists()
+
+    def test_dataset_masks_set_without_rebuilding(self, tmp_path, monkeypatch):
+        # the run seed's split goes onto the loaded dataset, whose edge list
+        # is canonicalised once, by the load
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        built = []
+        real = GraphDataset.__post_init__
+        monkeypatch.setattr(
+            GraphDataset, "__post_init__", lambda self: built.append(1) or real(self)
+        )
+        args = cli.build_parser().parse_args(
+            ["train", "--dataset", str(data), "--seed", "5", "--out", "x"]
+        )
+        dataset = cli.load_source(args)
+        assert len(built) == 1
+        want = split_masks(dataset.labels, SPLIT_FRACTIONS, derive_seed(5, MASKS, 0))
+        got = (dataset.train_mask, dataset.val_mask, dataset.test_mask)
+        for mask, expected in zip(got, want):
+            np.testing.assert_array_equal(mask, expected)
 
     def test_gelu_activation(self, tmp_path):
         out = tmp_path / "run"

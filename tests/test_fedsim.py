@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from gnodeformer.cli import read_manifest, write_manifest
 from gnodeformer.errors import ConfigError, DataError, NumericsError
 from gnodeformer.fedsim import (
     FedConfig,
+    RoundRecord,
     build_clients,
     client_update,
     comm_accounting,
@@ -30,7 +32,7 @@ from gnodeformer.graphs import GraphDataset, SbmConfig, generate_sbm
 from gnodeformer.model import ModelConfig, count_parameters, init_params
 from gnodeformer.optim import AdamConfig, ParamSet
 from gnodeformer.autodiff import Tensor
-from gnodeformer.training import train_centralized
+from gnodeformer.training import EpochRecord, train_centralized
 from tests.helpers import dense_adjacency
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -303,7 +305,7 @@ class TestClientUpdate:
         losses = [r.loss for r in records]
         from gnodeformer.training import evaluate
 
-        final_loss, _ = evaluate(
+        final_loss, _, _ = evaluate(
             client.dataset, client.basis, cfg.model, updated,
             client.dataset.train_mask,
         )
@@ -432,7 +434,7 @@ class TestRunRounds:
             assert rec.round_bytes == 2 * 2 * 4 * count
             running += rec.round_bytes
             assert rec.bytes_cum == running
-            assert set(rec.client_loss) == set(rec.participants)
+            assert set(rec.client_epochs) == set(rec.participants)
             assert 0.0 <= rec.global_accuracy <= 1.0
 
     def test_degenerate_federation_matches_centralized(self):
@@ -454,8 +456,8 @@ class TestRunRounds:
             epochs=cfg.rounds * cfg.local_epochs, seed=cfg.seed,
         )
         assert fed_params.flatten().tobytes() == central_params.flatten().tobytes()
-        fed_losses = [r.client_loss[0] for r in records]
-        central_losses = [history[i].train_loss for i in (1, 3, 5)]
+        fed_losses = [r.client_epochs[0][-1].loss for r in records]
+        central_losses = [history[i].loss for i in (1, 3, 5)]
         assert fed_losses == central_losses
 
     def test_threading_reproduces_serial_result(self):
@@ -487,7 +489,7 @@ def spelled_out_global(clients, model, params):
     for client in sorted(clients, key=lambda c: c.client_id):
         count = int(client.dataset.test_mask.sum())
         if count:
-            loss, accuracy = training.evaluate(
+            loss, accuracy, _ = training.evaluate(
                 client.dataset, client.basis, model, params, client.dataset.test_mask
             )
             total += count
@@ -552,19 +554,21 @@ class TestDeferredGlobalRow:
 
         monkeypatch.setattr(fedsim, "run_epochs", flaky)
         records = self.run()
-        assert math.isnan(records[1].client_loss[1])
+        assert records[1].client_epochs[1] == []
 
     def test_row_after_a_client_forward_raises(self, monkeypatch):
         real = fedsim.evaluate
 
-        def flaky(dataset, *args, keep_forward=False, **kwargs):
-            if dataset.name.endswith("client1") and keep_forward:
+        def flaky(dataset, *args, **kwargs):
+            # only client_update's scoring call, not evaluate_global's
+            scoring = sys._getframe(1).f_code.co_name == "client_update"
+            if dataset.name.endswith("client1") and scoring:
                 raise NumericsError("injected")
-            return real(dataset, *args, keep_forward=keep_forward, **kwargs)
+            return real(dataset, *args, **kwargs)
 
         monkeypatch.setattr(fedsim, "evaluate", flaky)
         records = self.run()
-        assert all(math.isnan(rec.client_loss[1]) for rec in records)
+        assert all(rec.client_epochs[1] == [] for rec in records)
 
     def test_clients_score_from_their_first_forward(self, monkeypatch):
         # 4 clients x 3 rounds x 2 local steps, plus the last round's row:
@@ -586,7 +590,7 @@ class TestDeferredGlobalRow:
         want = training.evaluate(
             client.dataset, client.basis, cfg.model, global_params,
             client.dataset.test_mask,
-        )
+        )[:2]
         _, records, score = client_update(global_params, client, cfg, 0)
         assert score == want and len(records) == 2
         _, _, score = client_update(
@@ -680,6 +684,20 @@ class TestMetricsCsv:
         assert int(last[0]) == 1
         assert float(last[3]) == records[-1].global_accuracy
         assert int(last[4]) == records[-1].bytes_cum
+
+    def test_client_rows_from_epoch_records(self, tmp_path):
+        # a participant's row: its last step's loss and accuracy and its
+        # mean step seconds, nan for one that took no step; the global
+        # row's seconds average the participants that took steps
+        steps = [EpochRecord(0, 0.9, 0.25, 1.0), EpochRecord(1, 0.7, 0.5, 3.0)]
+        record = RoundRecord(4, (0, 2), {0: steps, 2: []}, 0.8, 0.375, 16, 32)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [record])
+        assert path.read_text().splitlines()[1:] == [
+            "4,0,0.7,0.5,32,2.0",
+            "4,2,nan,nan,32,nan",
+            "4,global,0.8,0.375,32,2.0",
+        ]
 
 
 class TestPartitionStats:

@@ -433,6 +433,38 @@ class TestForward:
         moved, _ = forward(permuted, basis_perm, cfg, params)
         np.testing.assert_allclose(moved.data, base.data[perm], atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "p_in, p_out, repeated",
+        [(0.3, 0.03, False), (0.01, 0.005, True)],
+        ids=["connected", "sparse"],
+    )
+    def test_relabelled_graph_permutes_eval_logits(self, p_in, p_out, repeated):
+        # end to end: relabel the nodes, rebuild the Laplacian and solve
+        # for its basis again. On the sparse graph eigenvalue 1 is
+        # repeated, so the two solves may pick different bases of its
+        # eigenspace; the logits must follow the relabelling regardless
+        ds = generate_sbm(
+            SbmConfig(block_sizes=(40, 40, 40), p_in=p_in, p_out=p_out,
+                      feature_dim=6, seed=3)
+        )
+        perm = np.random.default_rng(0).permutation(ds.n)
+        relabelled = type(ds)(
+            n=ds.n,
+            edges=np.argsort(perm)[ds.edges],
+            features=ds.features[perm],
+            labels=ds.labels[perm],
+            num_classes=ds.num_classes,
+        )
+        cfg = tiny_config(classes=3, rk_order=4, layers=2)
+        params = init_params(cfg, seed=7)
+        logits = []
+        for graph in (ds, relabelled):
+            basis = sym_eig(build_normalized_laplacian(graph), unit_band=True)
+            ones = int(np.isclose(basis.eigenvalues, 1.0, rtol=0, atol=1e-9).sum())
+            assert (ones > 1) == repeated, ones
+            logits.append(forward(graph, basis, cfg, params, training=False)[0].data)
+        np.testing.assert_allclose(logits[1], logits[0][perm], rtol=0, atol=1e-10)
+
     def test_dropout_changes_training_output_only(self):
         ds, basis = tiny_dataset()
         cfg = tiny_config(dropout=0.5)

@@ -88,7 +88,7 @@ class TestEvaluate:
     def test_matches_direct_forward(self):
         ds, basis, cfg = small_problem()
         params = init_params(cfg, seed=2)
-        loss, acc = evaluate(ds, basis, cfg, params, ds.test_mask)
+        loss, acc, _ = evaluate(ds, basis, cfg, params, ds.test_mask)
         logits, _ = forward(ds, basis, cfg, params, training=False)
         want_loss, want_acc = loss_and_metrics(logits, ds.labels, ds.test_mask)
         assert loss == want_loss.item()
@@ -97,8 +97,8 @@ class TestEvaluate:
     def test_dropout_disabled(self):
         ds, basis, cfg = small_problem(dropout=0.5)
         params = init_params(cfg, seed=2)
-        a = evaluate(ds, basis, cfg, params, ds.val_mask)
-        b = evaluate(ds, basis, cfg, params, ds.val_mask)
+        a = evaluate(ds, basis, cfg, params, ds.val_mask)[:2]
+        b = evaluate(ds, basis, cfg, params, ds.val_mask)[:2]
         assert a == b
 
 
@@ -119,16 +119,16 @@ class TestTrainCentralized:
         params_a, hist_a, _ = train_centralized(ds, basis, cfg, opt, 5, seed=9)
         params_b, hist_b, _ = train_centralized(ds, basis, cfg, opt, 5, seed=9)
         assert params_a.flatten().tobytes() == params_b.flatten().tobytes()
-        assert [h.train_loss for h in hist_a] == [h.train_loss for h in hist_b]
+        assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
 
     def test_learns_small_graph(self):
         ds, basis, cfg = small_problem()
         params, history, _ = train_centralized(
             ds, basis, cfg, AdamConfig(lr=0.05), epochs=40, seed=0
         )
-        _, train_acc = evaluate(ds, basis, cfg, params, ds.train_mask)
+        _, train_acc, _ = evaluate(ds, basis, cfg, params, ds.train_mask)
         assert train_acc >= 0.9
-        assert history[-1].train_loss < history[0].train_loss
+        assert history[-1].loss < history[0].loss
 
     def test_patience_restores_best_validation(self):
         ds, basis, cfg = small_problem()
@@ -136,7 +136,7 @@ class TestTrainCentralized:
             ds, basis, cfg, AdamConfig(lr=0.05), epochs=60, seed=1, patience=3
         )
         best = max(h.val_accuracy for h in history)
-        _, val_acc = evaluate(ds, basis, cfg, params, ds.val_mask)
+        _, val_acc, _ = evaluate(ds, basis, cfg, params, ds.val_mask)
         assert val_acc == best
 
     def test_patience_can_stop_early(self):
@@ -193,7 +193,7 @@ class TestTrainCentralized:
 def deterministic_fields(history):
     """Every history field but the wall-clock seconds, as exact reprs."""
     return [
-        (h.epoch, repr(h.train_loss), repr(h.train_accuracy),
+        (h.epoch, repr(h.loss), repr(h.accuracy),
          repr(h.val_loss), repr(h.val_accuracy))
         for h in history
     ]
@@ -323,14 +323,12 @@ class TestForwardReuse:
     def test_evaluate_scores_given_logits(self, monkeypatch):
         ds, basis, cfg = small_problem()
         params = init_params(cfg, seed=2)
-        loss, acc, (logits, gamma) = evaluate(
-            ds, basis, cfg, params, ds.val_mask, keep_forward=True
-        )
-        assert (loss, acc) == evaluate(ds, basis, cfg, params, ds.val_mask)
+        loss, acc, (logits, gamma) = evaluate(ds, basis, cfg, params, ds.val_mask)
+        assert (loss, acc) == evaluate(ds, basis, cfg, params, ds.val_mask)[:2]
         want_logits, want_gamma = forward(ds, basis, cfg, params, training=False)
         np.testing.assert_array_equal(logits.data, want_logits.data)
         np.testing.assert_array_equal(gamma.data, want_gamma.data)
         made = counting_forward(monkeypatch, training)
         got = evaluate(ds, basis, cfg, params, ds.test_mask, logits=logits)
         assert made == []
-        assert got == evaluate(ds, basis, cfg, params, ds.test_mask)
+        assert got[:2] == evaluate(ds, basis, cfg, params, ds.test_mask)[:2]
