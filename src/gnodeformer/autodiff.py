@@ -1,10 +1,12 @@
 """Minimal dense reverse-mode differentiation engine.
 
 Tensors are 2-d float64 arrays (scalars are shape (1, 1)); labels and
-masks stay plain numpy arrays. Each op records a closure that scatters
-the output gradient to its parents, and backward() replays those
-closures in reverse topological order. There is no tape object: the
-graph is the web of parent references, confined to one training task.
+masks stay plain numpy arrays. Each op passes _make the closure that
+scatters the output gradient to its parents; _make attaches it, with the
+parent links, only when some parent requires a gradient. backward()
+replays those closures in reverse topological order. There is no tape
+object: the graph is the web of parent references, confined to one
+training task.
 
 Broadcasting in add/sub/mul is limited to numpy's rules over 2-d
 shapes; the backward pass sums gradients over broadcast axes.
@@ -54,17 +56,11 @@ class Tensor:
         return _broadcast_op(self, other, np.add, lambda a, b, g: g, lambda a, b, g: g)
 
     def __sub__(self, other):
-        return _broadcast_op(
-            self, other, np.subtract, lambda a, b, g: g, lambda a, b, g: -g
-        )
+        return _broadcast_op(self, other, np.subtract, lambda a, b, g: g, lambda a, b, g: -g)
 
     def __mul__(self, other):
         return _broadcast_op(
-            self,
-            other,
-            np.multiply,
-            lambda a, b, g: g * b.data,
-            lambda a, b, g: g * a.data,
+            self, other, np.multiply, lambda a, b, g: g * b.data, lambda a, b, g: g * a.data
         )
 
     def __matmul__(self, other):
@@ -73,25 +69,19 @@ class Tensor:
             raise NumericsError(
                 f"matmul shapes {a.data.shape} and {b.data.shape} incompatible"
             )
-        out = _make(a.data @ b.data, (a, b))
-        if out.requires_grad:
 
-            def backward(g):
-                if a.requires_grad:
-                    _acc(a, g @ b.data.T)
-                if b.requires_grad:
-                    _acc(b, a.data.T @ g)
+        def backward(g):
+            if a.requires_grad:
+                _acc(a, g @ b.data.T)
+            if b.requires_grad:
+                _acc(b, a.data.T @ g)
 
-            out._backward = backward
-        return out
+        return _make(a.data @ b.data, (a, b), backward)
 
     def scale(self, c: float):
         """Multiply by a python constant."""
         c = float(c)
-        out = _make(self.data * c, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, g * c)
-        return out
+        return _make(self.data * c, (self,), lambda g: _acc(self, g * c))
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -99,10 +89,7 @@ class Tensor:
     # shape ops ---------------------------------------------------------
 
     def transpose(self):
-        out = _make(self.data.T, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, g.T)
-        return out
+        return _make(self.data.T, (self,), lambda g: _acc(self, g.T))
 
     @property
     def T(self):
@@ -112,10 +99,7 @@ class Tensor:
 
     def relu(self):
         mask = self.data > 0
-        out = _make(self.data * mask, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, g * mask)
-        return out
+        return _make(self.data * mask, (self,), lambda g: _acc(self, g * mask))
 
     def gelu(self):
         # exact form x * Phi(x) with the Gaussian CDF, not the tanh fit.
@@ -126,107 +110,78 @@ class Tensor:
 
         x = self.data
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        out = _make(x * cdf, (self,))
-        if out.requires_grad:
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-            local = cdf + x * pdf
-            out._backward = lambda g: _acc(self, g * local)
-        return out
+        # the slope now, not in backward: there its temporaries raise the peak RSS
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        local = cdf + x * pdf
+        return _make(x * cdf, (self,), lambda g: _acc(self, g * local))
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, g * (1.0 - y * y))
-        return out
+        return _make(y, (self,), lambda g: _acc(self, g * (1.0 - y * y)))
 
     def sin(self):
-        out = _make(np.sin(self.data), (self,))
-        if out.requires_grad:
-            cos = np.cos(self.data)
-            out._backward = lambda g: _acc(self, g * cos)
-        return out
+        x = self.data
+        return _make(np.sin(x), (self,), lambda g: _acc(self, g * np.cos(x)))
 
     def cos(self):
-        out = _make(np.cos(self.data), (self,))
-        if out.requires_grad:
-            sin = np.sin(self.data)
-            out._backward = lambda g: _acc(self, g * -sin)
-        return out
+        x = self.data
+        return _make(np.cos(x), (self,), lambda g: _acc(self, g * -np.sin(x)))
 
     def exp(self):
         y = np.exp(self.data)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, g * y)
-        return out
+        return _make(y, (self,), lambda g: _acc(self, g * y))
 
     def log(self):
         if not np.isfinite(self.data).all():
             raise NumericsError("log on non-finite input")
         if (self.data <= 0).any():
             raise NumericsError("log on non-positive input")
-        out = _make(np.log(self.data), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, g / self.data)
-        return out
+        return _make(np.log(self.data), (self,), lambda g: _acc(self, g / self.data))
 
     # row ops ------------------------------------------------------------
 
     def softmax_rows(self):
         s = _softmax_rows_inplace(self.data.copy())
-        out = _make(s, (self,))
-        if out.requires_grad:
 
-            def backward(g):
-                dot = (g * s).sum(axis=1, keepdims=True)
-                _acc(self, (g - dot) * s)
+        def backward(g):
+            dot = (g * s).sum(axis=1, keepdims=True)
+            _acc(self, (g - dot) * s)
 
-            out._backward = backward
-        return out
+        return _make(s, (self,), backward)
 
     def layer_norm_rows(self):
         """Normalize each row to mean 0 and variance 1 (no affine part;
         layer_norm_affine() adds the gain and bias).
         """
         y, inv = _layer_norm(self.data)
-        out = _make(y, (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, _layer_norm_grad(g, y, inv))
-        return out
+        return _make(y, (self,), lambda g: _acc(self, _layer_norm_grad(g, y, inv)))
 
     def column(self, index: int):
         """Column ``index`` as an (n, 1) tensor. Its gradient is the output
         gradient in that column and zero elsewhere: the values of the
         product with a one-hot column, without the product.
         """
-        out = _make(self.data[:, index : index + 1].copy(), (self,))
-        if out.requires_grad:
 
-            def backward(g):
-                grad = np.zeros_like(self.data)
-                grad[:, index : index + 1] = g
-                _acc(self, grad)
+        def backward(g):
+            grad = np.zeros_like(self.data)
+            grad[:, index : index + 1] = g
+            _acc(self, grad)
 
-            out._backward = backward
-        return out
+        return _make(self.data[:, index : index + 1].copy(), (self,), backward)
 
     # reductions ----------------------------------------------------------
 
     def sum(self):
-        out = _make(self.data.sum().reshape(1, 1), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(self, np.full_like(self.data, g[0, 0]))
-        return out
+        def backward(g):
+            _acc(self, np.full_like(self.data, g[0, 0]))
+
+        return _make(self.data.sum().reshape(1, 1), (self,), backward)
 
     def mean(self):
-        size = self.data.size
-        out = _make(self.data.mean().reshape(1, 1), (self,))
-        if out.requires_grad:
-            out._backward = lambda g: _acc(
-                self, np.full_like(self.data, g[0, 0] / size)
-            )
-        return out
+        def backward(g):
+            _acc(self, np.full_like(self.data, g[0, 0] / self.data.size))
+
+        return _make(self.data.mean().reshape(1, 1), (self,), backward)
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
@@ -241,14 +196,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: tuple) -> Tensor:
-    out = Tensor(data)
+def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """A node of value data whose backward(g) passes its gradient g on to
+    parents. It keeps parents (walked in this order by backward()) and
+    backward only when some parent requires a gradient."""
+    node = Tensor(data)
     for p in parents:
         if p.requires_grad:
-            out.requires_grad = True
-            out._parents = parents
+            node.requires_grad = True
+            node._parents = parents
+            node._backward = backward
             break
-    return out
+    return node
 
 
 def _acc(t: Tensor, g: np.ndarray):
@@ -311,17 +270,14 @@ def _broadcast_op(a: Tensor, b, fwd, grad_a, grad_b) -> Tensor:
         raise NumericsError(
             f"shapes {a.data.shape} and {b.data.shape} do not broadcast"
         ) from exc
-    out = _make(data, (a, b))
-    if out.requires_grad:
 
-        def backward(g):
-            if a.requires_grad:
-                _acc(a, grad_a(a, b, g))
-            if b.requires_grad:
-                _acc(b, grad_b(a, b, g))
+    def backward(g):
+        if a.requires_grad:
+            _acc(a, grad_a(a, b, g))
+        if b.requires_grad:
+            _acc(b, grad_b(a, b, g))
 
-        out._backward = backward
-    return out
+    return _make(data, (a, b), backward)
 
 
 # free-function ops ---------------------------------------------------------
@@ -338,10 +294,7 @@ def dropout(t: Tensor, p: float, seed: int) -> Tensor:
         return t
     keep = np.random.default_rng(seed).random(t.data.shape) >= p
     scale = 1.0 / (1.0 - p)
-    out = _make(t.data * keep * scale, (t,))
-    if out.requires_grad:
-        out._backward = lambda g: _acc(t, g * keep * scale)
-    return out
+    return _make(t.data * keep * scale, (t,), lambda g: _acc(t, g * keep * scale))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -358,19 +311,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     data = x.data @ w.data
     data += b.data
-    out = _make(data, (x, w, b))
-    if out.requires_grad:
 
-        def backward(g):
-            if b.requires_grad:
-                _acc(b, g)
-            if x.requires_grad:
-                _acc(x, g @ w.data.T)
-            if w.requires_grad:
-                _acc(w, x.data.T @ g)
+    def backward(g):
+        if b.requires_grad:
+            _acc(b, g)
+        if x.requires_grad:
+            _acc(x, g @ w.data.T)
+        if w.requires_grad:
+            _acc(w, x.data.T @ g)
 
-        out._backward = backward
-    return out
+    return _make(data, (x, w, b), backward)
 
 
 def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -389,19 +339,16 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     y, inv = _layer_norm(x.data)
     data = y * gain.data
     data += bias.data
-    out = _make(data, (x, gain, bias))
-    if out.requires_grad:
 
-        def backward(g):
-            if bias.requires_grad:
-                _acc(bias, g)
-            if gain.requires_grad:
-                _acc(gain, g * y)
-            if x.requires_grad:
-                _acc(x, _layer_norm_grad(g * gain.data, y, inv))
+    def backward(g):
+        if bias.requires_grad:
+            _acc(bias, g)
+        if gain.requires_grad:
+            _acc(gain, g * y)
+        if x.requires_grad:
+            _acc(x, _layer_norm_grad(g * gain.data, y, inv))
 
-        out._backward = backward
-    return out
+    return _make(data, (x, gain, bias), backward)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float, seed: int):
@@ -484,29 +431,26 @@ def attention_head(
             f"k {wk.data.shape}, v {wv.data.shape}, o {wo.data.shape} incompatible"
         )
     context, _, grads = _attend(xd @ wq.data, xd @ wk.data, xd @ wv.data, scale, p, seed)
-    out = _make(context @ wo.data, (x, wq, wk, wv, wo))
-    if out.requires_grad:
 
-        def backward(g):
-            need_v = x.requires_grad or wv.requires_grad
-            need_k = x.requires_grad or wk.requires_grad
-            need_q = x.requires_grad or wq.requires_grad
-            dctx = g @ wo.data.T if (need_v or need_k or need_q) else None
-            if wo.requires_grad:
-                _acc(wo, context.T @ g)
-            if dctx is None:
-                return
-            dv, dq, dk = grads(dctx, need_v, need_q, need_k)
-            for d, w in ((dv, wv), (dk, wk), (dq, wq)):
-                if d is None:
-                    continue
-                if x.requires_grad:
-                    _acc(x, d @ w.data.T)
-                if w.requires_grad:
-                    _acc(w, xd.T @ d)
+    def backward(g):
+        need_v = x.requires_grad or wv.requires_grad
+        need_k = x.requires_grad or wk.requires_grad
+        need_q = x.requires_grad or wq.requires_grad
+        dctx = g @ wo.data.T if (need_v or need_k or need_q) else None
+        if wo.requires_grad:
+            _acc(wo, context.T @ g)
+        if dctx is None:
+            return
+        dv, dq, dk = grads(dctx, need_v, need_q, need_k)
+        for d, w in ((dv, wv), (dk, wk), (dq, wq)):
+            if d is None:
+                continue
+            if x.requires_grad:
+                _acc(x, d @ w.data.T)
+            if w.requires_grad:
+                _acc(w, xd.T @ d)
 
-        out._backward = backward
-    return out
+    return _make(context @ wo.data, (x, wq, wk, wv, wo), backward)
 
 
 def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
@@ -532,17 +476,14 @@ def masked_cross_entropy(logits: Tensor, labels, mask) -> Tensor:
     logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - logsumexp
     loss = -logp[mask, labels[mask]].sum() / count
-    out = _make(np.array([[loss]]), (logits,))
-    if out.requires_grad:
 
-        def backward(g):
-            grad = np.exp(logp)
-            grad[np.arange(n), labels] -= 1.0
-            grad *= mask[:, None] / count
-            _acc(logits, grad * g[0, 0])
+    def backward(g):
+        grad = np.exp(logp)
+        grad[np.arange(n), labels] -= 1.0
+        grad *= mask[:, None] / count
+        _acc(logits, grad * g[0, 0])
 
-        out._backward = backward
-    return out
+    return _make(np.array([[loss]]), (logits,), backward)
 
 
 def _released(g):
@@ -569,14 +510,12 @@ def backward(loss: Tensor, params: dict) -> dict:
     stack = [(loss, iter(loss._parents))]
     while stack:
         node, parents = stack[-1]
-        advanced = False
         for p in parents:
             if id(p) not in seen and p.requires_grad:
                 seen.add(id(p))
                 stack.append((p, iter(p._parents)))
-                advanced = True
                 break
-        if not advanced:
+        else:
             topo.append(node)
             stack.pop()
 

@@ -383,6 +383,14 @@ def cmd_comm_report(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 def _add_source_flags(parser, require=True):
     group = parser.add_mutually_exclusive_group(required=require)
     return [
@@ -440,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=200),
         p.add_argument("--patience", type=int, default=None,
                        help="early-stop after this many non-improving epochs"),
-        p.add_argument("--seed", type=int, default=0),
+        p.add_argument("--seed", type=non_negative_int, default=0),
     ]
     p.add_argument("--out", required=True)
     p.add_argument("--from-manifest", help="replay settings from a manifest")
@@ -459,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1),
         p.add_argument("--checkpoint-every", type=int, default=0,
                        help="save the global model every k rounds (0: only final)"),
-        p.add_argument("--seed", type=int, default=0),
+        p.add_argument("--seed", type=non_negative_int, default=0),
     ]
     p.add_argument("--out", required=True)
     p.add_argument("--from-manifest", help="replay settings from a manifest")
@@ -472,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=100.0)
     p.add_argument("--seeds", type=int, default=10,
                    help="number of partition seeds to sample")
-    p.add_argument("--seed", type=int, default=0, help="first seed")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="first seed")
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_partition_report)
 

@@ -131,6 +131,10 @@ class SbmConfig:
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
         if not 0.0 <= self.signal < np.inf:
             raise ConfigError(f"feature signal {self.signal} must be finite and >= 0")
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim {self.feature_dim} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
 
 
 def build_normalized_laplacian(dataset: GraphDataset) -> np.ndarray:

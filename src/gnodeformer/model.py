@@ -272,11 +272,6 @@ def decode_eigenvalues(z_final: Tensor, params: ParamSet, config: ModelConfig) -
     return linear(hidden, params["decoder/w2"], params["decoder/b2"])
 
 
-def spectral_filter_apply(u: Tensor, ut: Tensor, gamma_col: Tensor, h: Tensor) -> Tensor:
-    """U diag(g) U^T h without materializing the n x n filter matrix."""
-    return u @ (gamma_col * (ut @ h))
-
-
 def force_identity_channel(gamma: Tensor, channels: int) -> Tensor:
     """Overwrite channel 0 with the constant 1 filter; the decoder's
     channel-0 output receives no gradient through this path.

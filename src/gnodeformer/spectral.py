@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import NumericsError
 from .fileio import atomic_writer
 
 log = logging.getLogger(__name__)
@@ -147,17 +147,6 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
 
     basis = SpectralBasis(eigenvalues=vals, eigenvectors=_fix_signs(vecs))
     return basis.validate(matrix, unit_band=unit_band)
-
-
-def reconstruct_basis(basis: SpectralBasis, new_eigenvalues: np.ndarray) -> np.ndarray:
-    """U diag(g) U^T for a replacement eigenvalue vector g."""
-    g = np.asarray(new_eigenvalues, dtype=np.float64)
-    if g.shape != (basis.n,):
-        raise ConfigError(
-            f"expected {basis.n} eigenvalues, got shape {g.shape}"
-        )
-    out = basis.eigenvectors @ (g[:, None] * basis.eigenvectors.T)
-    return (out + out.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

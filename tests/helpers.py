@@ -6,8 +6,11 @@ storage one entry at a time. reference_train_centralized is the epoch
 loop without forward reuse: every step runs its own forward, then the
 validation forward runs again at the new parameters.
 reference_normalized_laplacian is the dense-adjacency Laplacian formula
-that the edge-list one must reproduce bit for bit. package_env sets up
-child processes that import the package under test.
+that the edge-list one must reproduce bit for bit.
+reconstruct_basis and spectral_filter_apply apply a spectral filter
+through a basis, as references for the eigensolver and the model's
+head. package_env sets up child processes that import the package
+under test.
 """
 
 import os
@@ -115,3 +118,15 @@ def reference_normalized_laplacian(a):
     np.subtract(0.0, lap, out=lap)
     lap.flat[:: a.shape[0] + 1] += 1.0
     return lap
+
+
+def reconstruct_basis(basis, new_eigenvalues):
+    """U diag(g) U^T, symmetrised, for a replacement eigenvalue vector g."""
+    g = np.asarray(new_eigenvalues, dtype=np.float64)
+    out = basis.eigenvectors @ (g[:, None] * basis.eigenvectors.T)
+    return (out + out.T) / 2.0
+
+
+def spectral_filter_apply(u, ut, gamma_col, h):
+    """U diag(g) U^T h on Tensors, without the n x n filter matrix."""
+    return u @ (gamma_col * (ut @ h))

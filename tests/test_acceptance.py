@@ -48,9 +48,9 @@ from gnodeformer.model import (
 )
 from gnodeformer.optim import AdamConfig, ParamSet, init_optimizer
 from gnodeformer.seeding import MASKS, derive_seed
-from gnodeformer.spectral import reconstruct_basis, sym_eig
+from gnodeformer.spectral import sym_eig
 from gnodeformer.training import evaluate, run_epochs, train_centralized
-from tests.helpers import central_difference_grads, max_rel_err
+from tests.helpers import central_difference_grads, max_rel_err, reconstruct_basis
 
 OPT = AdamConfig(lr=0.01)
 

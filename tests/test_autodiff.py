@@ -395,6 +395,70 @@ class TestFusedNodes:
         check_against_fd(lambda: read(t.column(2)) + read(t.column(0)), [t])
 
 
+# every public op and fused node as (input shapes, call over those inputs);
+# backward() walks a node's parents in the order it holds them, so that
+# order fixes every gradient sum
+WIRED_OPS = {
+    "add": ([(3, 4), (1, 4)], lambda a, b: a + b),
+    "sub": ([(3, 4), (3, 1)], lambda a, b: a - b),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: a * b),
+    "matmul": ([(3, 4), (4, 2)], lambda a, b: a @ b),
+    "scale": ([(3, 4)], lambda a: a.scale(2.0)),
+    "neg": ([(3, 4)], lambda a: -a),
+    "transpose": ([(3, 4)], lambda a: a.T),
+    "relu": ([(3, 4)], Tensor.relu),
+    "gelu": ([(3, 4)], Tensor.gelu),
+    "tanh": ([(3, 4)], Tensor.tanh),
+    "sin": ([(3, 4)], Tensor.sin),
+    "cos": ([(3, 4)], Tensor.cos),
+    "exp": ([(3, 4)], Tensor.exp),
+    "log": ([(3, 4)], Tensor.log),
+    "softmax_rows": ([(3, 4)], Tensor.softmax_rows),
+    "layer_norm_rows": ([(3, 4)], Tensor.layer_norm_rows),
+    "column": ([(3, 4)], lambda a: a.column(2)),
+    "sum": ([(3, 4)], Tensor.sum),
+    "mean": ([(3, 4)], Tensor.mean),
+    "dropout": ([(3, 4)], lambda a: dropout(a, 0.5, seed=1)),
+    "linear": ([(3, 4), (4, 2), (1, 2)], linear),
+    "layer_norm_affine": ([(3, 4), (1, 4), (1, 4)], layer_norm_affine),
+    "attention_head": (
+        [(5, 4), (4, 2), (4, 2), (4, 3), (3, 4)],
+        lambda x, wq, wk, wv, wo: attention_head(x, wq, wk, wv, wo, 0.5, 0.2, 3),
+    ),
+    "masked_cross_entropy": (
+        [(4, 3)],
+        lambda z: masked_cross_entropy(z, [0, 1, 2, 1], [True, True, False, True]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, carrier",
+    [(name, carrier) for name, (shapes, _) in WIRED_OPS.items()
+     for carrier in (None, *range(len(shapes)))],
+    ids=lambda v: v if isinstance(v, str) else ("constants" if v is None else f"grad{v}"),
+)
+def test_node_joins_graph_only_through_a_gradient_input(rng, name, carrier):
+    """Over constants an op yields a constant. With input ``carrier`` the
+    only one requiring a gradient, the output requires one and holds a
+    backward rule and every input as a parent, in argument order."""
+    shapes, call = WIRED_OPS[name]
+    inputs = [
+        Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=i == carrier)
+        for i, shape in enumerate(shapes)
+    ]
+    out = call(*inputs)
+    if carrier is None:
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+    else:
+        assert out.requires_grad
+        assert out._backward is not None
+        assert len(out._parents) == len(inputs)
+        assert all(p is t for p, t in zip(out._parents, inputs))
+
+
 class TestForwardValues:
     def test_softmax_uniform(self):
         out = Tensor(np.zeros((1, 3))).softmax_rows()

@@ -53,7 +53,7 @@ def other_value(action):
         return not action.default
     if action.choices:
         return next(c for c in action.choices if c != action.default)
-    if action.type is int:
+    if action.type in (int, cli.non_negative_int):
         return (action.default or 0) + 3
     if action.type is float:
         return (action.default or 0.0) + 1 / 3
@@ -599,6 +599,34 @@ class TestExitCodes:
         code = run_cli(*argv, "--sbm", TINY_SBM, *out)
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--sbm", "blocks=5,5;p_in=0.5;p_out=0.1;feature_dim=-1"],
+            ["gen-data", "--sbm", "blocks=5,5;p_in=0.5;p_out=0.1;feature_dim=0"],
+            ["gen-data", "--sbm", "blocks=5,5;p_in=0.5;p_out=0.1;seed=-1"],
+            ["train", "--sbm", TINY_SBM, "--seed", "-1"],
+            ["fed-train", "--sbm", TINY_SBM, "--seed", "-1"],
+            ["partition-report", "--sbm", TINY_SBM, "--seed", "-1"],
+            ["train", "--from-manifest"],  # a manifest holding seed=-1
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_negative_seed_or_feature_width_exits_2(self, tmp_path, argv):
+        # 2 from main or from argparse's SystemExit; any other exception
+        # would propagate as a traceback
+        if argv[-1] == "--from-manifest":
+            manifest = tmp_path / "manifest.txt"
+            manifest.write_text(f"command=train\nsbm={TINY_SBM}\nepochs=1\nseed=-1\n")
+            argv = [*argv, manifest]
+        out = tmp_path / "out"
+        try:
+            code = run_cli(*argv, "--out", out)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fed-train", "partition-report"])
     def test_more_clients_than_nodes_is_config_error(self, tmp_path, command):

