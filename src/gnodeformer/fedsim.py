@@ -9,6 +9,12 @@ local epoch), a client scores the parameters it received on its test
 nodes with evaluate and hands that forward to its first local step,
 which gives the previous round's global test row without a second
 forward (see run_rounds).
+With threads > 1, a round with a participant of at least
+_POOL_MIN_NODES nodes runs its client updates on a thread pool, and a
+round of smaller clients runs them on the calling thread: a small
+client's step is mostly Python and small numpy calls, which take turns
+on the interpreter lock rather than overlap. Results are consumed in
+client-id order wherever they ran, so placement never changes a number.
 No network transport: byte counts follow a 4-bytes-per-parameter wire
 model for accounting only.
 """
@@ -39,6 +45,14 @@ from .training import EpochRecord, evaluate, hands_off, run_epochs
 logger = logging.getLogger(__name__)
 
 BYTES_PER_PARAM = 4  # 32-bit wire model; training itself stays in 64-bit
+# Smallest client that sends its round to the thread pool. Two equal
+# client updates (2 local epochs, default model, 1 BLAS thread, 2-vCPU VM)
+# on two threads took this share of their serial time, median of 12-19
+# runs per size: 1.07 at 150 nodes, 0.94 at 175, 0.90 at 200, 0.81 at
+# 225, 0.77 at 250. Threads gain 10% or more from 200 nodes on; below,
+# less than the runs' spread, while each pool thread holds its own
+# malloc arena.
+_POOL_MIN_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -335,8 +349,12 @@ def run_rounds(
 ) -> tuple[ParamSet, list[RoundRecord], list[ClientState]]:
     """Full federated simulation: partition, round loop, aggregation.
 
-    Deterministic given the seed: client updates may run on a thread
-    pool, but aggregation always consumes results in client-id order.
+    Deterministic given the seed. With threads > 1, a round with a
+    participant of at least _POOL_MIN_NODES nodes hands its client
+    updates to a thread pool in client-id order; any other round runs
+    them on the calling thread, in the same order, and no pool starts
+    when no client is that big. Aggregation consumes every result in
+    client-id order, so where an update ran never changes a number.
 
     Round r's global row scores its aggregate, the parameters that round
     r + 1 sends out, so it is finished one round late: from the scores
@@ -369,11 +387,16 @@ def run_rounds(
         if on_round is not None:
             on_round(records[-1], params)
 
+    def overlaps(ids) -> bool:
+        """Whether a round of these clients goes to the pool."""
+        return any(clients[c].dataset.n >= _POOL_MIN_NODES for c in ids)
+
     # the last round's fields and aggregate, awaiting its global row
     pending = None
-    # one worker pool serves every round; a single thread needs none
+    # one worker pool serves every round that gains from it; a single
+    # thread, or only small clients, need none
     pool = None
-    if config.threads > 1:
+    if config.threads > 1 and overlaps(range(len(clients))):
         pool = ThreadPoolExecutor(max_workers=config.threads)
     with pool or nullcontext():
         for round_index in range(config.rounds):
@@ -386,7 +409,10 @@ def run_rounds(
                 return client_update(global_params, clients[cid], config, offset)
 
             participants = [int(c) for c in participants]
-            run = pool.map if pool else map
+            # per round, not per client: small clients on this thread beside
+            # a pool busy with big ones keep threads + 1 threads busy, and on
+            # a 2-vCPU VM a heterophilic alpha-0.1 run took up to 17% longer
+            run = pool.map if pool and overlaps(participants) else map
             results = dict(zip(participants, run(update, participants)))
             if pending is not None:
                 scores = {

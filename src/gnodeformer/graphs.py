@@ -122,7 +122,7 @@ class SbmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.block_sizes) == 0 or sum(self.block_sizes) == 0:
+        if len(self.block_sizes) == 0:
             raise ConfigError("SBM needs at least one node")
         if any(b <= 0 for b in self.block_sizes):
             raise ConfigError("block sizes must be positive")

@@ -70,7 +70,9 @@ class ModelConfig:
             raise ConfigError("need feature_dim >= 1 and classes >= 2")
         if self.d < 2 or self.d % 2 != 0:
             raise ConfigError(f"width d={self.d} must be even (sin/cos pairing)")
-        if self.heads < 1 or self.d % self.heads != 0:
+        if self.heads < 1:
+            raise ConfigError(f"heads={self.heads} must be >= 1")
+        if self.d % self.heads != 0:
             raise ConfigError(f"heads={self.heads} must divide d={self.d}")
         if self.layers < 1:
             raise ConfigError("need at least one block")

@@ -601,6 +601,20 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["gen-data", "--sbm", "blocks=5,-5;p_in=0.5;p_out=0.1"],
+             "block sizes must be positive"),
+            (["train", "--sbm", TINY_SBM, "--heads", "-2"], "heads=-2 must be >= 1"),
+        ],
+        ids=["negative_block", "negative_heads"],
+    )
+    def test_config_error_names_its_reason(self, tmp_path, capsys, argv, reason):
+        code = run_cli(*argv, "--out", tmp_path / "out")
+        assert code == 2
+        assert f"config error: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["gen-data", "--sbm", "blocks=5,5;p_in=0.5;p_out=0.1;feature_dim=-1"],

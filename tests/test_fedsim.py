@@ -2,6 +2,7 @@ import logging
 import math
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,25 @@ class TestFedAvg:
         out = fedavg(copies, [37, 41, 2])
         assert out["w"].data.tobytes() == base["w"].data.tobytes()
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 6),
+        data=st.data(),
+    )
+    def test_survivor_order_changes_only_rounding(self, seed, count, data):
+        rng = np.random.default_rng(seed)
+        sets = [
+            ParamSet({"w": Tensor(rng.standard_normal((3, 4)))}) for _ in range(count)
+        ]
+        weights = rng.integers(1, 500, size=count).tolist()
+        order = data.draw(st.permutations(range(count)))
+        want = fedavg(sets, weights)["w"].data
+        got = fedavg([sets[i] for i in order], [weights[i] for i in order])["w"].data
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+        same = fedavg([sets[0].copy() for _ in range(count)], weights)["w"].data
+        assert same.tobytes() == sets[0]["w"].data.tobytes()
+
     def test_weighted_mean_arithmetic(self):
         out = fedavg([scalar_params(1.0), scalar_params(3.0)], [1, 3])
         assert out["p0"].item() == 2.5
@@ -476,6 +496,119 @@ class TestRunRounds:
         cfg = small_fed_config(clients=3)
         _, _, clients = run_rounds(ds, small_fed_config(clients=3, rounds=0))
         assert sum(c.dataset.n for c in clients) == ds.n
+
+
+# client sizes 7, 1, 244, 23 and 235 at alpha 0.1: clients 2 and 4 sit
+# above the pool's crossover, the other three below it. Two of the five
+# take part each round: 3 and 4, 1 and 2, 2 and 3, 3 and 4, then 0 and 3,
+# so every round but the last has a big participant
+MIXED = dict(clients=5, alpha=0.1, seed=5, fraction_fit=0.4, rounds=5, local_epochs=2)
+
+
+def mixed_run(monkeypatch, threads, dropout, abort, min_nodes=None):
+    """run_rounds on the mixed-size partition, with the crossover moved to
+    ``min_nodes`` when given; ``abort`` makes clients 2 and 3 (one each
+    side of the crossover) raise in their local steps from round 1 on,
+    so both fail in round 2."""
+    if min_nodes is not None:
+        monkeypatch.setattr(fedsim, "_POOL_MIN_NODES", min_nodes)
+    if abort:
+        real = fedsim.run_epochs
+
+        def flaky(dataset, *args, **kwargs):
+            aborting = dataset.name.endswith(("client2", "client3"))
+            if aborting and args[6] > 0:
+                raise NumericsError("injected")
+            return real(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(fedsim, "run_epochs", flaky)
+    model = ModelConfig(
+        feature_dim=8, classes=3, d=8, heads=2, layers=1, rk_order=2, hidden=8,
+        dropout=dropout,
+    )
+    cfg = small_fed_config(model=model, threads=threads, **MIXED)
+    params, records, _ = run_rounds(global_sbm(n_per_block=170), cfg)
+    monkeypatch.undo()
+    return params, records
+
+
+def fingerprint(records):
+    """Every deterministic field of the records, as bytes where a float."""
+    rows = []
+    for rec in records:
+        rows.append((
+            rec.round_index, rec.participants, rec.round_bytes, rec.bytes_cum,
+            bits(rec.global_loss), bits(rec.global_accuracy),
+            {
+                cid: [(e.epoch, bits(e.loss), bits(e.accuracy)) for e in epochs]
+                for cid, epochs in rec.client_epochs.items()
+            },
+        ))
+    return rows
+
+
+class TestPlacement:
+    """A round of clients below fedsim._POOL_MIN_NODES runs on the calling
+    thread, and a round with a bigger one on the pool; where an update
+    runs never changes a bit."""
+
+    def test_partition_straddles_the_crossover(self):
+        cfg = small_fed_config(**MIXED)
+        sizes = [c.dataset.n for c in build_clients(global_sbm(n_per_block=170), cfg)]
+        assert sizes == [7, 1, 244, 23, 235]
+        assert sizes[2] >= fedsim._POOL_MIN_NODES and sizes[4] >= fedsim._POOL_MIN_NODES
+        assert max(sizes[:2] + sizes[3:4]) < fedsim._POOL_MIN_NODES
+        rounds = [
+            [int(c) for c in sample_clients(cfg.clients, cfg.fraction_fit, r, cfg.seed)]
+            for r in range(cfg.rounds)
+        ]
+        assert rounds == [[3, 4], [1, 2], [2, 3], [3, 4], [0, 3]]
+
+    @pytest.mark.parametrize("abort", [False, True], ids=["", "abort"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["p0", "p0.1"])
+    @pytest.mark.parametrize("threads", [2, 3], ids=["t2", "t3"])
+    def test_every_placement_gives_the_same_bits(self, monkeypatch, threads, dropout, abort):
+        inline = mixed_run(monkeypatch, threads, dropout, abort, min_nodes=10**9)
+        pooled = mixed_run(monkeypatch, threads, dropout, abort, min_nodes=0)
+        default = mixed_run(monkeypatch, threads, dropout, abort)
+        for params, records in (pooled, default):
+            assert params.flat.tobytes() == inline[0].flat.tobytes()
+            assert fingerprint(records) == fingerprint(inline[1])
+        if abort:
+            assert inline[1][2].client_epochs == {2: [], 3: []}
+            assert inline[1][4].client_epochs[3] == []
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_small_rounds_stay_on_the_calling_thread(self, monkeypatch, threads):
+        seen = {}
+        real = fedsim.client_update
+
+        def traced(global_params, client, config, epoch_offset):
+            round_index = epoch_offset // config.local_epochs
+            seen.setdefault(round_index, []).append(
+                (client.dataset.n, threading.get_ident())
+            )
+            return real(global_params, client, config, epoch_offset)
+
+        monkeypatch.setattr(fedsim, "client_update", traced)
+        cfg = small_fed_config(threads=threads, **MIXED)
+        run_rounds(global_sbm(n_per_block=170), cfg)
+        assert sorted(seen) == list(range(cfg.rounds))
+        here = threading.get_ident()
+        for round_index, calls in seen.items():
+            big = max(n for n, _ in calls) >= fedsim._POOL_MIN_NODES
+            assert big == (round_index < 4)
+            on_pool = threads > 1 and big
+            for n, ident in calls:
+                assert (ident != here) == on_pool, (round_index, n, threads)
+
+    def test_no_pool_starts_for_small_clients(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            fedsim, "ThreadPoolExecutor", lambda **kw: started.append(kw)
+        )
+        run_rounds(global_sbm(n_per_block=12), small_fed_config(threads=3))
+        assert started == []
 
 
 def bits(x: float) -> bytes:
