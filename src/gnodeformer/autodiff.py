@@ -288,13 +288,20 @@ def dropout(t: Tensor, p: float, seed: int) -> Tensor:
     survivors by 1/(1-p). Identity when p=0. The mask is a pure function
     of the seed.
     """
+    keep, scale = _dropout_mask(t.data.shape, p, seed)
+    if keep is None:
+        return t
+    return _make(t.data * keep * scale, (t,), lambda g: _acc(t, g * keep * scale))
+
+
+def _dropout_mask(shape, p: float, seed: int):
+    """(keep, scale): inverted dropout's mask, a function of ``seed``
+    alone and None at p=0, and its factor 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise NumericsError(f"dropout probability {p} outside [0, 1)")
     if p == 0.0:
-        return t
-    keep = np.random.default_rng(seed).random(t.data.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    return _make(t.data * keep * scale, (t,), lambda g: _acc(t, g * keep * scale))
+        return None, 1.0
+    return np.random.default_rng(seed).random(shape) >= p, 1.0 / (1.0 - p)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -364,16 +371,11 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     temporary. The floating-point operations are those of the
     composition scale, @, softmax_rows, dropout, @ in the same order.
     """
-    if not 0.0 <= p < 1.0:
-        raise NumericsError(f"dropout probability {p} outside [0, 1)")
+    keep, keep_scale = _dropout_mask((q.shape[0], k.shape[0]), p, seed)
     scale = float(scale)
     qs = q * scale
     probs = _softmax_rows_inplace(qs @ k.T)
     probs.flags.writeable = False
-    keep = None
-    if p:
-        keep = np.random.default_rng(seed).random(probs.shape) >= p
-        keep_scale = 1.0 / (1.0 - p)
 
     def dropped(x: np.ndarray) -> np.ndarray:
         if keep is None:

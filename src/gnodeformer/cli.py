@@ -25,7 +25,7 @@ from .fedsim import (
     run_rounds,
     write_metrics_csv,
 )
-from .fileio import atomic_writer
+from .fileio import parse_pairs, write_lines
 from .graphs import (
     SPLIT_FRACTIONS,
     GraphDataset,
@@ -37,7 +37,7 @@ from .graphs import (
     save_dataset,
     split_masks,
 )
-from .model import ModelConfig, forward, write_filter_table
+from .model import ACTIVATIONS, RK_WEIGHTS, ModelConfig, forward, write_filter_table
 from .optim import AdamConfig, save_checkpoint
 from .seeding import MASKS, derive_seed
 from .spectral import load_or_compute
@@ -45,42 +45,35 @@ from .training import evaluate, train_centralized
 
 logger = logging.getLogger(__name__)
 
+# sbm spec key -> (SbmConfig field, converter); the first three are required
+_SBM_KEYS = {
+    "blocks": ("block_sizes", lambda text: tuple(int(b) for b in text.split(","))),
+    "p_in": ("p_in", float),
+    "p_out": ("p_out", float),
+    "feature_dim": ("feature_dim", int),
+    "signal": ("signal", float),
+    "seed": ("seed", int),
+}
+
+
 def parse_sbm_spec(spec: str) -> SbmConfig:
     """Parse 'blocks=100,100,100;p_in=0.1;p_out=0.01[;key=value...]'.
 
     Optional keys: feature_dim, signal, seed.
     """
-    entries = {}
-    for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ConfigError(f"sbm spec chunk {chunk!r} is not key=value")
-        key, _, value = chunk.partition("=")
-        key = key.strip()
-        if key in entries:
-            raise ConfigError(f"sbm spec repeats key {key!r}")
-        entries[key] = value.strip()
+    entries = parse_pairs(spec.split(";"), "sbm spec", ConfigError)
     missing = {"blocks", "p_in", "p_out"} - set(entries)
     if missing:
         raise ConfigError(f"sbm spec missing {sorted(missing)}")
-    unknown = set(entries) - {"blocks", "p_in", "p_out", "feature_dim", "signal", "seed"}
+    unknown = set(entries) - set(_SBM_KEYS)
     if unknown:
         raise ConfigError(f"sbm spec has unknown keys {sorted(unknown)}")
     try:
-        blocks = tuple(int(b) for b in entries["blocks"].split(","))
-        kwargs = dict(
-            block_sizes=blocks,
-            p_in=float(entries["p_in"]),
-            p_out=float(entries["p_out"]),
-        )
-        if "feature_dim" in entries:
-            kwargs["feature_dim"] = int(entries["feature_dim"])
-        if "signal" in entries:
-            kwargs["signal"] = float(entries["signal"])
-        if "seed" in entries:
-            kwargs["seed"] = int(entries["seed"])
+        kwargs = {
+            field: convert(entries[key])
+            for key, (field, convert) in _SBM_KEYS.items()
+            if key in entries
+        }
     except ValueError as exc:
         raise ConfigError(f"bad sbm spec value: {exc}") from None
     return SbmConfig(**kwargs)
@@ -123,19 +116,13 @@ def model_config_from_args(args, feature_dim: int, classes: int) -> ModelConfig:
 def write_manifest(path, entries: dict) -> None:
     """Write run settings as sorted ``key=value`` lines.
 
-    Values are rendered with repr for floats so a read-back reproduces
-    them exactly; keys may not contain '='.
+    A float's str is its repr, so a read-back reproduces it exactly; keys
+    may not contain '='.
     """
-    lines = []
-    for key in sorted(entries):
+    for key in entries:
         if "=" in key:
             raise ConfigError(f"manifest key {key!r} contains '='")
-        value = entries[key]
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key}={value}")
-    with atomic_writer(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
+    write_lines(path, (f"{key}={entries[key]}" for key in sorted(entries)))
 
 
 def read_manifest(path) -> dict[str, str]:
@@ -145,17 +132,7 @@ def read_manifest(path) -> dict[str, str]:
         raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {path} is not text: {exc}") from None
-    entries = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise DataError(f"manifest line without '=': {line!r}")
-        key, _, value = line.partition("=")
-        if key in entries:
-            raise DataError(f"manifest repeats key {key!r}")
-        entries[key] = value
-    return entries
+    return parse_pairs(text.splitlines(), "manifest", DataError)
 
 
 def manifest_entries(args) -> dict:
@@ -226,8 +203,7 @@ def _write_central_csv(path: Path, history) -> None:
             f"{h.epoch},{h.loss!r},{h.accuracy!r},"
             f"{h.val_loss!r},{h.val_accuracy!r},{h.seconds!r}"
         )
-    with atomic_writer(path) as fh:
-        fh.write(("\n".join(rows) + "\n").encode())
+    write_lines(path, rows)
 
 
 def cmd_gen_data(args) -> int:
@@ -349,16 +325,15 @@ def cmd_partition_report(args) -> int:
             row += [str(c) for c in counts]
             row.append(repr(float(stats["max_share"][cid])))
             rows.append(",".join(row))
-    table = "\n".join(rows) + "\n"
     if args.out:
         out = Path(args.out)
         # the report makes no directory, unlike a run's --out
         if not out.parent.is_dir():
             raise ConfigError(f"cannot write --out {out}: no directory {out.parent}")
-        with _writing(out), atomic_writer(out) as fh:
-            fh.write(table.encode())
+        with _writing(out):
+            write_lines(out, rows)
     else:
-        print(table, end="")
+        print(*rows, sep="\n")
     print(f"mean_max_share={float(np.mean(max_shares))!r}")
     print(f"mean_tv={float(np.mean(tvs))!r}")
     return 0
@@ -402,7 +377,7 @@ def _add_source_flags(parser, require=True):
 
 def _add_model_flags(parser):
     return [
-        parser.add_argument("--rk", type=int, default=2, choices=(1, 2, 4),
+        parser.add_argument("--rk", type=int, default=2, choices=tuple(RK_WEIGHTS),
                             help="integration order per block"),
         parser.add_argument("--width", type=int, default=16, help="model width d"),
         parser.add_argument("--heads", type=int, default=2),
@@ -412,8 +387,7 @@ def _add_model_flags(parser):
         parser.add_argument("--epsilon", type=float, default=100.0,
                             help="eigenvalue encoding scale"),
         parser.add_argument("--dropout", type=float, default=0.0),
-        parser.add_argument("--activation", default="relu",
-                            choices=("relu", "gelu", "tanh")),
+        parser.add_argument("--activation", default="relu", choices=ACTIVATIONS),
         parser.add_argument("--freeze-rk-weights", action="store_true",
                             help="keep classical stage weights fixed"),
     ]

@@ -28,7 +28,7 @@ from math import ceil, inf
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .fileio import atomic_writer
+from .fileio import write_lines
 from .graphs import (
     SPLIT_FRACTIONS,
     GraphDataset,
@@ -491,8 +491,7 @@ def write_metrics_csv(path, records: list[RoundRecord]) -> None:
             f"{fmt(rec.global_accuracy)},{rec.bytes_cum},"
             f"{fmt(np.mean(seconds) if seconds else nan)}"
         )
-    with atomic_writer(path) as fh:
-        fh.write(("\n".join(rows) + "\n").encode())
+    write_lines(path, rows)
 
 
 def partition_stats(

@@ -1,11 +1,30 @@
-"""Atomic file writes for every run artifact: checkpoints, the eigen
-cache, manifests, metrics CSVs, filter tables and partition reports."""
+"""One reader for the key=value text of manifests, dataset meta files and
+SBM specs, and atomic writes for every file the program makes: binary
+through ``atomic_writer``, lines of text through ``write_lines``."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+
+def parse_pairs(entries, what: str, error: type[Exception]) -> dict[str, str]:
+    """key -> value of ``key=value`` entries, skipping blank ones; keys are
+    stripped, values kept as written. An entry without '=' or a repeated
+    key raises ``error``, whose message names ``what``."""
+    pairs: dict[str, str] = {}
+    for entry in entries:
+        if not entry.strip():
+            continue
+        if "=" not in entry:
+            raise error(f"{what} entry {entry!r} is not key=value")
+        key, _, value = entry.partition("=")
+        key = key.strip()
+        if key in pairs:
+            raise error(f"{what} repeats key {key!r}")
+        pairs[key] = value
+    return pairs
 
 
 @contextmanager
@@ -28,3 +47,9 @@ def atomic_writer(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | Path, lines) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by a newline, atomically."""
+    with atomic_writer(path) as fh:
+        fh.write("".join(f"{line}\n" for line in lines).encode())

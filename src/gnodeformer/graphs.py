@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .fileio import atomic_writer, parse_pairs, write_lines
 from .seeding import MASKS, SBM, rng_for
 
 log = logging.getLogger(__name__)
@@ -243,21 +244,22 @@ def _largest_remainder(total: int, fractions) -> list[int]:
 #
 # Masks are not stored; they are derived at training time from the run
 # seed. Writing is deterministic: edges are sorted with u < v and floats
-# use %.17g so a load/save round trip is exact.
+# use %.17g so a load/save round trip is exact. Each file is written
+# atomically; the directory as a whole is not.
 # ---------------------------------------------------------------------------
 
 
 def save_dataset(dataset: GraphDataset, path: str | Path) -> Path:
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / "meta", "w") as fh:
-        fh.write(f"n={dataset.n}\n")
-        fh.write(f"f={dataset.feature_dim}\n")
-        fh.write(f"c={dataset.num_classes}\n")
-        fh.write(f"name={dataset.name}\n")
-    np.savetxt(path / "edges", dataset.edges, fmt="%d")
-    np.savetxt(path / "features", dataset.features, fmt="%.17g")
-    np.savetxt(path / "labels", dataset.labels[:, None], fmt="%d")
+    meta = (dataset.n, dataset.feature_dim, dataset.num_classes, dataset.name)
+    write_lines(path / "meta", (f"{k}={v}" for k, v in zip(META_KEYS, meta)))
+    for name, rows, fmt in (
+        ("edges", dataset.edges, "%d"),
+        ("features", dataset.features, "%.17g"),
+        ("labels", dataset.labels[:, None], "%d"),
+    ):
+        with atomic_writer(path / name) as fh:
+            np.savetxt(fh, rows, fmt=fmt)
     return path
 
 
@@ -307,28 +309,17 @@ def load_dataset(path: str | Path) -> GraphDataset:
 def _read_meta(path: Path) -> dict:
     if not path.exists():
         raise DataError(f"missing meta file: {path}")
-    values: dict = {}
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"meta line without '=': {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in values:
-                    raise DataError(f"meta file repeats key {key!r}")
-                values[key] = value.strip()
+        lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not text: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    values = parse_pairs(lines, "meta file", DataError)
     for key in META_KEYS:
         if key not in values:
             raise DataError(f"meta file missing key {key!r}")
-    meta = {"name": values["name"]}
+    meta = {"name": values["name"].strip()}
     for key in ("n", "f", "c"):
         try:
             meta[key] = int(values[key])

@@ -158,7 +158,8 @@ def init_optimizer(params: ParamSet, config: AdamConfig) -> OptimizerState:
 
 def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerState):
     """One in-place Adam update with bias correction; epsilon is added
-    after the square root. Weight decay is decoupled from the moments.
+    after the square root. Weight decay is decoupled from the moments and
+    leaves tensors that take no gradient as they are.
 
     The update runs over the flat parameter and moment buffers; per entry
     it is the same arithmetic as a per-tensor update, so the bits agree.
@@ -166,7 +167,7 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerSt
     step leaves parameters and state untouched.
     """
     cfg = state.config
-    parts = []
+    parts, frozen, offset = [], [], 0
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -177,6 +178,9 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerSt
                 f"for {name!r}"
             )
         parts.append(g.ravel())
+        if not tensor.requires_grad:
+            frozen.append(slice(offset, offset + g.size))
+        offset += g.size
     g = np.concatenate(parts) if parts else np.zeros(0)
     if not np.isfinite(g).all():
         bad = next(name for name in params if not np.isfinite(grads[name]).all())
@@ -192,7 +196,10 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerSt
     v += (1.0 - BETA2) * g * g
     update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     if cfg.weight_decay:
-        update = update + cfg.lr * cfg.weight_decay * params.flat
+        decay = cfg.lr * cfg.weight_decay * params.flat
+        for entries in frozen:
+            decay[entries] = 0.0
+        update = update + decay
     params.flat -= update
     return params, state
 

@@ -532,7 +532,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "case",
         ["missing_manifest", "manifest_bytes", "edges_bytes", "meta_name_bytes",
-         "meta_negative_n"],
+         "meta_negative_n", "manifest_no_equals", "meta_no_equals"],
     )
     def test_malformed_input_is_data_error(self, tmp_path, capsys, case):
         data = tmp_path / "data"
@@ -549,6 +549,11 @@ class TestExitCodes:
                 fh.write(b"0 \xff1\n")
         elif case == "meta_name_bytes":
             (data / "meta").write_bytes(b"n=60\nf=8\nc=3\nname=\xff\n")
+        elif case == "manifest_no_equals":
+            manifest.write_text(f"command=train\nsbm={TINY_SBM}\nepochs\n")
+            argv = ["train", "--from-manifest", manifest]
+        elif case == "meta_no_equals":
+            (data / "meta").write_text("n=60\nf=8\nc=3\nname\n")
         else:
             (data / "meta").write_text("n=-5\nf=8\nc=3\nname=x\n")
         capsys.readouterr()
@@ -606,8 +611,10 @@ class TestExitCodes:
             (["gen-data", "--sbm", "blocks=5,-5;p_in=0.5;p_out=0.1"],
              "block sizes must be positive"),
             (["train", "--sbm", TINY_SBM, "--heads", "-2"], "heads=-2 must be >= 1"),
+            (["gen-data", "--sbm", "blocks=5,5;p_in=0.5;seed;p_out=0.1"],
+             "sbm spec entry 'seed' is not key=value"),
         ],
-        ids=["negative_block", "negative_heads"],
+        ids=["negative_block", "negative_heads", "sbm_no_equals"],
     )
     def test_config_error_names_its_reason(self, tmp_path, capsys, argv, reason):
         code = run_cli(*argv, "--out", tmp_path / "out")

@@ -30,7 +30,7 @@ from gnodeformer.fedsim import (
     write_metrics_csv,
 )
 from gnodeformer.graphs import GraphDataset, SbmConfig, generate_sbm
-from gnodeformer.model import ModelConfig, count_parameters, init_params
+from gnodeformer.model import RK_WEIGHTS, ModelConfig, count_parameters, init_params
 from gnodeformer.optim import AdamConfig, ParamSet
 from gnodeformer.autodiff import Tensor
 from gnodeformer.training import EpochRecord, train_centralized
@@ -479,6 +479,25 @@ class TestRunRounds:
         fed_losses = [r.client_epochs[0][-1].loss for r in records]
         central_losses = [history[i].loss for i in (1, 3, 5)]
         assert fed_losses == central_losses
+
+    @pytest.mark.parametrize("mode", ["central", "fed"])
+    def test_weight_decay_leaves_frozen_rk_weights(self, mode):
+        ds = global_sbm(n_per_block=15)
+        model = ModelConfig(
+            feature_dim=8, classes=3, d=8, heads=2, layers=2, rk_order=4,
+            hidden=8, learn_rk_weights=False,
+        )
+        cfg = small_fed_config(model=model, optimizer=AdamConfig(lr=0.05, weight_decay=0.1))
+        if mode == "fed":
+            params, _, _ = run_rounds(ds, cfg)
+        else:
+            client = build_clients(ds, small_fed_config(model=model, clients=1))[0]
+            params, _, _ = train_centralized(
+                client.dataset, client.basis, model, cfg.optimizer, epochs=4, seed=0
+            )
+        frozen = np.array([RK_WEIGHTS[4]]).tobytes()
+        for layer in range(model.layers):
+            assert params[f"layer{layer}/rk_w"].data.tobytes() == frozen
 
     def test_threading_reproduces_serial_result(self):
         ds = global_sbm(n_per_block=12)

@@ -4,7 +4,7 @@ import pytest
 from gnodeformer import cli, fileio
 from gnodeformer.errors import ConfigError
 from gnodeformer.fedsim import RoundRecord, write_metrics_csv
-from gnodeformer.fileio import atomic_writer
+from gnodeformer.fileio import atomic_writer, parse_pairs
 from gnodeformer.model import write_filter_table
 from gnodeformer.training import EpochRecord
 
@@ -37,6 +37,17 @@ def test_concurrent_writers_use_distinct_temp_files(tmp_path):
     # the outer writer renames last
     assert target.read_bytes() == b"first"
     assert [f.name for f in tmp_path.iterdir()] == ["f.bin"]
+
+
+@pytest.mark.parametrize(
+    "entries, pairs",
+    [(["a=1", "", "  ", "\t"], {"a": "1"}),
+     ([" key \t=", "b= x = y "], {"key": "", "b": " x = y "}),
+     (["=v"], {"": "v"})],
+    ids=["blank_entries", "key_stripped_value_verbatim", "empty_key"],
+)
+def test_parse_pairs(entries, pairs):
+    assert parse_pairs(entries, "spec", ValueError) == pairs
 
 
 class _FailsMidway:
@@ -77,24 +88,45 @@ def _partition_report(path):
     args.func(args)
 
 
+def _gen_data(path):
+    args = cli.build_parser().parse_args([
+        "gen-data", "--sbm", "blocks=5,5;p_in=0.5;p_out=0.1", "--out", str(path.parent),
+    ])
+    args.func(args)
+
+
+# gen-data's files, in the order it writes them
+DATASET_FILES = ["meta", "edges", "features", "labels"]
+
+
 @pytest.mark.parametrize(
-    "write, error",
-    [(lambda path: cli.write_manifest(path, {"lr": 0.1, "seed": 3}), OSError),
-     (_central_rows, OSError), (_round_rows, OSError), (_filter_table, OSError),
-     # the command reports the failed write as a config error (exit 2)
-     (_partition_report, ConfigError)],
-    ids=["manifest", "central_csv", "metrics_csv", "filter_table", "partition_report"],
+    "write, error, name",
+    [(lambda path: cli.write_manifest(path, {"lr": 0.1, "seed": 3}), OSError,
+      "artifact.txt"),
+     (_central_rows, OSError, "artifact.txt"), (_round_rows, OSError, "artifact.txt"),
+     (_filter_table, OSError, "artifact.txt"),
+     # the commands report a failed write as a config error (exit 2)
+     (_partition_report, ConfigError, "artifact.txt"),
+     *((_gen_data, ConfigError, name) for name in DATASET_FILES)],
+    ids=["manifest", "central_csv", "metrics_csv", "filter_table", "partition_report",
+         *(f"gen_data_{name}" for name in DATASET_FILES)],
 )
 def test_text_artifact_failing_midway_keeps_old_file(
-    tmp_path, monkeypatch, write, error
+    tmp_path, monkeypatch, write, error, name
 ):
-    target = tmp_path / "artifact.txt"
+    target = tmp_path / name
     target.write_bytes(b"old")
     real_open = open
-    monkeypatch.setattr(
-        fileio, "open", lambda *a: _FailsMidway(real_open(*a)), raising=False
-    )
+
+    def failing_open(file, *args):
+        # only the temporary file of the target fails
+        fh = real_open(file, *args)
+        return _FailsMidway(fh) if file.name.startswith(f"{name}.") else fh
+
+    monkeypatch.setattr(fileio, "open", failing_open, raising=False)
     with pytest.raises(error, match="disk full"):
         write(target)
     assert target.read_bytes() == b"old"
-    assert [f.name for f in tmp_path.iterdir()] == ["artifact.txt"]
+    # the dataset files written before the target are in place
+    before = DATASET_FILES[: DATASET_FILES.index(name)] if name in DATASET_FILES else []
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted([*before, name])

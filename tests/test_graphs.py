@@ -305,6 +305,15 @@ class TestDiskFormat:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_meta_bytes_are_pinned(self, tmp_path):
+        # n, f and c differ, so a swapped line shows
+        ds = make_dataset(
+            np.ones((3, 3)) - np.eye(3), labels=[0, 1, 0], features=np.zeros((3, 5))
+        )
+        ds.name = "tri"
+        save_dataset(ds, tmp_path / "t")
+        assert (tmp_path / "t" / "meta").read_bytes() == b"n=3\nf=5\nc=2\nname=tri\n"
+
     def test_edges_sorted_no_duplicates(self, tmp_path):
         ds = triangle()
         save_dataset(ds, tmp_path / "t")
