@@ -15,10 +15,14 @@ shapes; the backward pass sums gradients over broadcast axes.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError, NumericsError
+
+if TYPE_CHECKING:
+    from .optim import ParamSet
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -492,12 +496,11 @@ def _released(g):
     raise NumericsError("backward through a graph that an earlier backward released")
 
 
-def backward(loss: Tensor, params: dict) -> dict:
-    """Gradients of a scalar loss for each named parameter tensor.
-
-    Parameters with no path to the loss get zero gradients. Gradients
-    are returned keyed like params; .grad fields on the graph are
-    scratch state owned by this call.
+def backward(loss: Tensor, params: ParamSet) -> np.ndarray:
+    """Gradient of a scalar loss for the parameters, as one float64
+    buffer laid out like ``params.flat`` (``params.like(g)`` reads it by
+    name). Parameters with no path to the loss get zeros. .grad fields on
+    the graph and the parameters are scratch state owned by this call.
 
     The graph is consumed: once a node's gradient has been passed to its
     parents, every tensor not in params drops its gradient, backward
@@ -521,7 +524,9 @@ def backward(loss: Tensor, params: dict) -> dict:
             topo.append(node)
             stack.pop()
 
-    for node in topo:
+    # the parameters too: one this loss does not reach reads zeros, not
+    # an earlier backward's gradient
+    for node in (*topo, *params.values()):
         node.grad = None
     loss.grad = np.ones((1, 1))
     kept = {id(p) for p in params.values()}
@@ -535,13 +540,8 @@ def backward(loss: Tensor, params: dict) -> dict:
                 node._backward = _released
                 node._parents = ()
 
-    grads = {
-        name: np.zeros_like(p.data) if p.grad is None else p.grad
-        for name, p in params.items()
-    }
-    # one check over all entries; the per-tensor search runs only to name
-    # the culprit
-    if grads and not np.isfinite(np.concatenate([g.ravel() for g in grads.values()])).all():
-        bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
-        raise NumericsError(f"non-finite gradient for parameter {bad!r}")
-    return grads
+    grad = np.zeros(params.flat.size)
+    for name, p in params.items():
+        if p.grad is not None:
+            grad[params.spans[name]] = p.grad.ravel()
+    return grad

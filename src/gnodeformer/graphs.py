@@ -88,6 +88,12 @@ class GraphDataset:
             raise DataError(
                 f"feature matrix has {self.features.shape[0]} rows, expected {self.n}"
             )
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            node, column = bad[0]
+            raise DataError(
+                f"features hold a non-finite value at node {node}, column {column}"
+            )
         if self.labels.shape != (self.n,):
             raise DataError("labels must be one integer per node")
         if self.labels.min(initial=0) < 0 or (
@@ -303,7 +309,10 @@ def load_dataset(path: str | Path) -> GraphDataset:
         num_classes=num_classes,
         name=meta["name"],
     )
-    return ds.validate()
+    try:
+        return ds.validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _read_meta(path: Path) -> dict:

@@ -1,8 +1,8 @@
 """Named parameter collections, the Adam optimizer, and binary
 parameter checkpoints.
 
-ParamSet keeps insertion order, so flattening, checkpoints, and
-federated averaging all agree on one canonical parameter layout.
+ParamSet keeps insertion order, so gradients, Adam moments, checkpoints
+and federated averaging all agree on one canonical parameter layout.
 """
 
 from __future__ import annotations
@@ -31,40 +31,41 @@ class ParamSet:
     """Ordered name -> Tensor map with a canonical flat layout.
 
     Every tensor's data is a view of one float64 buffer, ``flat``, laid out
-    in insertion order, so whole-set arithmetic (Adam, FedAvg, copies) runs
-    as a few vector operations. Parameters change in place; rebinding a
-    tensor's ``data`` would detach it from the buffer.
+    in insertion order; ``spans`` gives each name its slice. Gradients, Adam
+    moments and FedAvg sums are buffers of the same layout, so whole-set
+    arithmetic runs as a few vector operations, and ``like`` reads any such
+    buffer by name. Parameters change in place; rebinding a tensor's
+    ``data`` would detach it from the buffer.
     """
 
     def __init__(self, items: dict[str, Tensor] | None = None):
-        self._items: dict[str, Tensor] = {}
-        self.flat = np.zeros(0)
-        for name, tensor in (items or {}).items():
-            self._check_name(name)
-            self._items[name] = tensor
-        self._pack()
-
-    def _check_name(self, name: str):
-        if not _NAME_RE.match(name):
-            raise ConfigError(f"bad parameter name {name!r}")
-        if name in self._items:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-
-    def _pack(self):
-        """Copy every tensor into a new buffer and rebind it as a view."""
+        self._items: dict[str, Tensor] = dict(items or {})
+        for name in self._items:
+            if not _NAME_RE.match(name):
+                raise ConfigError(f"bad parameter name {name!r}")
+        # one tensor bound under two names would be a view of only the
+        # second span, leaving the first one orphaned
+        seen: dict[int, str] = {}
+        for name, tensor in self._items.items():
+            if id(tensor) in seen:
+                raise ConfigError(
+                    f"duplicate parameter: one tensor named {seen[id(tensor)]!r} and {name!r}"
+                )
+            seen[id(tensor)] = name
         parts = [t.data.ravel() for t in self._items.values()]
         self._bind(np.concatenate(parts) if parts else np.zeros(0))
 
     def _bind(self, flat: np.ndarray):
-        self.flat = flat
-        views = _views(flat, self.layout())
+        """Make ``flat`` the buffer and rebind every tensor as a view of it."""
+        spans, offset = {}, 0
         for name, tensor in self._items.items():
-            tensor.data = views[name]
-
-    def add(self, name: str, tensor: Tensor):
-        self._check_name(name)
-        self._items[name] = tensor
-        self._pack()
+            spans[name] = slice(offset, offset + tensor.data.size)
+            offset += tensor.data.size
+        if offset != flat.size:
+            raise ConfigError(f"layout of {offset} entries over a buffer of {flat.size}")
+        self.flat, self.spans = flat, spans
+        for name, tensor in self._items.items():
+            tensor.data = flat[spans[name]].reshape(tensor.data.shape)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
@@ -88,10 +89,6 @@ class ParamSet:
         """(name, shape) per parameter, in layout order."""
         return [(name, t.data.shape) for name, t in self._items.items()]
 
-    def count(self) -> int:
-        """Total scalar entries across all parameters."""
-        return self.flat.size
-
     def copy(self) -> "ParamSet":
         return self.like(self.flat.copy())
 
@@ -105,22 +102,6 @@ class ParamSet:
         }
         out._bind(flat)
         return out
-
-    def flatten(self) -> np.ndarray:
-        """A copy of the flat buffer."""
-        return self.flat.copy()
-
-
-def _views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
-    """name -> view of the consecutive slice of ``flat`` that ``layout``'s
-    (name, shape) pairs give it."""
-    views, offset = {}, 0
-    for name, (rows, cols) in layout:
-        views[name] = flat[offset : offset + rows * cols].reshape(rows, cols)
-        offset += rows * cols
-    if offset != flat.size:
-        raise ConfigError(f"layout of {offset} entries over a buffer of {flat.size}")
-    return views
 
 
 @dataclass
@@ -156,34 +137,26 @@ def init_optimizer(params: ParamSet, config: AdamConfig) -> OptimizerState:
     return OptimizerState(config, np.zeros(size), np.zeros(size))
 
 
-def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerState):
-    """One in-place Adam update with bias correction; epsilon is added
-    after the square root. Weight decay is decoupled from the moments and
-    leaves tensors that take no gradient as they are.
+def adam_step(params: ParamSet, g: np.ndarray, state: OptimizerState):
+    """One in-place Adam update with bias correction for the gradient
+    ``g``, a buffer laid out like ``params.flat``; epsilon is added after
+    the square root. Weight decay is decoupled from the moments and leaves
+    tensors that take no gradient as they are.
 
     The update runs over the flat parameter and moment buffers; per entry
     it is the same arithmetic as a per-tensor update, so the bits agree.
-    All gradients are validated before anything mutates, so a rejected
-    step leaves parameters and state untouched.
+    The gradient is validated before anything mutates, so a rejected step
+    leaves parameters and state untouched.
     """
     cfg = state.config
-    parts, frozen, offset = [], [], 0
-    for name, tensor in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise ConfigError(f"missing gradient for parameter {name!r}")
-        if g.shape != tensor.data.shape:
-            raise ConfigError(
-                f"gradient shape {g.shape} != parameter shape {tensor.data.shape} "
-                f"for {name!r}"
-            )
-        parts.append(g.ravel())
-        if not tensor.requires_grad:
-            frozen.append(slice(offset, offset + g.size))
-        offset += g.size
-    g = np.concatenate(parts) if parts else np.zeros(0)
+    if g.shape != params.flat.shape:
+        raise ConfigError(
+            f"gradient shape {g.shape} != flat parameter shape {params.flat.shape}"
+        )
     if not np.isfinite(g).all():
-        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        # the per-parameter search runs only to name the culprit
+        bad = next(name for name, span in params.spans.items()
+                   if not np.isfinite(g[span]).all())
         raise NumericsError(f"non-finite gradient for {bad!r}; step aborted")
 
     state.t += 1
@@ -197,8 +170,9 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], state: OptimizerSt
     update = cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     if cfg.weight_decay:
         decay = cfg.lr * cfg.weight_decay * params.flat
-        for entries in frozen:
-            decay[entries] = 0.0
+        for name, tensor in params.items():
+            if not tensor.requires_grad:
+                decay[params.spans[name]] = 0.0
         update = update + decay
     params.flat -= update
     return params, state
@@ -237,7 +211,7 @@ def load_checkpoint(path: str | Path) -> ParamSet:
             raise DataError(f"{path}: bad entry count") from exc
         if n_entries < 0:
             raise DataError(f"{path}: negative entry count {n_entries}")
-        params = ParamSet()
+        entries: dict[str, Tensor] = {}
         for _ in range(n_entries):
             line = fh.readline()
             try:
@@ -261,12 +235,13 @@ def load_checkpoint(path: str | Path) -> ParamSet:
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise DataError(f"{path}: truncated data for {name!r}")
-            # read-only until add() copies it into the set's buffer
+            # read-only until ParamSet copies it into the set's buffer
             data = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
-            try:
-                params.add(name, Tensor(data, requires_grad=True))
-            except ConfigError as exc:
-                raise DataError(f"{path}: {exc}") from exc
+            if not _NAME_RE.match(name):
+                raise DataError(f"{path}: bad parameter name {name!r}")
+            if name in entries:
+                raise DataError(f"{path}: duplicate parameter name {name!r}")
+            entries[name] = Tensor(data, requires_grad=True)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after last entry")
-    return params
+    return ParamSet(entries)

@@ -96,8 +96,7 @@ def run_epochs(
             )
         loss, accuracy = loss_and_metrics(logits, dataset.labels, dataset.train_mask)
         logits = None
-        grads = backward(loss, dict(params.items()))
-        adam_step(params, grads, state)
+        adam_step(params, backward(loss, params), state)
         records.append(
             EpochRecord(epoch, loss.item(), accuracy, perf_counter() - start)
         )

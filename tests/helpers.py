@@ -2,7 +2,8 @@
 
 central_difference_grads is the independent gradient check: it knows
 nothing about the backward rules and just perturbs raw parameter
-storage one entry at a time. reference_train_centralized is the epoch
+storage one entry at a time; named_grads is backward's flat gradient
+read back by name. reference_train_centralized is the epoch
 loop without forward reuse: every step runs its own forward, then the
 validation forward runs again at the new parameters.
 reference_normalized_laplacian is the dense-adjacency Laplacian formula
@@ -20,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 import gnodeformer
+from gnodeformer.autodiff import backward
 from gnodeformer.model import init_params
-from gnodeformer.optim import init_optimizer
+from gnodeformer.optim import ParamSet, init_optimizer
 from gnodeformer.training import evaluate, run_epochs
 
 
@@ -35,6 +37,15 @@ def package_env():
         p for p in (src_dir, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def named_grads(loss, tensors):
+    """backward's gradient of ``loss`` for a name -> Tensor dict, as name ->
+    array. The tensors are gathered into one ParamSet, so their data
+    becomes views of its buffer (the values do not change)."""
+    params = ParamSet(tensors)
+    flat = backward(loss, params)
+    return {name: t.data for name, t in params.like(flat).items()}
 
 
 def central_difference_grads(func, tensors, h=1e-5):

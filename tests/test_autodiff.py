@@ -19,7 +19,8 @@ from gnodeformer.autodiff import (
     masked_cross_entropy,
 )
 from gnodeformer.errors import DataError, NumericsError
-from tests.helpers import central_difference_grads, max_rel_err
+from gnodeformer.optim import AdamConfig, ParamSet, adam_step, init_optimizer
+from tests.helpers import central_difference_grads, max_rel_err, named_grads
 
 GRAD_TOL = 1e-5
 
@@ -31,7 +32,7 @@ def leaf(rng, rows, cols, lo=-1.0, hi=1.0):
 def check_against_fd(func, tensors, tol=GRAD_TOL):
     """Backward pass vs central differences on the same computation."""
     loss = func()
-    grads = backward(loss, {str(i): t for i, t in enumerate(tensors)})
+    grads = named_grads(loss, {str(i): t for i, t in enumerate(tensors)})
     fd = central_difference_grads(func, tensors)
     for i, t in enumerate(tensors):
         err = max_rel_err(grads[str(i)], fd[i])
@@ -194,7 +195,7 @@ class TestAttention:
         w = rng.uniform(-1, 1, size=(7, 4))
         context, _, grads = autodiff._attend(q.data, k.data, v.data, 0.5, p, 3)
         plain_out = unfused_attention(q, k, v, 0.5, p, seed=3)
-        plain = backward((plain_out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
+        plain = named_grads((plain_out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
         np.testing.assert_array_equal(context, plain_out.data)
         dv, dq, dk = grads(w, True, True, True)
         for name, got in (("v", dv), ("q", dq), ("k", dk)):
@@ -282,7 +283,7 @@ class TestAttention:
         loss = attention_head(x, *ws, 1.0, 0.0, seed=0).sum()
         (ref,) = refs
         assert ref() is not None  # held by the graph until backward
-        backward(loss, {str(i): t for i, t in enumerate([x, *ws])})
+        named_grads(loss, {str(i): t for i, t in enumerate([x, *ws])})
         assert ref() is None
 
 
@@ -290,8 +291,8 @@ def assert_same_bits(fused, plain, named, read):
     """Output and every gradient of two graphs over the same leaves agree
     bit for bit."""
     np.testing.assert_array_equal(fused.data, plain.data)
-    got = backward(read(fused), named)
-    want = backward(read(plain), named)
+    got = named_grads(read(fused), named)
+    want = named_grads(read(plain), named)
     for name in named:
         assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -385,8 +386,8 @@ class TestFusedNodes:
         )
         # the one-hot product's gradient, entry for entry (zeros off the column)
         np.testing.assert_array_equal(
-            backward(read(t.column(index)), {"t": t})["t"],
-            backward(read(t @ Tensor(onehot)), {"t": t})["t"],
+            named_grads(read(t.column(index)), {"t": t})["t"],
+            named_grads(read(t @ Tensor(onehot)), {"t": t})["t"],
         )
 
     def test_column_gradients_match_finite_differences(self, rng):
@@ -482,7 +483,7 @@ class TestForwardValues:
         x = leaf(rng, 6, width, lo=-4, hi=4)
         g = rng.standard_normal((6, width))
         out = x.layer_norm_rows()
-        backward((out * Tensor(g)).sum(), {"x": x})
+        named_grads((out * Tensor(g)).sum(), {"x": x})
 
         d = x.data
         mu = d.mean(axis=1, keepdims=True)
@@ -525,7 +526,7 @@ class TestForwardValues:
         w = rng.uniform(-1, 1, x.shape)
         a = Tensor(x.copy(), requires_grad=True)
         out = a.gelu()
-        grad = backward((out * Tensor(w)).sum(), {"a": a})["a"]
+        grad = named_grads((out * Tensor(w)).sum(), {"a": a})["a"]
         cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
         pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
         assert np.array_equal(out.data, x * cdf)
@@ -554,29 +555,47 @@ class TestForwardValues:
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-        grads = backward(w.sum(), {"w": w})
+        grads = named_grads(w.sum(), {"w": w})
         np.testing.assert_array_equal(grads["w"], np.ones((2, 2)))
 
     def test_half_square_norm_gives_w(self, rng):
         w = leaf(rng, 3, 2)
         loss = (w * w).sum().scale(0.5)
-        grads = backward(loss, {"w": w})
+        grads = named_grads(loss, {"w": w})
         np.testing.assert_allclose(grads["w"], w.data, atol=1e-12)
 
     def test_unreachable_param_gets_zeros(self, rng):
         w = leaf(rng, 2, 2)
         other = leaf(rng, 3, 3)
-        grads = backward(w.sum(), {"w": w, "other": other})
+        grads = named_grads(w.sum(), {"w": w, "other": other})
         np.testing.assert_array_equal(grads["other"], np.zeros((3, 3)))
+        # also after an earlier backward gave it a gradient
+        params = ParamSet({"w": w, "other": other})
+        backward(w.sum() + other.sum(), params)
+        flat = backward(w.scale(2.0).sum(), params)
+        np.testing.assert_array_equal(params.like(flat)["other"].data, np.zeros((3, 3)))
+        assert other.grad is None
+
+    def test_flat_gradient_is_the_tensor_grads_in_layout_order(self, rng):
+        a, b, c = leaf(rng, 3, 2), leaf(rng, 1, 2), leaf(rng, 2, 3)
+        frozen = Tensor(rng.uniform(-1, 1, (2, 2)))
+        params = ParamSet({"a": a, "frozen": frozen, "b": b, "c": c})
+        loss = ((a @ c).tanh() * b.T.sum()).sum() + (frozen * frozen).sum()
+        flat = backward(loss, params)
+        assert flat.dtype == np.float64 and flat.shape == params.flat.shape
+        want = [np.zeros(4) if t.grad is None else t.grad.ravel() for t in params.values()]
+        assert flat.tobytes() == np.concatenate(want).tobytes()
+        assert frozen.grad is None and not flat[params.spans["frozen"]].any()
+        assert all(t.grad.any() for t in (a, b, c))
 
     def test_non_scalar_loss_rejected(self, rng):
         w = leaf(rng, 2, 2)
         with pytest.raises(NumericsError, match="scalar"):
-            backward(w + w, {"w": w})
+            named_grads(w + w, {"w": w})
 
     def test_reused_tensor_accumulates(self, rng):
         w = leaf(rng, 2, 2)
-        grads = backward((w + w).sum(), {"w": w})
+        grads = named_grads((w + w).sum(), {"w": w})
         np.testing.assert_array_equal(grads["w"], 2 * np.ones((2, 2)))
 
     def test_affine_chain_matches_product_rule(self, rng):
@@ -587,7 +606,7 @@ class TestBackward:
         d = Tensor(rng.uniform(-1, 1, (1, 3)))
         x = leaf(rng, 5, 4)
         loss = ((x @ b + c) @ a + d).sum()
-        grads = backward(loss, {"x": x})
+        grads = named_grads(loss, {"x": x})
         ones = np.ones((5, 3))
         expected = ones @ a.data.T @ b.data.T
         np.testing.assert_allclose(grads["x"], expected, atol=1e-12)
@@ -600,7 +619,7 @@ class TestBackward:
             loss = masked_cross_entropy(
                 (x @ w).tanh(), np.array([0, 1, 2, 0]), np.ones(4, dtype=bool)
             )
-            return backward(loss, {"x": x, "w": w})
+            return named_grads(loss, {"x": x, "w": w})
 
         g1, g2 = run(), run()
         for k in g1:
@@ -611,39 +630,44 @@ class TestBackward:
         y = x
         for _ in range(5000):
             y = y.scale(1.0)
-        grads = backward(y.sum(), {"x": x})
+        grads = named_grads(y.sum(), {"x": x})
         np.testing.assert_array_equal(grads["x"], np.ones((1, 1)))
 
     def test_second_backward_on_one_loss_raises(self, rng):
         w = leaf(rng, 3, 2)
         loss = (w * w).sum()
-        backward(loss, {"w": w})
+        named_grads(loss, {"w": w})
         with pytest.raises(NumericsError, match="released"):
-            backward(loss, {"w": w})
+            named_grads(loss, {"w": w})
 
     def test_new_loss_over_released_graph_raises(self, rng):
         w = leaf(rng, 3, 2)
         hidden = w * w
-        backward(hidden.sum(), {"w": w})
+        named_grads(hidden.sum(), {"w": w})
         with pytest.raises(NumericsError, match="released"):
-            backward(hidden.sum(), {"w": w})
+            named_grads(hidden.sum(), {"w": w})
 
     def test_params_survive_release(self, rng):
         # a leaf reused across graphs keeps working, interior params keep
         # their gradient
         w = leaf(rng, 2, 2)
         hidden = w.scale(2.0)
-        first = backward(hidden.sum(), {"w": w, "hidden": hidden})
+        first = named_grads(hidden.sum(), {"w": w, "hidden": hidden})
         np.testing.assert_array_equal(first["hidden"], np.ones((2, 2)))
-        second = backward(w.scale(3.0).sum(), {"w": w})
+        second = named_grads(w.scale(3.0).sum(), {"w": w})
         np.testing.assert_array_equal(second["w"], 3 * np.ones((2, 2)))
 
     def test_nonfinite_gradient_detected(self):
+        # backward hands the overflow on; the optimizer step rejects it
         w = Tensor(np.array([[1e300]]), requires_grad=True)
-        with np.errstate(over="ignore"):
+        params = ParamSet({"ok": Tensor(np.zeros((1, 2)), requires_grad=True), "w": w})
+        state = init_optimizer(params, AdamConfig())
+        with np.errstate(over="ignore", invalid="ignore"):
             loss = (w * w) * (w * w)
-            with pytest.raises(NumericsError, match="non-finite gradient"):
-                backward(loss.sum(), {"w": w})
+            flat = backward(loss.sum(), params)
+        assert not np.isfinite(flat[params.spans["w"]]).any()
+        with pytest.raises(NumericsError, match="non-finite gradient for 'w'"):
+            adam_step(params, flat, state)
 
 
 class TestErrors:

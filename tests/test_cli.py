@@ -144,7 +144,7 @@ class TestTrain:
         assert len(rows) == 31
         assert float(rows[-1][1]) < float(rows[1][1])
         params = load_checkpoint(out / "checkpoint.bin")
-        assert params.count() > 0
+        assert params.flat.size > 0
         filters = (out / "filters.txt").read_text().splitlines()
         assert filters[0].startswith("gamma_original channel0")
         accuracy = float(capsys.readouterr().out.split("test accuracy ")[1].split()[0])
@@ -532,13 +532,23 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "case",
         ["missing_manifest", "manifest_bytes", "edges_bytes", "meta_name_bytes",
-         "meta_negative_n", "manifest_no_equals", "meta_no_equals"],
+         "meta_negative_n", "manifest_no_equals", "meta_no_equals",
+         "features_inf", "features_nan", "fed_features_inf", "fed_features_nan"],
     )
     def test_malformed_input_is_data_error(self, tmp_path, capsys, case):
         data = tmp_path / "data"
         assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
         manifest = tmp_path / "manifest.txt"
         argv = ["train", "--dataset", data, "--epochs", 1]
+        if case.startswith("fed_"):
+            argv = ["fed-train", "--dataset", data, "--clients", 2, "--rounds", 1]
+        if "features" in case:
+            # node 7's third feature
+            rows = (data / "features").read_text().splitlines()
+            cells = rows[7].split()
+            cells[2] = case.rsplit("_", 1)[1]
+            rows[7] = " ".join(cells)
+            (data / "features").write_text("\n".join(rows) + "\n")
         if case == "missing_manifest":
             argv = ["train", "--from-manifest", manifest]
         elif case == "manifest_bytes":
@@ -554,11 +564,15 @@ class TestExitCodes:
             argv = ["train", "--from-manifest", manifest]
         elif case == "meta_no_equals":
             (data / "meta").write_text("n=60\nf=8\nc=3\nname\n")
-        else:
+        elif case == "meta_negative_n":
             (data / "meta").write_text("n=-5\nf=8\nc=3\nname=x\n")
         capsys.readouterr()
         assert run_cli(*argv, "--out", tmp_path / "out") == 3
-        assert "data error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        if "features" in case:
+            assert f"{data}: features hold a non-finite value at node 7, column 2" in err
+            assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_repeated_manifest_key_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"

@@ -75,10 +75,9 @@ def small_fed_config(**overrides):
 
 
 def scalar_params(*values):
-    ps = ParamSet()
-    for i, v in enumerate(values):
-        ps.add(f"p{i}", Tensor(float(v), requires_grad=True))
-    return ps
+    return ParamSet(
+        {f"p{i}": Tensor(float(v), requires_grad=True) for i, v in enumerate(values)}
+    )
 
 
 class TestFedConfig:
@@ -286,7 +285,7 @@ class TestClientUpdate:
         updated, records, _ = client_update(global_params, client, cfg, 0)
         assert records == []
         assert updated is not global_params
-        np.testing.assert_array_equal(updated.flatten(), global_params.flatten())
+        np.testing.assert_array_equal(updated.flat, global_params.flat)
 
     def test_zero_lr_keeps_params(self):
         client, _ = self.make_client()
@@ -296,7 +295,7 @@ class TestClientUpdate:
         global_params = init_params(cfg.model, seed=0)
         updated, _, _ = client_update(global_params, client, cfg, 0)
         np.testing.assert_allclose(
-            updated.flatten(), global_params.flatten(), atol=1e-290
+            updated.flat, global_params.flat, atol=1e-290
         )
 
     def test_loss_decreases_over_local_epochs(self):
@@ -317,9 +316,9 @@ class TestClientUpdate:
     def test_global_params_untouched(self):
         client, cfg = self.make_client()
         global_params = init_params(cfg.model, seed=0)
-        before = global_params.flatten().tobytes()
+        before = global_params.flat.tobytes()
         client_update(global_params, client, cfg, 0)
-        assert global_params.flatten().tobytes() == before
+        assert global_params.flat.tobytes() == before
 
     def test_nonfinite_aborts_and_rolls_back(self, caplog):
         client, cfg = self.make_client()
@@ -438,7 +437,7 @@ class TestRunRounds:
         assert records == []
         assert len(clients) == cfg.clients
         np.testing.assert_array_equal(
-            params.flatten(), init_params(cfg.model, cfg.seed).flatten()
+            params.flat, init_params(cfg.model, cfg.seed).flat
         )
 
     def test_round_records_well_formed(self):
@@ -475,7 +474,7 @@ class TestRunRounds:
             client.dataset, client.basis, model, cfg.optimizer,
             epochs=cfg.rounds * cfg.local_epochs, seed=cfg.seed,
         )
-        assert fed_params.flatten().tobytes() == central_params.flatten().tobytes()
+        assert fed_params.flat.tobytes() == central_params.flat.tobytes()
         fed_losses = [r.client_epochs[0][-1].loss for r in records]
         central_losses = [history[i].loss for i in (1, 3, 5)]
         assert fed_losses == central_losses
@@ -505,7 +504,7 @@ class TestRunRounds:
         threaded = small_fed_config(clients=3, rounds=2, local_epochs=1, threads=3)
         params_a, records_a, _ = run_rounds(ds, serial)
         params_b, records_b, _ = run_rounds(ds, threaded)
-        assert params_a.flatten().tobytes() == params_b.flatten().tobytes()
+        assert params_a.flat.tobytes() == params_b.flat.tobytes()
         assert [r.global_accuracy for r in records_a] == [
             r.global_accuracy for r in records_b
         ]

@@ -24,7 +24,12 @@ from gnodeformer.model import (
     write_filter_table,
 )
 from gnodeformer.spectral import SpectralBasis, sym_eig
-from tests.helpers import central_difference_grads, max_rel_err, spectral_filter_apply
+from tests.helpers import (
+    central_difference_grads,
+    max_rel_err,
+    named_grads,
+    spectral_filter_apply,
+)
 
 
 def tiny_dataset(seed=0, n_per_block=6, feature_dim=6):
@@ -92,8 +97,8 @@ class TestParameters:
     def test_count_equals_paramset_size(self):
         cfg = self.oracle_config()
         params = init_params(cfg, seed=0)
-        assert params.count() == count_parameters(cfg)
-        assert params.flatten().shape == (2954,)
+        assert params.flat.size == count_parameters(cfg)
+        assert params.flat.shape == (2954,)
         assert params.names() == list(param_shapes(cfg))
 
     def test_count_increases_with_width(self):
@@ -103,9 +108,9 @@ class TestParameters:
 
     def test_init_deterministic(self):
         cfg = self.oracle_config()
-        a = init_params(cfg, seed=3).flatten()
-        b = init_params(cfg, seed=3).flatten()
-        c = init_params(cfg, seed=4).flatten()
+        a = init_params(cfg, seed=3).flat
+        b = init_params(cfg, seed=3).flat
+        c = init_params(cfg, seed=4).flat
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -133,9 +138,9 @@ class TestParameters:
         params = init_params(cfg, seed=0)
         logits, _ = forward(ds, basis, cfg, params)
         loss, _ = loss_and_metrics(logits, ds.labels, ds.train_mask)
-        grads = backward(loss, dict(params.items()))
-        np.testing.assert_array_equal(grads["layer0/rk_w"], np.zeros((1, 2)))
-        assert np.abs(grads["decoder/w1"]).max() > 0
+        grads = params.like(backward(loss, params))
+        np.testing.assert_array_equal(grads["layer0/rk_w"].data, np.zeros((1, 2)))
+        assert np.abs(grads["decoder/w1"].data).max() > 0
 
 
 class TestEigenEncode:
@@ -227,7 +232,7 @@ class TestRkBlock:
         def run():
             return rk_block(z, lambda t: t * scale, 2, w).sum()
 
-        grads = backward(run(), {"z": z, "w": w, "s": scale})
+        grads = named_grads(run(), {"z": z, "w": w, "s": scale})
         fd = central_difference_grads(run, [z, w, scale])
         for got, want in zip((grads["z"], grads["w"], grads["s"]), fd):
             assert max_rel_err(got, want) < 1e-6
@@ -464,6 +469,50 @@ class TestForward:
             logits.append(forward(graph, basis, cfg, params, training=False)[0].data)
         np.testing.assert_allclose(logits[1], logits[0][perm], rtol=0, atol=1e-10)
 
+    def test_rotation_inside_degenerate_eigenspaces_keeps_eval_logits(self):
+        # two copies of one component repeat every eigenvalue, so a solver
+        # may return any orthonormal basis of each eigenspace. With a
+        # cluster's eigenvalues given one shared value, every filter
+        # U diag(g) U^T is blind to a rotation inside the cluster, so the
+        # logits are too; this is what makes never cutting a cluster safe
+        part = generate_sbm(
+            SbmConfig(block_sizes=(15, 15, 15), p_in=0.3, p_out=0.03,
+                      feature_dim=6, seed=3)
+        )
+        m = part.n
+        ds = type(part)(
+            n=2 * m,
+            edges=np.concatenate([part.edges, part.edges + m]),
+            features=np.concatenate([part.features, part.features]),
+            labels=np.concatenate([part.labels, part.labels]),
+            num_classes=part.num_classes,
+        )
+        laplacian = build_normalized_laplacian(ds)
+        basis = sym_eig(laplacian, unit_band=True)
+        values, vectors = basis.eigenvalues.copy(), basis.eigenvectors
+        rotated = vectors.copy()
+        # clusters: maximal runs of eigenvalues with neighbouring gaps <= 1e-9
+        cuts = np.flatnonzero(np.diff(values) > 1e-9) + 1
+        clusters = [c for c in np.split(np.arange(ds.n), cuts) if c.size > 1]
+        assert sum(c.size for c in clusters) == ds.n
+        rng = np.random.default_rng(0)
+        for c in clusters:
+            values[c] = values[c].mean()
+            q, _ = np.linalg.qr(rng.standard_normal((c.size, c.size)))
+            rotated[:, c] = vectors[:, c] @ q
+        assert np.abs(rotated - vectors).max() > 0.1
+        SpectralBasis(eigenvalues=values, eigenvectors=rotated).validate(
+            laplacian, unit_band=True
+        )
+        cfg = tiny_config(classes=3, rk_order=4, layers=2)
+        params = init_params(cfg, seed=7)
+        logits = [
+            forward(ds, SpectralBasis(eigenvalues=values, eigenvectors=u), cfg, params,
+                    training=False)[0].data
+            for u in (vectors, rotated)
+        ]
+        np.testing.assert_allclose(logits[1], logits[0], rtol=0, atol=1e-10)
+
     def test_dropout_changes_training_output_only(self):
         ds, basis = tiny_dataset()
         cfg = tiny_config(dropout=0.5)
@@ -516,11 +565,11 @@ class TestFullModelGradients:
                                 dropout_seed=11)
             return loss_and_metrics(logits, ds.labels, ds.train_mask)[0]
 
-        grads = backward(compute(), dict(params.items()))
+        grads = params.like(backward(compute(), params))
         fd = central_difference_grads(compute, list(params.values()))
         worst = 0.0
         for name, want in zip(params.names(), fd):
-            err = max_rel_err(grads[name], want)
+            err = max_rel_err(grads[name].data, want)
             worst = max(worst, err)
             assert err < 1e-4, f"{name}: relative error {err:.2e}"
         return worst
@@ -570,5 +619,5 @@ class TestBackwardWork:
         monkeypatch.setattr(autodiff, "_acc", acc)
         logits, _ = forward(ds, basis, cfg, params, training=True, dropout_seed=5)
         loss, _ = loss_and_metrics(logits, ds.labels, ds.train_mask)
-        backward(loss, dict(params.items()))
+        backward(loss, params)
         assert targets and all(targets)

@@ -72,16 +72,16 @@ class TestRunEpochs:
         run_epochs(ds, basis, cfg, params_b, state_b, 3, seed=5, epoch_offset=0)
         run_epochs(ds, basis, cfg, params_b, state_b, 3, seed=5, epoch_offset=3)
 
-        assert params_a.flatten().tobytes() == params_b.flatten().tobytes()
+        assert params_a.flat.tobytes() == params_b.flat.tobytes()
         assert state_a.t == state_b.t == 6
 
     def test_zero_epochs(self):
         ds, basis, cfg = small_problem()
         params = init_params(cfg, seed=0)
-        before = params.flatten().copy()
+        before = params.flat.copy()
         state = init_optimizer(params, AdamConfig(lr=0.1))
         assert run_epochs(ds, basis, cfg, params, state, 0, seed=0) == []
-        np.testing.assert_array_equal(params.flatten(), before)
+        np.testing.assert_array_equal(params.flat, before)
 
 
 class TestEvaluate:
@@ -110,7 +110,7 @@ class TestTrainCentralized:
         )
         assert history == []
         np.testing.assert_array_equal(
-            params.flatten(), init_params(cfg, seed=3).flatten()
+            params.flat, init_params(cfg, seed=3).flat
         )
 
     def test_deterministic(self):
@@ -118,7 +118,7 @@ class TestTrainCentralized:
         opt = AdamConfig(lr=0.02)
         params_a, hist_a, _ = train_centralized(ds, basis, cfg, opt, 5, seed=9)
         params_b, hist_b, _ = train_centralized(ds, basis, cfg, opt, 5, seed=9)
-        assert params_a.flatten().tobytes() == params_b.flatten().tobytes()
+        assert params_a.flat.tobytes() == params_b.flat.tobytes()
         assert [h.loss for h in hist_a] == [h.loss for h in hist_b]
 
     def test_learns_small_graph(self):
@@ -242,7 +242,7 @@ class TestForwardReuse:
         if patience is not None:
             # the restore path runs: training stopped before the last epoch
             assert len(history) < epochs
-        assert params.flatten().tobytes() == want_params.flatten().tobytes()
+        assert params.flat.tobytes() == want_params.flat.tobytes()
         assert deterministic_fields(history) == deterministic_fields(want_history)
 
     def test_one_forward_per_parameter_state_without_dropout(self, monkeypatch):
