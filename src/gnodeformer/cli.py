@@ -27,7 +27,6 @@ from .fedsim import (
 )
 from .fileio import parse_pairs, write_lines
 from .graphs import (
-    SPLIT_FRACTIONS,
     GraphDataset,
     SbmConfig,
     build_normalized_laplacian,
@@ -35,7 +34,6 @@ from .graphs import (
     homophily_ratio,
     load_dataset,
     save_dataset,
-    split_masks,
 )
 from .model import ACTIVATIONS, RK_WEIGHTS, ModelConfig, forward, write_filter_table
 from .optim import AdamConfig, save_checkpoint
@@ -90,11 +88,7 @@ def load_source(args) -> GraphDataset:
         return generate_sbm(parse_sbm_spec(sbm))
     if not directory:
         raise ConfigError("one of --dataset or --sbm is required")
-    dataset = load_dataset(directory)
-    dataset.train_mask, dataset.val_mask, dataset.test_mask = split_masks(
-        dataset.labels, SPLIT_FRACTIONS, derive_seed(args.seed, MASKS, 0)
-    )
-    return dataset.validate()
+    return load_dataset(directory, derive_seed(args.seed, MASKS, 0))
 
 
 def model_config_from_args(args, feature_dim: int, classes: int) -> ModelConfig:
@@ -261,9 +255,6 @@ def cmd_fed_train(args) -> int:
     if args.checkpoint_every < 0:
         raise ConfigError(f"--checkpoint-every {args.checkpoint_every} must be >= 0")
     dataset = load_source(args)
-    out = Path(args.out)
-    with _writing(out):
-        out.mkdir(parents=True, exist_ok=True)
     config = FedConfig(
         model=model_config_from_args(args, dataset.feature_dim, dataset.num_classes),
         optimizer=AdamConfig(lr=args.lr, weight_decay=args.weight_decay),
@@ -275,6 +266,9 @@ def cmd_fed_train(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
+    out = Path(args.out)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
 
     def on_round(record, global_params):
         logger.info(
@@ -359,10 +353,18 @@ def cmd_comm_report(args) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """The argparse type of --seed: numpy's generators take no negative seed."""
+    """The argparse type of --seed (numpy takes no negative seed) and --epochs."""
     value = int(text)
     if value < 0:
         raise ValueError(f"{value} is negative")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """The argparse type of --patience."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
     return value
 
 
@@ -419,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         *_add_source_flags(p, require=False),
         *_add_model_flags(p),
         *_add_optim_flags(p),
-        p.add_argument("--epochs", type=int, default=200),
-        p.add_argument("--patience", type=int, default=None,
+        p.add_argument("--epochs", type=non_negative_int, default=200),
+        p.add_argument("--patience", type=positive_int, default=None,
                        help="early-stop after this many non-improving epochs"),
         p.add_argument("--seed", type=non_negative_int, default=0),
     ]

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ConfigError, NumericsError
 from .fileio import write_lines
 from .graphs import (
-    SPLIT_FRACTIONS,
     GraphDataset,
     _largest_remainder,
     build_normalized_laplacian,
@@ -169,7 +168,7 @@ def induce_subgraph(
 
     nodes = np.sort(nodes)
     labels = dataset.labels[nodes]
-    train, val, test = split_masks(labels, SPLIT_FRACTIONS, mask_seed)
+    train, val, test = split_masks(labels, mask_seed)
     # new id of each kept node, -1 elsewhere; the ids rise with the old
     # ones, so the kept rows stay sorted with u < v
     index = np.full(dataset.n, -1, dtype=np.int64)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,13 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 @dataclass
 class GraphDataset:
-    """One node-classification graph.
+    """One node-classification graph, checked on construction.
 
     edges is an (m, 2) int64 array holding each undirected edge once as
     a (u, v) row with u < v, rows in ascending order; any edge list is
-    brought to that form on construction. features is (n, F), labels is
-    (n,) ints in [0, C), and the three masks are disjoint boolean
-    vectors over nodes.
+    brought to that form on construction. features is (n, F) and finite,
+    labels is (n,) ints in [0, C), and the three masks are disjoint
+    boolean vectors over nodes. A violation raises DataError.
     """
 
     n: int
@@ -42,9 +42,9 @@ class GraphDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    train_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-    val_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-    test_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
+    train_mask: np.ndarray
+    val_mask: np.ndarray
+    test_mask: np.ndarray
     name: str = "graph"
 
     def __post_init__(self):
@@ -65,25 +65,7 @@ class GraphDataset:
         # one key per edge: np.unique merges reversed and repeated rows and sorts
         keys = np.unique(lo[~loops] * self.n + hi[~loops])
         self.edges = np.stack(divmod(keys, self.n), axis=1)
-        if self.train_mask is None:
-            self.train_mask = np.zeros(self.n, dtype=bool)
-        if self.val_mask is None:
-            self.val_mask = np.zeros(self.n, dtype=bool)
-        if self.test_mask is None:
-            self.test_mask = np.zeros(self.n, dtype=bool)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges."""
-        return len(self.edges)
-
-    def validate(self) -> "GraphDataset":
-        """Check the feature, label and mask invariants; raise DataError
-        on violation. The edge list is checked on construction."""
         if self.features.shape[0] != self.n:
             raise DataError(
                 f"feature matrix has {self.features.shape[0]} rows, expected {self.n}"
@@ -100,15 +82,21 @@ class GraphDataset:
             self.n > 0 and self.labels.max() >= self.num_classes
         ):
             raise DataError(f"labels must lie in [0, {self.num_classes})")
-        for m in (self.train_mask, self.val_mask, self.test_mask):
+        masks = (self.train_mask, self.val_mask, self.test_mask)
+        for m in masks:
             if m.shape != (self.n,) or m.dtype != np.bool_:
                 raise DataError("masks must be boolean vectors over nodes")
-        overlap = (
-            self.train_mask.astype(int) + self.val_mask.astype(int) + self.test_mask.astype(int)
-        )
-        if (overlap > 1).any():
+        if (sum(m.astype(int) for m in masks) > 1).any():
             raise DataError("train/val/test masks overlap")
-        return self
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def num_edges(self) -> int:
+        """Number of undirected edges."""
+        return len(self.edges)
 
 
 @dataclass
@@ -168,7 +156,7 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
     """Sample a graph from the block model. Deterministic given the seed."""
     sizes = np.asarray(config.block_sizes, dtype=int)
     n = int(sizes.sum())
-    labels = np.repeat(np.arange(len(sizes)), sizes)
+    labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
     rng = rng_for(config.seed, SBM)
     prob = np.where(labels[:, None] == labels[None, :], config.p_in, config.p_out)
@@ -178,26 +166,22 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
     noise = rng.standard_normal((n, config.feature_dim))
     features = config.signal * means[labels] + noise
 
-    ds = GraphDataset(
+    train, val, test = split_masks(labels, config.seed)
+    return GraphDataset(
         n=n,
         edges=edges,
         features=features,
-        labels=labels.astype(np.int64),
+        labels=labels,
         num_classes=len(sizes),
+        train_mask=train,
+        val_mask=val,
+        test_mask=test,
         name=f"sbm{n}",
     )
-    ds.train_mask, ds.val_mask, ds.test_mask = split_masks(
-        ds.labels, SPLIT_FRACTIONS, config.seed
-    )
-    return ds.validate()
 
 
-def split_masks(
-    labels: np.ndarray,
-    fractions: tuple[float, float, float],
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split nodes into train/val/test masks.
+def split_masks(labels: np.ndarray, seed: int) -> tuple[np.ndarray, ...]:
+    """Split nodes into train/val/test masks by SPLIT_FRACTIONS.
 
     Stratified per class when every class has at least 3 nodes,
     otherwise a plain shuffle. Bucket sizes follow largest-remainder
@@ -206,8 +190,6 @@ def split_masks(
     labels = np.asarray(labels)
     if labels.size == 0:
         raise DataError("cannot split an empty label set")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions {fractions} must sum to 1")
 
     rng = rng_for(seed, MASKS)
     n = labels.size
@@ -221,7 +203,7 @@ def split_masks(
 
     for idx in groups:
         idx = rng.permutation(idx)
-        sizes = _largest_remainder(len(idx), fractions)
+        sizes = _largest_remainder(len(idx), SPLIT_FRACTIONS)
         start = 0
         for mask, size in zip(masks, sizes):
             mask[idx[start : start + size]] = True
@@ -248,8 +230,8 @@ def _largest_remainder(total: int, fractions) -> list[int]:
 #   features  n lines of f space-separated decimal reals
 #   labels    n lines, one integer in [0, c) each
 #
-# Masks are not stored; they are derived at training time from the run
-# seed. Writing is deterministic: edges are sorted with u < v and floats
+# Masks are not stored; load_dataset splits them from the seed it is
+# given. Writing is deterministic: edges are sorted with u < v and floats
 # use %.17g so a load/save round trip is exact. Each file is written
 # atomically; the directory as a whole is not.
 # ---------------------------------------------------------------------------
@@ -269,8 +251,9 @@ def save_dataset(dataset: GraphDataset, path: str | Path) -> Path:
     return path
 
 
-def load_dataset(path: str | Path) -> GraphDataset:
-    """Read a dataset directory; all invariants are validated on load."""
+def load_dataset(path: str | Path, mask_seed: int) -> GraphDataset:
+    """Read a dataset directory and split its masks with ``mask_seed``.
+    Any fault in its files is a DataError."""
     path = Path(path)
     meta = _read_meta(path / "meta")
     n, feat_dim, num_classes = meta["n"], meta["f"], meta["c"]
@@ -278,13 +261,8 @@ def load_dataset(path: str | Path) -> GraphDataset:
         if not (path / fname).exists():
             raise DataError(f"missing dataset file: {path / fname}")
 
-    # no comment syntax in any of the three files (comments=None): a '#'
-    # is a malformed value, never a skipped line or a cut-off row
-    try:
-        features = np.loadtxt(path / "features", dtype=np.float64, ndmin=2, comments=None)
-        labels = np.loadtxt(path / "labels", dtype=np.int64, ndmin=1, comments=None)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    features = _read_table(path / "features", np.float64, ndmin=2)
+    labels = _read_table(path / "labels", np.int64, ndmin=1)
     if n == 0:
         raise DataError("dataset has no nodes")
     if features.shape != (n, feat_dim):
@@ -294,24 +272,34 @@ def load_dataset(path: str | Path) -> GraphDataset:
     if labels.shape != (n,):
         raise DataError(f"labels file has {labels.shape[0]} rows, meta says {n}")
 
+    edges = _read_table(path / "edges", np.int64, ndmin=2)
+    train, val, test = split_masks(labels, mask_seed)
+    try:
+        return GraphDataset(
+            n=n,
+            edges=edges,
+            features=features,
+            labels=labels,
+            num_classes=num_classes,
+            train_mask=train,
+            val_mask=val,
+            test_mask=test,
+            name=meta["name"],
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_table(path: Path, dtype, ndmin: int) -> np.ndarray:
+    """A numeric text file, where any fault is a DataError naming it. No
+    comment syntax: a '#' is a malformed value, never a skipped line."""
     try:
         with warnings.catch_warnings():
-            # a file without rows is an edgeless graph, not a mistake
+            # a file without rows is an empty table: an edgeless graph, or
+            # a row count that the caller refuses
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            edges = np.loadtxt(path / "edges", dtype=np.int64, ndmin=2, comments=None)
+            return np.loadtxt(path, dtype=dtype, ndmin=ndmin, comments=None)
     except (OSError, ValueError) as exc:
-        raise DataError(f"{path / 'edges'}: {exc}") from None
-    ds = GraphDataset(
-        n=n,
-        edges=edges,
-        features=features,
-        labels=labels,
-        num_classes=num_classes,
-        name=meta["name"],
-    )
-    try:
-        return ds.validate()
-    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -336,6 +324,9 @@ def _read_meta(path: Path) -> dict:
             raise DataError(f"meta file: {exc}") from exc
         if meta[key] < 0:
             raise DataError(f"meta file: {key}={meta[key]} is negative")
+    # a client subgraph may have fewer nodes than classes; a dataset may not
+    if meta["c"] > meta["n"]:
+        raise DataError(f"{path}: c={meta['c']} classes exceed n={meta['n']} nodes")
     return meta
 
 

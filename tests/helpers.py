@@ -11,7 +11,7 @@ that the edge-list one must reproduce bit for bit.
 reconstruct_basis and spectral_filter_apply apply a spectral filter
 through a basis, as references for the eigensolver and the model's
 head. package_env sets up child processes that import the package
-under test.
+under test. no_masks gives a graph-only dataset its three empty masks.
 """
 
 import os
@@ -37,6 +37,12 @@ def package_env():
         p for p in (src_dir, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+def no_masks(n):
+    """GraphDataset's three masks, all empty: for a graph-only dataset,
+    which trains and scores no node."""
+    return {k: np.zeros(n, dtype=bool) for k in ("train_mask", "val_mask", "test_mask")}
 
 
 def named_grads(loss, tensors):

@@ -11,14 +11,12 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gnodeformer.autodiff import Tensor, backward
 from gnodeformer.fedsim import (
-    SPLIT_FRACTIONS,
     FedConfig,
     build_clients,
     comm_accounting,
@@ -35,7 +33,6 @@ from gnodeformer.graphs import (
     generate_sbm,
     load_dataset,
     save_dataset,
-    split_masks,
 )
 from gnodeformer.model import (
     RK_WEIGHTS,
@@ -104,7 +101,7 @@ def test_01_spectral_invariants(homophilic, heterophilic, tmp_path):
 
         # every dataset this suite touches, including one reloaded from disk
         stored = save_dataset(homophilic[0], tmp_path / "roundtrip")
-        for ds in (homophilic[0], heterophilic[0], load_dataset(stored)):
+        for ds in (homophilic[0], heterophilic[0], load_dataset(stored, 0)):
             lap = build_normalized_laplacian(ds)
             basis = sym_eig(lap, unit_band=True)
             gram = basis.eigenvectors.T @ basis.eigenvectors
@@ -345,11 +342,7 @@ CITATION_DIR = os.environ.get("GNODEFORMER_CORA_DIR", "")
 )
 def test_09_citation_benchmark():
     with wall_clock_budget(1800):
-        ds = load_dataset(CITATION_DIR)
-        train, val, test = split_masks(
-            ds.labels, SPLIT_FRACTIONS, derive_seed(0, MASKS, 0)
-        )
-        ds = replace(ds, train_mask=train, val_mask=val, test_mask=test)
+        ds = load_dataset(CITATION_DIR, derive_seed(0, MASKS, 0))
         basis = sym_eig(build_normalized_laplacian(ds), unit_band=True)
         model = ModelConfig(
             feature_dim=ds.feature_dim, classes=ds.num_classes, d=16, heads=2,

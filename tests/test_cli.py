@@ -1,16 +1,21 @@
 import csv
+import io
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gnodeformer import cli, training
 from gnodeformer.cli import main, parse_sbm_spec
 from gnodeformer.errors import ConfigError
-from gnodeformer.graphs import SPLIT_FRACTIONS, GraphDataset, split_masks
+from gnodeformer.graphs import GraphDataset, split_masks
 from gnodeformer.optim import load_checkpoint
 from gnodeformer.seeding import MASKS, derive_seed
 from tests.helpers import package_env
@@ -53,7 +58,7 @@ def other_value(action):
         return not action.default
     if action.choices:
         return next(c for c in action.choices if c != action.default)
-    if action.type in (int, cli.non_negative_int):
+    if action.type in (int, cli.non_negative_int, cli.positive_int):
         return (action.default or 0) + 3
     if action.type is float:
         return (action.default or 0.0) + 1 / 3
@@ -333,21 +338,27 @@ class TestTrain:
         assert not out.exists()
 
     def test_dataset_masks_set_without_rebuilding(self, tmp_path, monkeypatch):
-        # the run seed's split goes onto the loaded dataset, whose edge list
-        # is canonicalised once, by the load
+        # the load splits the run seed's masks and builds the dataset once:
+        # its edge list is canonicalised once and its features scanned once
         data = tmp_path / "data"
         assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
-        built = []
+        built, scanned = [], []
         real = GraphDataset.__post_init__
         monkeypatch.setattr(
             GraphDataset, "__post_init__", lambda self: built.append(1) or real(self)
+        )
+        isfinite = np.isfinite
+        monkeypatch.setattr(
+            np, "isfinite", lambda a, *rest: scanned.append(a) or isfinite(a, *rest)
         )
         args = cli.build_parser().parse_args(
             ["train", "--dataset", str(data), "--seed", "5", "--out", "x"]
         )
         dataset = cli.load_source(args)
+        monkeypatch.undo()
         assert len(built) == 1
-        want = split_masks(dataset.labels, SPLIT_FRACTIONS, derive_seed(5, MASKS, 0))
+        assert sum(a is dataset.features for a in scanned) == 1
+        want = split_masks(dataset.labels, derive_seed(5, MASKS, 0))
         got = (dataset.train_mask, dataset.val_mask, dataset.test_mask)
         for mask, expected in zip(got, want):
             np.testing.assert_array_equal(mask, expected)
@@ -519,6 +530,20 @@ def test_import_leaves_scipy_special_unloaded():
     assert result.stdout.strip() == "False"
 
 
+# a one-token edit of a dataset file: an empty value, nan, inf, -1, 0, a
+# huge float, a '#', a byte that is not UTF-8 and a 400-digit number
+EDIT_VALUES = [b"", b"nan", b"inf", b"-1", b"0", b"1e308", b"#", b"\xff", b"9" * 400]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """The four files of a valid 30-node dataset, as bytes."""
+    data = tmp_path_factory.mktemp("fuzz") / "data"
+    sbm = "blocks=10,10,10;p_in=0.3;p_out=0.05;feature_dim=4;seed=1"
+    assert run_cli("gen-data", "--sbm", sbm, "--out", data) == 0
+    return {name: (data / name).read_bytes() for name in ("meta", "edges", "features", "labels")}
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         assert run_cli("train", "--sbm", "p_in=0.5", "--out", tmp_path / "x") == 2
@@ -533,7 +558,8 @@ class TestExitCodes:
         "case",
         ["missing_manifest", "manifest_bytes", "edges_bytes", "meta_name_bytes",
          "meta_negative_n", "manifest_no_equals", "meta_no_equals",
-         "features_inf", "features_nan", "fed_features_inf", "fed_features_nan"],
+         "features_inf", "features_nan", "fed_features_inf", "fed_features_nan",
+         "meta_huge_c", "meta_c_above_n"],
     )
     def test_malformed_input_is_data_error(self, tmp_path, capsys, case):
         data = tmp_path / "data"
@@ -566,6 +592,10 @@ class TestExitCodes:
             (data / "meta").write_text("n=60\nf=8\nc=3\nname\n")
         elif case == "meta_negative_n":
             (data / "meta").write_text("n=-5\nf=8\nc=3\nname=x\n")
+        elif case == "meta_huge_c":
+            (data / "meta").write_text("n=60\nf=8\nc=" + "9" * 400 + "\nname=x\n")
+        elif case == "meta_c_above_n":
+            (data / "meta").write_text("n=60\nf=8\nc=61\nname=x\n")
         capsys.readouterr()
         assert run_cli(*argv, "--out", tmp_path / "out") == 3
         err = capsys.readouterr().err
@@ -573,6 +603,64 @@ class TestExitCodes:
         if "features" in case:
             assert f"{data}: features hold a non-finite value at node 7, column 2" in err
             assert not (tmp_path / "out" / "metrics.csv").exists()
+        if case in ("meta_huge_c", "meta_c_above_n"):
+            assert f"data error: {data / 'meta'}: c=" in err
+            assert "classes exceed n=60 nodes" in err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["features", "labels", "edges"])
+    def test_malformed_number_names_its_file(self, tmp_path, capsys, name):
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        rows = (data / name).read_text().splitlines()
+        rows[3] = " ".join(["#", *rows[3].split()[1:]])
+        (data / name).write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        argv = ["train", "--dataset", data, "--epochs", 1, "--out", tmp_path / "out"]
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data / name}: could not convert string '#'")
+        assert err.count("\n") == 1
+
+    @given(edit=st.data())
+    def test_one_token_edit_of_a_dataset_exits_cleanly(self, fuzz_dataset, edit):
+        # one token of a valid 30-node dataset replaced, repeated or dropped:
+        # the run trains, or exits 2-4 with a one-line reason, never a traceback
+        files = dict(fuzz_dataset)
+        value = edit.draw(st.sampled_from(EDIT_VALUES), label="value")
+        target = edit.draw(st.sampled_from(["meta", "edges", "features", "labels"]))
+        lines = files[target].splitlines()
+        i = edit.draw(st.integers(0, len(lines) - 1), label="line")
+        if target == "meta":
+            key = lines[i].partition(b"=")[0]
+            how = edit.draw(st.sampled_from(["value", "repeat", "drop"]))
+            if how == "value":
+                lines[i] = key + b"=" + value
+            elif how == "repeat":
+                lines.append(lines[i])
+            else:
+                del lines[i]
+        else:
+            cells = lines[i].split(b" ")
+            cells[edit.draw(st.integers(0, len(cells) - 1), label="cell")] = value
+            lines[i] = b" ".join(cells)
+        files[target] = b"\n".join(lines) + b"\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data"
+            data.mkdir()
+            for name, raw in files.items():
+                (data / name).write_bytes(raw)
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = run_cli(
+                    "train", "--dataset", data, *SMALL_MODEL, "--epochs", 1,
+                    "--out", Path(tmp) / "out",
+                )
+        assert code in (0, 2, 3, 4)
+        if code:
+            reason = err.getvalue()
+            assert reason.count("\n") == 1, reason
+            assert reason.startswith(("config error: ", "data error: ", "numerics error: "))
 
     def test_repeated_manifest_key_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"
@@ -655,6 +743,36 @@ class TestExitCodes:
             manifest = tmp_path / "manifest.txt"
             manifest.write_text(f"command=train\nsbm={TINY_SBM}\nepochs=1\nseed=-1\n")
             argv = [*argv, manifest]
+        out = tmp_path / "out"
+        try:
+            code = run_cli(*argv, "--out", out)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--epochs", "-1"],
+            ["train", "--patience", "0"],
+            ["fed-train", "--rounds", "-1"],
+            ["fed-train", "--local-epochs", "-1"],
+            ["fed-train", "--clients", "0"],
+            ["fed-train", "--threads", "0"],
+            ["train", "--from-manifest", "epochs=-1"],
+            ["train", "--from-manifest", "patience=0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_refused_setting_exits_2_and_writes_nothing(self, tmp_path, argv):
+        # refused before any eigensolve or directory: --out never appears
+        if argv[1] == "--from-manifest":
+            manifest = tmp_path / "manifest.txt"
+            manifest.write_text(f"command=train\nsbm={TINY_SBM}\n{argv[2]}\n")
+            argv = [*argv[:2], manifest]
+        else:
+            argv = [*argv, "--sbm", TINY_SBM]
         out = tmp_path / "out"
         try:
             code = run_cli(*argv, "--out", out)

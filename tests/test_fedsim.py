@@ -34,7 +34,7 @@ from gnodeformer.model import RK_WEIGHTS, ModelConfig, count_parameters, init_pa
 from gnodeformer.optim import AdamConfig, ParamSet
 from gnodeformer.autodiff import Tensor
 from gnodeformer.training import EpochRecord, train_centralized
-from tests.helpers import dense_adjacency
+from tests.helpers import dense_adjacency, no_masks
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -174,6 +174,7 @@ class TestInduceSubgraph:
             features=np.arange(8.0).reshape(4, 2),
             labels=np.array([0, 0, 1, 1]),
             num_classes=2,
+            **no_masks(4),
         )
 
     def test_full_node_set_keeps_graph(self):
@@ -203,6 +204,7 @@ class TestInduceSubgraph:
             features=np.zeros((6, 1)),
             labels=np.array([0, 0, 0, 1, 1, 1]),
             num_classes=2,
+            **no_masks(6),
         )
         a = induce_subgraph(ds, np.arange(3), mask_seed=0)
         b = induce_subgraph(ds, np.arange(3, 6), mask_seed=0)

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,10 @@ from gnodeformer.graphs import (
     split_masks,
 )
 from gnodeformer.spectral import matrix_digest
-from tests.helpers import dense_adjacency, reference_normalized_laplacian
+from tests.helpers import dense_adjacency, no_masks, reference_normalized_laplacian
 
 
-def make_dataset(adjacency, labels=None, num_classes=None, features=None):
+def make_dataset(adjacency, labels=None, num_classes=None, features=None, masks=None):
     """A dataset from a dense symmetric 0/1 adjacency matrix."""
     adjacency = np.asarray(adjacency, dtype=np.float64)
     n = adjacency.shape[0]
@@ -38,6 +39,7 @@ def make_dataset(adjacency, labels=None, num_classes=None, features=None):
         features=np.asarray(features, dtype=np.float64),
         labels=labels,
         num_classes=num_classes,
+        **(masks or no_masks(n)),
     )
 
 
@@ -109,7 +111,7 @@ class TestNormalizedLaplacian:
         a = np.zeros((8, 8))
         for u, v in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)]:
             a[u, v] = a[v, u] = 1.0  # node 7 is isolated
-        lap = build_normalized_laplacian(make_dataset(a).validate())
+        lap = build_normalized_laplacian(make_dataset(a))
         assert matrix_digest(lap) == (
             "7116802b627f232da4ca710ad0ba5b1f242e524cebd93ae9de052d8bc5b750d5"
         )
@@ -135,6 +137,7 @@ def dataset_with_edges(n, edges):
         features=np.eye(n),
         labels=np.zeros(n, dtype=np.int64),
         num_classes=1,
+        **no_masks(n),
     )
 
 
@@ -159,21 +162,45 @@ class TestValidate:
         assert "dropping 2 self-loops" in caplog.text
 
     def test_label_out_of_range(self):
-        ds = make_dataset(np.zeros((2, 2)), labels=[0, 5], num_classes=2)
         with pytest.raises(DataError, match="labels"):
-            ds.validate()
+            make_dataset(np.zeros((2, 2)), labels=[0, 5], num_classes=2)
 
     def test_overlapping_masks(self):
-        ds = make_dataset(np.zeros((2, 2)))
-        ds.train_mask[:] = True
-        ds.val_mask[0] = True
+        masks = no_masks(2)
+        masks["train_mask"][:] = True
+        masks["val_mask"][0] = True
         with pytest.raises(DataError, match="overlap"):
-            ds.validate()
+            make_dataset(np.zeros((2, 2)), masks=masks)
 
     def test_feature_row_mismatch(self):
-        ds = make_dataset(np.zeros((3, 3)), features=np.zeros((2, 4)))
         with pytest.raises(DataError, match="feature"):
-            ds.validate()
+            make_dataset(np.zeros((3, 3)), features=np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_feature(self, value):
+        features = np.eye(3)
+        features[1, 2] = value
+        with pytest.raises(DataError, match="non-finite value at node 1, column 2"):
+            make_dataset(np.zeros((3, 3)), features=features)
+
+    def test_masks_are_required(self):
+        with pytest.raises(TypeError, match="train_mask"):
+            GraphDataset(
+                n=2, edges=[], features=np.eye(2),
+                labels=np.zeros(2, dtype=np.int64), num_classes=1,
+            )
+
+    @pytest.mark.parametrize("dtype, size", [(np.int64, 3), (bool, 2)])
+    def test_mask_shape_and_dtype(self, dtype, size):
+        masks = no_masks(3)
+        masks["test_mask"] = np.zeros(size, dtype=dtype)
+        with pytest.raises(DataError, match="boolean vectors"):
+            make_dataset(np.zeros((3, 3)), masks=masks)
+
+    def test_replace_checks_again(self):
+        ds = make_dataset(np.zeros((3, 3)))
+        with pytest.raises(DataError, match="labels"):
+            replace(ds, labels=np.array([0, 0, 4]))
 
 
 class TestSbm:
@@ -241,43 +268,40 @@ class TestSbm:
 class TestSplitMasks:
     def test_largest_remainder_exact(self):
         labels = np.zeros(10, dtype=int)
-        tr, va, te = split_masks(labels, (0.6, 0.2, 0.2), seed=0)
+        tr, va, te = split_masks(labels, seed=0)
         assert (tr.sum(), va.sum(), te.sum()) == (6, 2, 2)
 
     def test_stratified_within_one_node(self):
         labels = np.repeat([0, 1, 2], [30, 50, 20])
-        tr, _, _ = split_masks(labels, (0.6, 0.2, 0.2), seed=1)
+        tr, _, _ = split_masks(labels, seed=1)
         for c, size in zip(range(3), (30, 50, 20)):
             got = (labels[tr] == c).sum()
             assert abs(got - 0.6 * size) <= 1
 
     def test_small_class_falls_back_to_global(self):
-        # one class with 2 nodes: still a valid partition of all nodes
+        # one class with 2 nodes: still a valid partition of all nodes,
+        # sized over all 10 (a per-class split would give 6, 3, 1)
         labels = np.array([0] * 8 + [1] * 2)
-        tr, va, te = split_masks(labels, (0.5, 0.25, 0.25), seed=2)
+        tr, va, te = split_masks(labels, seed=2)
         total = tr.astype(int) + va + te
         np.testing.assert_array_equal(total, np.ones(10, dtype=int))
-        assert (tr.sum(), va.sum(), te.sum()) == (5, 3, 2)
+        assert (tr.sum(), va.sum(), te.sum()) == (6, 2, 2)
 
     def test_deterministic(self):
         labels = np.repeat([0, 1], 25)
-        a = split_masks(labels, (0.6, 0.2, 0.2), seed=9)
-        b = split_masks(labels, (0.6, 0.2, 0.2), seed=9)
+        a = split_masks(labels, seed=9)
+        b = split_masks(labels, seed=9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
-    def test_fraction_sum_checked(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
-            split_masks(np.zeros(4, dtype=int), (0.5, 0.2, 0.2), seed=0)
-
     def test_empty_labels_rejected(self):
         with pytest.raises(DataError):
-            split_masks(np.array([], dtype=int), (0.6, 0.2, 0.2), seed=0)
+            split_masks(np.array([], dtype=int), seed=0)
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10))
     def test_always_a_partition(self, n, seed):
         labels = np.arange(n) % 4
-        tr, va, te = split_masks(labels, (0.6, 0.2, 0.2), seed=seed)
+        tr, va, te = split_masks(labels, seed=seed)
         total = tr.astype(int) + va + te
         np.testing.assert_array_equal(total, np.ones(n, dtype=int))
 
@@ -289,7 +313,7 @@ class TestDiskFormat:
         )
         ds.name = "roundtrip"
         save_dataset(ds, tmp_path / "g")
-        back = load_dataset(tmp_path / "g")
+        back = load_dataset(tmp_path / "g", 0)
         np.testing.assert_array_equal(back.edges, ds.edges)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
@@ -324,19 +348,36 @@ class TestDiskFormat:
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "edges").write_text("0 7\n")
         with pytest.raises(DataError, match="node id"):
-            load_dataset(tmp_path / "t")
+            load_dataset(tmp_path / "t", 0)
+
+    def test_loader_prefixes_edge_errors_with_the_directory(self, tmp_path):
+        path = save_dataset(triangle(), tmp_path / "t")
+        (path / "edges").write_text("0 7\n")
+        with pytest.raises(DataError) as exc:
+            load_dataset(path, 0)
+        assert str(exc.value) == f"{path}: edges: node id 7 outside [0, 3)"
+
+    def test_loader_splits_masks_with_its_seed(self, tmp_path):
+        ds = generate_sbm(SbmConfig(block_sizes=(10, 12), p_in=0.3, p_out=0.1, seed=8))
+        path = save_dataset(ds, tmp_path / "g")
+        for seed in (0, 5):
+            back = load_dataset(path, seed)
+            want = split_masks(ds.labels, seed)
+            got = (back.train_mask, back.val_mask, back.test_mask)
+            for mask, expected in zip(got, want):
+                np.testing.assert_array_equal(mask, expected)
 
     def test_loader_rejects_malformed_edge(self, tmp_path):
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "edges").write_text("0 1 2\n")
         with pytest.raises(DataError, match="two node ids"):
-            load_dataset(tmp_path / "t")
+            load_dataset(tmp_path / "t", 0)
 
     def test_loader_drops_self_loops(self, tmp_path, caplog):
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "edges").write_text("0 0\n2 2\n0 1\n")
         with caplog.at_level("WARNING"):
-            ds = load_dataset(tmp_path / "t")
+            ds = load_dataset(tmp_path / "t", 0)
         np.testing.assert_array_equal(ds.edges, [[0, 1]])
         warnings = [r.getMessage() for r in caplog.records if "self-loop" in r.getMessage()]
         assert len(warnings) == 1
@@ -356,7 +397,7 @@ class TestDiskFormat:
     def test_loader_accepts(self, tmp_path, text, edges):
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "edges").write_text(text)
-        ds = load_dataset(tmp_path / "t")
+        ds = load_dataset(tmp_path / "t", 0)
         np.testing.assert_array_equal(ds.edges, np.reshape(edges, (-1, 2)))
 
     def test_unsorted_rows_load_to_canonical_form(self, tmp_path):
@@ -367,8 +408,8 @@ class TestDiskFormat:
         rows = np.concatenate([ds.edges[:, ::-1], ds.edges[::3], [[5, 5]]])
         rows = np.random.default_rng(0).permutation(rows)
         np.savetxt(tmp_path / "messy" / "edges", rows, fmt="%d")
-        canon = load_dataset(tmp_path / "canon")
-        messy = load_dataset(tmp_path / "messy")
+        canon = load_dataset(tmp_path / "canon", 0)
+        messy = load_dataset(tmp_path / "messy", 0)
         np.testing.assert_array_equal(messy.edges, canon.edges)
         assert matrix_digest(build_normalized_laplacian(messy)) == matrix_digest(
             build_normalized_laplacian(canon)
@@ -385,7 +426,7 @@ class TestDiskFormat:
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "edges").write_text(text)
         with pytest.raises(DataError):
-            load_dataset(tmp_path / "t")
+            load_dataset(tmp_path / "t", 0)
 
     @pytest.mark.parametrize("target", ["edges", "features", "labels"])
     @pytest.mark.parametrize("where", ["comment_line", "trailing_comment"])
@@ -399,19 +440,19 @@ class TestDiskFormat:
             lines[0] += " # 2"
         (path / target).write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError):
-            load_dataset(path)
+            load_dataset(path, 0)
 
     def test_loader_missing_meta_key(self, tmp_path):
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "meta").write_text("n=3\nf=3\nname=x\n")
         with pytest.raises(DataError, match="missing key"):
-            load_dataset(tmp_path / "t")
+            load_dataset(tmp_path / "t", 0)
 
     def test_loader_shape_mismatch(self, tmp_path):
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "meta").write_text("n=3\nf=9\nc=1\nname=x\n")
         with pytest.raises(DataError, match="feature matrix"):
-            load_dataset(tmp_path / "t")
+            load_dataset(tmp_path / "t", 0)
 
     @pytest.mark.parametrize(
         "meta, match",
@@ -420,14 +461,17 @@ class TestDiskFormat:
             (b"n=3\nf=3\nc=-2\nname=x\n", "c=-2 is negative"),
             # a forged n fails the shape check before the edges are read
             (b"n=1000000000\nf=3\nc=2\nname=x\n", "feature matrix"),
+            # more classes than nodes fails before any file but meta is read
+            (b"n=3\nf=3\nc=4\nname=x\n", "meta: c=4 classes exceed n=3 nodes"),
+            (b"n=3\nf=3\nc=" + b"9" * 400 + b"\nname=x\n", "meta: c=9+ classes exceed"),
         ],
-        ids=["negative_f", "negative_c", "huge_n"],
+        ids=["negative_f", "negative_c", "huge_n", "c_above_n", "huge_c"],
     )
     def test_loader_bad_meta(self, tmp_path, meta, match):
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "meta").write_bytes(meta)
         with pytest.raises(DataError, match=match):
-            load_dataset(tmp_path / "t")
+            load_dataset(tmp_path / "t", 0)
 
     @settings(max_examples=150, deadline=None)
     @given(target=st.sampled_from(["meta", "edges"]), raw=st.binary(max_size=120))
@@ -436,7 +480,7 @@ class TestDiskFormat:
             path = save_dataset(triangle(), Path(tmp) / "t")
             (path / target).write_bytes(raw)
             try:
-                ds = load_dataset(path)
+                ds = load_dataset(path, 0)
             except DataError:
                 return
         assert ds.n == 3
@@ -445,7 +489,7 @@ class TestDiskFormat:
         save_dataset(triangle(), tmp_path / "t")
         (tmp_path / "t" / "labels").write_text("0\n0\n9\n")
         with pytest.raises(DataError, match="labels"):
-            load_dataset(tmp_path / "t")
+            load_dataset(tmp_path / "t", 0)
 
 
 class TestHomophily:

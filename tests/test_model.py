@@ -28,6 +28,7 @@ from tests.helpers import (
     central_difference_grads,
     max_rel_err,
     named_grads,
+    no_masks,
     spectral_filter_apply,
 )
 
@@ -429,6 +430,7 @@ class TestForward:
             features=ds.features[perm],
             labels=ds.labels[perm],
             num_classes=ds.num_classes,
+            **no_masks(ds.n),
         )
         basis_perm = SpectralBasis(
             eigenvalues=basis.eigenvalues, eigenvectors=basis.eigenvectors[perm]
@@ -458,6 +460,7 @@ class TestForward:
             features=ds.features[perm],
             labels=ds.labels[perm],
             num_classes=ds.num_classes,
+            **no_masks(ds.n),
         )
         cfg = tiny_config(classes=3, rk_order=4, layers=2)
         params = init_params(cfg, seed=7)
@@ -486,6 +489,7 @@ class TestForward:
             features=np.concatenate([part.features, part.features]),
             labels=np.concatenate([part.labels, part.labels]),
             num_classes=part.num_classes,
+            **no_masks(2 * m),
         )
         laplacian = build_normalized_laplacian(ds)
         basis = sym_eig(laplacian, unit_band=True)

@@ -156,6 +156,8 @@ class TestTrainCentralized:
             labels=ds.labels,
             num_classes=ds.num_classes,
             train_mask=np.ones(ds.n, dtype=bool),
+            val_mask=np.zeros(ds.n, dtype=bool),
+            test_mask=np.zeros(ds.n, dtype=bool),
         )
         params, history, _ = train_centralized(
             bare, basis, cfg, AdamConfig(lr=0.05), epochs=4, seed=0, patience=1
