@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError, GnodeformerError, NumericsError
 from .fedsim import (
     FedConfig,
+    check_client_count,
     comm_accounting,
     dirichlet_partition,
     partition_stats,
@@ -266,6 +267,7 @@ def cmd_fed_train(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
+    check_client_count(config.clients, dataset.n)
     out = Path(args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)

@@ -22,8 +22,8 @@ model for accounting only.
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
-from math import ceil, inf
+from dataclasses import dataclass, replace
+from math import ceil, inf, nan
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .graphs import (
     split_masks,
 )
 from .model import ModelConfig, count_parameters, init_params
-from .optim import AdamConfig, OptimizerState, ParamSet, init_optimizer
+from .optim import AdamConfig, OptimizerState, ParamSet
 from .seeding import MASKS, PARTITION, SAMPLING, derive_seed, rng_for
 from .spectral import SpectralBasis, sym_eig
 from .training import EpochRecord, evaluate, hands_off, run_epochs
@@ -83,10 +83,12 @@ class FedConfig:
 
 @dataclass
 class ClientState:
+    """Complete when build_clients makes it; its Adam settings stay fixed."""
+
     client_id: int
     dataset: GraphDataset
     basis: SpectralBasis
-    opt_state: OptimizerState | None = None
+    opt_state: OptimizerState
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,7 @@ def dirichlet_partition(
     labels = np.asarray(labels)
     # with no more clients than nodes the repair loop below ends: a donor
     # always holds two or more nodes while some client is empty
-    if clients > labels.size:
-        raise ConfigError(
-            f"clients={clients} exceeds the graph's {labels.size} nodes; "
-            "every client needs at least one"
-        )
+    check_client_count(clients, labels.size)
     rng = rng_for(seed, PARTITION)
 
     assigned: list[list[np.ndarray]] = [[] for _ in range(clients)]
@@ -152,6 +150,15 @@ def dirichlet_partition(
             donor,
         )
     return parts
+
+
+def check_client_count(clients: int, nodes: int) -> None:
+    """Refuse a federation of more clients than the graph has nodes."""
+    if clients > nodes:
+        raise ConfigError(
+            f"clients={clients} exceeds the graph's {nodes} nodes; "
+            "every client needs at least one"
+        )
 
 
 def induce_subgraph(
@@ -210,13 +217,12 @@ def client_update(
     evaluate's forward serves as the first local step's. Otherwise score
     is None.
 
-    When a local step hits non-finite numbers the result is (None, [],
+    The steps use the client's Adam state, whose settings build_clients
+    fixed. When a step hits non-finite numbers the result is (None, [],
     score), with the score of a forward that completed; the optimizer
     state rolls back so a failed round leaves no trace.
     """
     local = global_params.copy()
-    if client.opt_state is None:
-        client.opt_state = init_optimizer(local, config.optimizer)
     state = client.opt_state.copy()
     score = logits = None
     try:
@@ -278,8 +284,9 @@ def fedavg(param_sets: list[ParamSet], weights: list[float]) -> ParamSet:
 
 
 def build_clients(dataset: GraphDataset, config: FedConfig) -> list[ClientState]:
-    """Partition the graph and precompute each client's eigenbasis."""
+    """Partition the graph; each client gets its eigenbasis and fresh Adam state."""
     parts = dirichlet_partition(dataset.labels, config.clients, config.alpha, config.seed)
+    size = count_parameters(config.model)
     clients = []
     for i, nodes in enumerate(parts):
         sub = induce_subgraph(
@@ -289,7 +296,8 @@ def build_clients(dataset: GraphDataset, config: FedConfig) -> list[ClientState]
             name=f"{dataset.name}/client{i}",
         )
         basis = sym_eig(build_normalized_laplacian(sub), unit_band=True)
-        clients.append(ClientState(i, sub, basis))
+        state = OptimizerState(config.optimizer, np.zeros(size), np.zeros(size))
+        clients.append(ClientState(i, sub, basis, state))
     return clients
 
 
@@ -355,14 +363,15 @@ def run_rounds(
     when no client is that big. Aggregation consumes every result in
     client-id order, so where an update ran never changes a number.
 
-    Round r's global row scores its aggregate, the parameters that round
-    r + 1 sends out, so it is finished one round late: from the scores
-    that round r + 1's participants return (client_update), plus an
-    evaluate_global forward for every other client with test nodes. The
-    last round's row, and every row of a run whose clients share no
+    Each round's RoundRecord is appended when the round aggregates, with
+    a nan global row. That row scores the aggregate, the parameters that
+    round r + 1 sends out, so it is filled one round late: from the
+    scores that round r + 1's participants return (client_update), plus
+    an evaluate_global forward for every other client with test nodes.
+    The last round's row, and every row of a run whose clients share no
     forward, takes evaluate_global's forwards alone. Either way the row
     equals evaluate_global at those parameters bit for bit.
-    ``on_round(record, global_params)`` fires once the row is finished.
+    ``on_round(record, global_params)`` fires once the row is filled.
     """
     clients = build_clients(dataset, config)
     global_params = init_params(config.model, config.seed)
@@ -370,28 +379,22 @@ def run_rounds(
     records: list[RoundRecord] = []
     bytes_cum = 0
 
-    def finish(fields: dict, params: ParamSet, scores: dict):
-        """Add the global row to a round's fields, record and report it."""
+    def finish(scores: dict):
+        """Fill the last record's global row at global_params; report it."""
         # evaluate_global runs only when some forward is missing, so its
         # calls time evaluation work, never a sum of known scores
         if _unscored(clients, scores):
-            global_loss, global_accuracy = evaluate_global(
-                clients, config.model, params, scores
-            )
+            loss, accuracy = evaluate_global(clients, config.model, global_params, scores)
         else:
-            global_loss, global_accuracy = _pool_scores(clients, scores)
-        records.append(
-            RoundRecord(**fields, global_loss=global_loss, global_accuracy=global_accuracy)
-        )
+            loss, accuracy = _pool_scores(clients, scores)
+        records[-1] = replace(records[-1], global_loss=loss, global_accuracy=accuracy)
         if on_round is not None:
-            on_round(records[-1], params)
+            on_round(records[-1], global_params)
 
     def overlaps(ids) -> bool:
         """Whether a round of these clients goes to the pool."""
         return any(clients[c].dataset.n >= _POOL_MIN_NODES for c in ids)
 
-    # the last round's fields and aggregate, awaiting its global row
-    pending = None
     # one worker pool serves every round that gains from it; a single
     # thread, or only small clients, need none
     pool = None
@@ -401,49 +404,36 @@ def run_rounds(
         for round_index in range(config.rounds):
             participants = sample_clients(
                 config.clients, config.fraction_fit, round_index, config.seed
-            )
+            ).tolist()
             offset = round_index * config.local_epochs
 
             def update(cid: int):
                 return client_update(global_params, clients[cid], config, offset)
 
-            participants = [int(c) for c in participants]
             # per round, not per client: small clients on this thread beside
             # a pool busy with big ones keep threads + 1 threads busy, and on
             # a 2-vCPU VM a heterophilic alpha-0.1 run took up to 17% longer
             run = pool.map if pool and overlaps(participants) else map
             results = dict(zip(participants, run(update, participants)))
-            if pending is not None:
-                scores = {
-                    cid: results[cid][2]
-                    for cid in participants
-                    if results[cid][2] is not None
-                }
-                finish(*pending, scores)
+            if records:
+                finish({cid: r[2] for cid, r in results.items() if r[2] is not None})
 
-            survivors = [
-                (cid, results[cid][0]) for cid in participants if results[cid][0] is not None
-            ]
+            survivors = {cid: r[0] for cid, r in results.items() if r[0] is not None}
             if survivors:
                 global_params = fedavg(
-                    [params for _, params in survivors],
-                    [clients[cid].dataset.n for cid, _ in survivors],
+                    list(survivors.values()), [clients[cid].dataset.n for cid in survivors]
                 )
             else:
                 logger.warning("round %d: every participant failed; keeping params", round_index)
 
             round_bytes = 2 * len(participants) * one_way_bytes
             bytes_cum += round_bytes
-            fields = dict(
-                round_index=round_index,
-                participants=tuple(participants),
-                client_epochs={cid: results[cid][1] for cid in participants},
-                round_bytes=round_bytes,
-                bytes_cum=bytes_cum,
-            )
-            pending = (fields, global_params)
-        if pending is not None:
-            finish(*pending, {})
+            epochs = {cid: r[1] for cid, r in results.items()}
+            records.append(RoundRecord(
+                round_index, tuple(participants), epochs, nan, nan, round_bytes, bytes_cum
+            ))
+        if records:
+            finish({})
     return global_params, records, clients
 
 

@@ -267,10 +267,10 @@ def load_dataset(path: str | Path, mask_seed: int) -> GraphDataset:
         raise DataError("dataset has no nodes")
     if features.shape != (n, feat_dim):
         raise DataError(
-            f"feature matrix is {features.shape}, meta says ({n}, {feat_dim})"
+            f"{path / 'features'}: feature matrix {features.shape}, meta says ({n}, {feat_dim})"
         )
     if labels.shape != (n,):
-        raise DataError(f"labels file has {labels.shape[0]} rows, meta says {n}")
+        raise DataError(f"{path / 'labels'}: {labels.shape[0]} rows, meta says {n}")
 
     edges = _read_table(path / "edges", np.int64, ndmin=2)
     train, val, test = split_masks(labels, mask_seed)
@@ -312,18 +312,19 @@ def _read_meta(path: Path) -> dict:
         raise DataError(f"{path}: not text: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-    values = parse_pairs(lines, "meta file", DataError)
+    what = f"{path}: meta file"
+    values = parse_pairs(lines, what, DataError)
     for key in META_KEYS:
         if key not in values:
-            raise DataError(f"meta file missing key {key!r}")
+            raise DataError(f"{what} missing key {key!r}")
     meta = {"name": values["name"].strip()}
     for key in ("n", "f", "c"):
         try:
             meta[key] = int(values[key])
         except ValueError as exc:
-            raise DataError(f"meta file: {exc}") from exc
+            raise DataError(f"{what}: {exc}") from exc
         if meta[key] < 0:
-            raise DataError(f"meta file: {key}={meta[key]} is negative")
+            raise DataError(f"{what}: {key}={meta[key]} is negative")
     # a client subgraph may have fewer nodes than classes; a dataset may not
     if meta["c"] > meta["n"]:
         raise DataError(f"{path}: c={meta['c']} classes exceed n={meta['n']} nodes")

@@ -25,6 +25,9 @@ CHECKPOINT_MAGIC = b"gnodeformer-params v1\n"
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# largest gradient entry Adam takes: above it g * g, or v / bc2 at t = 1,
+# overflows the second moment to inf, and nan or inf fail it too
+MAX_GRAD = float(np.sqrt(np.finfo(np.float64).max))
 
 
 class ParamSet:
@@ -145,19 +148,21 @@ def adam_step(params: ParamSet, g: np.ndarray, state: OptimizerState):
 
     The update runs over the flat parameter and moment buffers; per entry
     it is the same arithmetic as a per-tensor update, so the bits agree.
-    The gradient is validated before anything mutates, so a rejected step
-    leaves parameters and state untouched.
+    Before anything mutates, a gradient entry that is not finite or is
+    above MAX_GRAD in magnitude raises NumericsError naming its
+    parameter, so a rejected step leaves parameters and state untouched.
     """
     cfg = state.config
     if g.shape != params.flat.shape:
         raise ConfigError(
             f"gradient shape {g.shape} != flat parameter shape {params.flat.shape}"
         )
-    if not np.isfinite(g).all():
+    if not np.abs(g).max(initial=0.0) <= MAX_GRAD:
         # the per-parameter search runs only to name the culprit
         bad = next(name for name, span in params.spans.items()
-                   if not np.isfinite(g[span]).all())
-        raise NumericsError(f"non-finite gradient for {bad!r}; step aborted")
+                   if not np.abs(g[span]).max(initial=0.0) <= MAX_GRAD)
+        kind = "overflowing" if np.isfinite(g[params.spans[bad]]).all() else "non-finite"
+        raise NumericsError(f"{kind} gradient for {bad!r}; step aborted")
 
     state.t += 1
     bc1 = 1.0 - BETA1**state.t

@@ -608,6 +608,45 @@ class TestExitCodes:
             assert "classes exceed n=60 nodes" in err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "case, name, reason",
+        [("labels_short", "labels", "59 rows, meta says 60"),
+         ("meta_wide_f", "features", "feature matrix (60, 8), meta says (60, 9)"),
+         ("meta_not_int", "meta",
+          "meta file: invalid literal for int() with base 10: 'sixty'")],
+    )
+    def test_loader_reason_names_its_file(self, tmp_path, capsys, case, name, reason):
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
+        if case == "labels_short":
+            rows = (data / "labels").read_text().splitlines()
+            (data / "labels").write_text("\n".join(rows[:-1]) + "\n")
+        elif case == "meta_wide_f":
+            (data / "meta").write_text("n=60\nf=9\nc=3\nname=x\n")
+        else:
+            (data / "meta").write_text("n=sixty\nf=8\nc=3\nname=x\n")
+        capsys.readouterr()
+        argv = ["train", "--dataset", data, "--epochs", 1, "--out", tmp_path / "out"]
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == f"data error: {data / name}: {reason}\n"
+
+    def test_overflowing_gradient_is_numerics_error(self, tmp_path):
+        # a finite feature of 1e308 gives a finite first gradient whose
+        # entries reach 1e306; Adam's second moment would overflow on it
+        data = tmp_path / "data"
+        sbm = "blocks=10,10,10;p_in=0.3;p_out=0.05;feature_dim=4;seed=1"
+        assert run_cli("gen-data", "--sbm", sbm, "--out", data) == 0
+        rows = (data / "features").read_text().splitlines()
+        rows[0] = " ".join(["1e308", *rows[0].split()[1:]])
+        (data / "features").write_text("\n".join(rows) + "\n")
+        result = run_child(
+            "train", "--dataset", data, "--epochs", 20, "--out", tmp_path / "out"
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stderr == (
+            "numerics error: overflowing gradient for 'input_proj/w'; step aborted\n"
+        )
+
     @pytest.mark.parametrize("name", ["features", "labels", "edges"])
     def test_malformed_number_names_its_file(self, tmp_path, capsys, name):
         data = tmp_path / "data"
@@ -678,7 +717,8 @@ class TestExitCodes:
         capsys.readouterr()
         code = run_cli("train", "--dataset", data, "--epochs", 1, "--out", tmp_path / "o")
         assert code == 3
-        assert "data error: meta file repeats key 'c'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"data error: {data / 'meta'}: meta file repeats key 'c'" in err
 
     def test_repeated_sbm_key_is_config_error(self, tmp_path, capsys):
         code = run_cli("gen-data", "--sbm", TINY_SBM + ";seed=2", "--out", tmp_path / "g")
@@ -791,6 +831,8 @@ class TestExitCodes:
         assert result.returncode == 2, result.stderr
         assert "clients=7 exceeds the graph's 6 nodes" in result.stderr
         assert "Traceback" not in result.stderr
+        # refused before the run makes its --out, as every other setting is
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "case, code",

@@ -275,10 +275,18 @@ class TestSampleClients:
 
 
 class TestClientUpdate:
-    def make_client(self, seed=0):
+    def make_client(self, seed=0, **overrides):
         ds = global_sbm(n_per_block=20, seed=seed)
-        cfg = small_fed_config(clients=1, local_epochs=5)
+        cfg = small_fed_config(**{"clients": 1, "local_epochs": 5, **overrides})
         return build_clients(ds, cfg)[0], cfg
+
+    def test_client_is_built_with_its_adam_state(self):
+        client, cfg = self.make_client(optimizer=AdamConfig(lr=0.02, weight_decay=0.1))
+        state = client.opt_state
+        assert state.config is cfg.optimizer and state.t == 0
+        size = count_parameters(cfg.model)
+        assert state.m_flat.shape == state.v_flat.shape == (size,)
+        assert not state.m_flat.any() and not state.v_flat.any()
 
     def test_zero_epochs_identity(self):
         client, cfg = self.make_client()
@@ -290,10 +298,8 @@ class TestClientUpdate:
         np.testing.assert_array_equal(updated.flat, global_params.flat)
 
     def test_zero_lr_keeps_params(self):
-        client, _ = self.make_client()
-        cfg = small_fed_config(
-            clients=1, local_epochs=3, optimizer=AdamConfig(lr=1e-300)
-        )
+        # the client's Adam settings are fixed when it is built
+        client, cfg = self.make_client(local_epochs=3, optimizer=AdamConfig(lr=1e-300))
         global_params = init_params(cfg.model, seed=0)
         updated, _, _ = client_update(global_params, client, cfg, 0)
         np.testing.assert_allclose(
@@ -673,7 +679,7 @@ class TestDeferredGlobalRow:
             assert want == spelled_out_global(clients, cfg.model, at)
             assert bits(rec.global_loss) == bits(want[0]), rec.round_index
             assert bits(rec.global_accuracy) == bits(want[1]), rec.round_index
-        return records
+        return records, [at for _, at in seen]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -706,8 +712,31 @@ class TestDeferredGlobalRow:
             return real(dataset, *args, **kwargs)
 
         monkeypatch.setattr(fedsim, "run_epochs", flaky)
-        records = self.run()
+        records, _ = self.run()
         assert records[1].client_epochs[1] == []
+
+    def test_row_after_every_participant_fails(self, monkeypatch, caplog):
+        # round 1 keeps round 0's aggregate, and its row scores that
+        # aggregate from the forwards round 2's participants run on it
+        real = fedsim.run_epochs
+
+        def flaky(dataset, *args, **kwargs):
+            if args[6] == 2:  # round 1's epoch offset
+                raise NumericsError("injected")
+            return real(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(fedsim, "run_epochs", flaky)
+        with caplog.at_level(logging.WARNING, logger="gnodeformer.fedsim"):
+            records, at = self.run()
+        assert any(
+            "round 1: every participant failed; keeping params" in r.message
+            for r in caplog.records
+        )
+        # run has checked round 1's row against evaluate_global at at[1]
+        assert at[1].flat.tobytes() == at[0].flat.tobytes()
+        assert records[1].client_epochs == {0: [], 1: [], 2: [], 3: []}
+        assert all(len(epochs) == 2 for epochs in records[2].client_epochs.values())
+        assert at[2].flat.tobytes() != at[1].flat.tobytes()
 
     def test_row_after_a_client_forward_raises(self, monkeypatch):
         real = fedsim.evaluate
@@ -720,7 +749,7 @@ class TestDeferredGlobalRow:
             return real(dataset, *args, **kwargs)
 
         monkeypatch.setattr(fedsim, "evaluate", flaky)
-        records = self.run()
+        records, _ = self.run()
         assert all(rec.client_epochs[1] == [] for rec in records)
 
     def test_clients_score_from_their_first_forward(self, monkeypatch):

@@ -15,6 +15,7 @@ from gnodeformer.optim import (
     BETA2,
     CHECKPOINT_MAGIC,
     EPS,
+    MAX_GRAD,
     AdamConfig,
     ParamSet,
     adam_step,
@@ -206,6 +207,34 @@ class TestAdam:
         np.testing.assert_array_equal(ps.flat, before)
         assert state.t == 0
         assert not state.m_flat.any() and not state.v_flat.any()
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(np.inf, "non-finite"), (1e200, "overflowing"), (-1e200, "overflowing")],
+    )
+    def test_overflowing_gradient_aborts_without_mutation(self, rng, value, kind):
+        # a finite entry above MAX_GRAD would overflow the second moment:
+        # g * g, or v / bc2 at t = 1, lies past the largest float
+        ps = small_params(rng)
+        before = ps.flat.copy()
+        state = init_optimizer(ps, AdamConfig(lr=0.1))
+        g = np.zeros(ps.flat.size)
+        ps.like(g)["b"].data[0, 0] = value
+        with pytest.raises(NumericsError, match=f"^{kind} gradient for 'b'; step aborted"):
+            adam_step(ps, g, state)
+        np.testing.assert_array_equal(ps.flat, before)
+        assert state.t == 0
+        assert not state.m_flat.any() and not state.v_flat.any()
+
+    def test_gradient_at_the_bound_is_taken(self, rng):
+        ps = small_params(rng)
+        state = init_optimizer(ps, AdamConfig(lr=0.1))
+        g = np.zeros(ps.flat.size)
+        g[0], g[-1] = MAX_GRAD, -MAX_GRAD
+        with np.errstate(all="raise"):
+            adam_step(ps, g, state)
+        assert np.isfinite(state.v_flat).all() and np.isfinite(ps.flat).all()
+        assert state.t == 1
 
     def test_missing_gradient(self, rng):
         # a gradient for "w" alone leaves "b" without one
