@@ -188,7 +188,7 @@ def _writing(out):
 
 def _basis_for(dataset: GraphDataset, out: Path):
     lap = build_normalized_laplacian(dataset)
-    return load_or_compute(lap, cache_dir=out / "eig_cache", unit_band=True)
+    return load_or_compute(lap, cache_dir=out / "eig_cache")
 
 
 def _write_central_csv(path: Path, history) -> None:

@@ -99,6 +99,9 @@ class GraphDataset:
         return len(self.edges)
 
 
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
+
 @dataclass
 class SbmConfig:
     """Stochastic block model: one block per class.
@@ -121,6 +124,10 @@ class SbmConfig:
             raise ConfigError("SBM needs at least one node")
         if any(b <= 0 for b in self.block_sizes):
             raise ConfigError("block sizes must be positive")
+        # past numpy's index range an array size is an OverflowError or a
+        # ValueError; the sum of positive sizes bounds each of them
+        if sum(self.block_sizes) > _INDEX_MAX:
+            raise ConfigError(f"SBM blocks sum past numpy's index limit {_INDEX_MAX}")
         for p in (self.p_in, self.p_out):
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"edge probability {p} outside [0, 1]")
@@ -128,6 +135,8 @@ class SbmConfig:
             raise ConfigError(f"feature signal {self.signal} must be finite and >= 0")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim {self.feature_dim} must be >= 1")
+        if self.feature_dim > _INDEX_MAX:
+            raise ConfigError(f"feature_dim past numpy's index limit {_INDEX_MAX}")
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be >= 0")
 

@@ -50,6 +50,11 @@ RK_STAGE_COEFFS = {
 
 ACTIVATIONS = ("relu", "gelu", "tanh")
 
+# Largest encoding temperature. Every basis passes the band check, which
+# admits eigenvalues up to 2 + 1e-8 * n: below 4 for any n whose dense
+# n x n basis fits in memory, so epsilon * eigenvalue stays finite.
+EPSILON_MAX = float(np.finfo(np.float64).max) / 4.0
+
 
 @dataclass
 class ModelConfig:
@@ -78,9 +83,10 @@ class ModelConfig:
             raise ConfigError("need at least one block")
         if self.rk_order not in RK_WEIGHTS:
             raise ConfigError(f"rk_order={self.rk_order} not one of 1, 2, 4")
-        if not 0.0 < self.epsilon < math.inf:
+        if not 0.0 < self.epsilon <= EPSILON_MAX:
             raise ConfigError(
-                f"encoding temperature epsilon={self.epsilon} must be positive and finite"
+                f"encoding temperature epsilon={self.epsilon} must be in "
+                f"(0, {EPSILON_MAX!r}]"
             )
         if self.hidden < 1:
             raise ConfigError("head hidden width must be >= 1")

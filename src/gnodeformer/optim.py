@@ -119,6 +119,7 @@ class AdamConfig:
             raise ConfigError(f"weight decay {self.weight_decay} must be finite and >= 0")
 
 
+@dataclass(eq=False)  # array fields: no elementwise __eq__
 class OptimizerState:
     """Adam step count and moments.
 
@@ -126,10 +127,10 @@ class OptimizerState:
     ``ParamSet.flat``; ``params.like(state.m_flat)`` reads them by name.
     """
 
-    def __init__(self, config: AdamConfig, m_flat, v_flat, t: int = 0):
-        self.config = config
-        self.m_flat, self.v_flat = m_flat, v_flat
-        self.t = t
+    config: AdamConfig
+    m_flat: np.ndarray
+    v_flat: np.ndarray
+    t: int = 0
 
     def copy(self) -> "OptimizerState":
         return OptimizerState(self.config, self.m_flat.copy(), self.v_flat.copy(), self.t)

@@ -1,5 +1,6 @@
 """Symmetric eigendecomposition with a deterministic sign convention,
-filtered-basis reconstruction, and an on-disk decomposition cache.
+and an on-disk cache of normalized-Laplacian decompositions whose every
+read checks the matrix digest, the payload checksum and the [0, 2] band.
 
 The decomposition is a preprocessing step: gradients never flow through
 it. Inputs here are trusted numeric intermediates, so violations raise
@@ -128,7 +129,8 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
 
     Input must be symmetric within 1e-12 absolute and finite. Output is
     ascending with sign-fixed orthonormal columns, validated against
-    the input before returning.
+    the input before returning; unit_band adds validate's [0, 2] band
+    check, which load_or_compute always asks for.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -150,7 +152,7 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
 
 
 # ---------------------------------------------------------------------------
-# Cache: one file per Laplacian, named by its matrix_digest.
+# Cache: one file per normalized Laplacian, named by its matrix_digest.
 # Layout v2 (little-endian): an 80-byte header of CACHE_MAGIC (8 bytes),
 # n (u64), the raw 32-byte matrix_digest of the decomposed Laplacian and
 # the SHA-256 of the payload (32 bytes); then the payload: eigenvalues
@@ -186,11 +188,11 @@ def save_basis(basis: SpectralBasis, path: str | Path, digest: str) -> Path:
     return path
 
 
-def load_basis(path: str | Path, digest: str | None = None) -> SpectralBasis:
-    """Read a cache entry; raise NumericsError unless its tag, length and
-    payload checksum hold and, when ``digest`` is given, it records that
-    matrix_digest. The eigenvalues and eigenvectors are views of the one
-    buffer the file is read into.
+def load_basis(path: str | Path, digest: str) -> SpectralBasis:
+    """Read the cache entry of the matrix whose matrix_digest is
+    ``digest``; raise NumericsError unless its tag, length, recorded
+    digest and payload checksum hold. The eigenvalues and eigenvectors
+    are views of the one buffer the file is read into.
     """
     path = Path(path)
     with open(path, "rb", buffering=0) as fh:
@@ -203,48 +205,43 @@ def load_basis(path: str | Path, digest: str | None = None) -> SpectralBasis:
             raise NumericsError(
                 f"cache file {path} has tag {magic!r}, expected {CACHE_MAGIC!r}"
             )
-        expected = _HEADER.size + 8 * n * (n + 1)
+        count = n * (n + 1)
+        expected = _HEADER.size + 8 * count
         if size != expected:
             raise NumericsError(
                 f"cache file {path} has {size} bytes, expected {expected}"
             )
-        if digest is not None and stored != bytes.fromhex(digest):
+        if stored != bytes.fromhex(digest):
             raise NumericsError(
                 f"cache file {path} decomposes matrix {stored.hex()[:16]}, "
                 f"not {digest[:16]}"
             )
-        payload = np.empty(n * (n + 1), dtype="<f8")
-        view = memoryview(payload).cast("B")
-        filled = 0
-        while filled < len(view):  # one read returns at most 2 GiB on Linux
-            got = fh.readinto(view[filled:])
-            if not got:
-                raise NumericsError(f"cache file {path} truncated")
-            filled += got
+        payload = np.fromfile(fh, dtype="<f8", count=count)
+    if payload.size != count:
+        raise NumericsError(f"cache file {path} truncated")
     if hashlib.sha256(payload).digest() != checksum:
         raise NumericsError(f"cache file {path} fails its payload checksum")
     vecs = payload[n:].reshape((n, n), order="F")
     return SpectralBasis(eigenvalues=payload[:n], eigenvectors=vecs)
 
 
-def load_or_compute(
-    matrix: np.ndarray, cache_dir: str | Path, unit_band: bool = False
-) -> SpectralBasis:
-    """Return the decomposition of matrix, reusing the copy cached in
-    ``cache_dir`` when its content hash matches.
+def load_or_compute(matrix: np.ndarray, cache_dir: str | Path) -> SpectralBasis:
+    """Return the decomposition of the normalized Laplacian ``matrix``,
+    reusing the copy cached in ``cache_dir`` when its content hash matches.
 
     A hit must pass load_basis's checksum and digest checks and the
     O(n^2) probe_check, with probes seeded from the digest; any other
     entry is recomputed with the full O(n^3) validation and rewritten.
+    Both paths require the eigenvalues in the band [0, 2].
     """
     digest = matrix_digest(matrix)
     path = Path(cache_dir) / f"{digest}.eig"
     if path.exists():
         try:
             seed = int.from_bytes(bytes.fromhex(digest)[:8], "little")
-            return load_basis(path, digest).probe_check(matrix, seed, unit_band=unit_band)
+            return load_basis(path, digest).probe_check(matrix, seed, unit_band=True)
         except NumericsError as exc:
             log.warning("discarding bad cache entry %s: %s", path, exc)
-    basis = sym_eig(matrix, unit_band=unit_band)
+    basis = sym_eig(matrix, unit_band=True)
     save_basis(basis, path, digest)
     return basis

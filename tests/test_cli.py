@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from gnodeformer import cli, training
 from gnodeformer.cli import main, parse_sbm_spec
 from gnodeformer.errors import ConfigError
 from gnodeformer.graphs import GraphDataset, split_masks
+from gnodeformer.model import EPSILON_MAX
 from gnodeformer.optim import load_checkpoint
 from gnodeformer.seeding import MASKS, derive_seed
 from tests.helpers import package_env
@@ -455,6 +457,52 @@ class TestFedTrain:
         assert differing == {"alpha"}
 
 
+class TestRk4Contracts:
+    """Replay and --threads equality through the RK4 tableau and the
+    history norm between layers (layer1/ln_hist), on the graphs of the CI
+    contract step. Bit-exact replay is promised at a fixed BLAS thread
+    count, so every command runs in a child with one BLAS thread."""
+
+    MODEL = [*SMALL_MODEL, "--layers", 2, "--rk", 4, "--dropout", 0, "--seed", 4]
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @staticmethod
+    def run(*argv):
+        result = run_child(*argv)
+        assert result.returncode == 0, result.stderr
+
+    @staticmethod
+    def assert_same_run(first, second):
+        assert (first / "checkpoint.bin").read_bytes() == (
+            second / "checkpoint.bin"
+        ).read_bytes()
+        a = [r[:5] for r in read_csv(first / "metrics.csv")]
+        b = [r[:5] for r in read_csv(second / "metrics.csv")]
+        assert a == b
+
+    def test_train_replay(self, tmp_path):
+        first, second = tmp_path / "train", tmp_path / "replay"
+        sbm = "blocks=30,30,30;p_in=0.2;p_out=0.02;feature_dim=8;seed=1"
+        self.run("train", "--sbm", sbm, *self.MODEL, "--epochs", 4, "--out", first)
+        self.run("train", "--from-manifest", first / "manifest.txt", "--out", second)
+        self.assert_same_run(first, second)
+
+    def test_fed_train_threads(self, tmp_path):
+        # at alpha 0.1 the clients have 3, 113 and 244 nodes, and the
+        # 244-node one runs its updates on the pool under --threads 2
+        het = "blocks=120,120,120;p_in=0.01;p_out=0.05;feature_dim=8;seed=1"
+        for t in (1, 2):
+            self.run(
+                "fed-train", "--sbm", het, *self.MODEL, "--clients", 3,
+                "--alpha", 0.1, "--rounds", 3, "--local-epochs", 2,
+                "--threads", t, "--out", tmp_path / f"het{t}",
+            )
+        self.assert_same_run(tmp_path / "het1", tmp_path / "het2")
+
+
 class TestPartitionReport:
     def test_row_count_and_determinism(self, tmp_path, capsys):
         code = run_cli(
@@ -736,6 +784,7 @@ class TestExitCodes:
             ["train", "--weight-decay", "nan"],
             ["train", "--epsilon", "nan"],
             ["train", "--epsilon", "inf"],
+            ["fed-train", "--epsilon", "1e308"],
             ["fed-train", "--checkpoint-every", "-1"],
             ["partition-report", "--seeds", "0"],
         ],
@@ -755,8 +804,18 @@ class TestExitCodes:
             (["train", "--sbm", TINY_SBM, "--heads", "-2"], "heads=-2 must be >= 1"),
             (["gen-data", "--sbm", "blocks=5,5;p_in=0.5;seed;p_out=0.1"],
              "sbm spec entry 'seed' is not key=value"),
+            (["gen-data", "--sbm", f"blocks={'9' * 400};p_in=0.3;p_out=0.05"],
+             "SBM blocks sum past numpy's index limit"),
+            (["gen-data", "--sbm", f"blocks={np.iinfo(np.intp).max},1;p_in=0.3;p_out=0.05"],
+             "SBM blocks sum past numpy's index limit"),
+            (["gen-data", "--sbm",
+              f"blocks=5,5;p_in=0.3;p_out=0.05;feature_dim={'9' * 400}"],
+             "feature_dim past numpy's index limit"),
+            (["train", "--sbm", TINY_SBM, "--epsilon", "1e308"],
+             "encoding temperature epsilon=1e+308 must be in (0, "),
         ],
-        ids=["negative_block", "negative_heads", "sbm_no_equals"],
+        ids=["negative_block", "negative_heads", "sbm_no_equals", "huge_block",
+             "blocks_sum_past_intp", "huge_feature_dim", "huge_epsilon"],
     )
     def test_config_error_names_its_reason(self, tmp_path, capsys, argv, reason):
         code = run_cli(*argv, "--out", tmp_path / "out")
@@ -802,6 +861,8 @@ class TestExitCodes:
             ["fed-train", "--threads", "0"],
             ["train", "--from-manifest", "epochs=-1"],
             ["train", "--from-manifest", "patience=0"],
+            ["train", "--epsilon", "1e308"],
+            ["train", "--from-manifest", "epsilon=1e308"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -820,6 +881,18 @@ class TestExitCodes:
             code = exc.code
         assert code == 2
         assert not out.exists()
+
+    def test_largest_epsilon_trains_without_warnings(self, tmp_path):
+        # epsilon * eigenvalue, and its sine and cosine, stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "train", "--sbm", TINY_SBM, *SMALL_MODEL, "--epochs", 1,
+                "--epsilon", repr(EPSILON_MAX), "--out", tmp_path / "out",
+            )
+        assert code == 0
+        metrics = read_csv(tmp_path / "out" / "metrics.csv")
+        assert np.isfinite([float(v) for v in metrics[1][1:5]]).all()
 
     @pytest.mark.parametrize("command", ["fed-train", "partition-report"])
     def test_more_clients_than_nodes_is_config_error(self, tmp_path, command):

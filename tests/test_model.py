@@ -8,6 +8,7 @@ from gnodeformer.autodiff import Tensor, backward
 from gnodeformer.errors import ConfigError
 from gnodeformer.graphs import SbmConfig, build_normalized_laplacian, generate_sbm
 from gnodeformer.model import (
+    EPSILON_MAX,
     ModelConfig,
     count_parameters,
     decode_eigenvalues,
@@ -82,6 +83,9 @@ class TestConfig:
             tiny_config(layers=0)
         with pytest.raises(ConfigError, match="epsilon"):
             tiny_config(epsilon=0.0)
+        tiny_config(epsilon=EPSILON_MAX)
+        with pytest.raises(ConfigError, match="epsilon"):
+            tiny_config(epsilon=np.nextafter(EPSILON_MAX, np.inf))
 
 
 class TestParameters:

@@ -2,6 +2,7 @@ import hashlib
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gnodeformer import spectral
 from gnodeformer.errors import NumericsError
 from gnodeformer.graphs import build_normalized_laplacian
 from gnodeformer.spectral import (
@@ -227,7 +229,7 @@ class TestCache:
         lap = self.lap()
         basis = sym_eig(lap)
         path = save_basis(basis, tmp_path / "k5.eig", matrix_digest(lap))
-        back = load_basis(path)
+        back = load_basis(path, matrix_digest(lap))
         assert np.array_equal(back.eigenvalues, basis.eigenvalues)
         assert np.array_equal(back.eigenvectors, basis.eigenvectors)
 
@@ -252,7 +254,8 @@ class TestCache:
         stale.write_bytes(b"another writer")
         lap = self.lap()
         basis = sym_eig(lap)
-        back = load_basis(save_basis(basis, tmp_path / "k5.eig", matrix_digest(lap)))
+        digest = matrix_digest(lap)
+        back = load_basis(save_basis(basis, tmp_path / "k5.eig", digest), digest)
         assert stale.read_bytes() == b"another writer"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["k5.eig", "k5.eig.tmp"]
         assert np.array_equal(back.eigenvectors, basis.eigenvectors)
@@ -270,12 +273,12 @@ class TestCache:
 
     def test_miss_then_hit_bitwise_equal(self, tmp_path, monkeypatch):
         lap = path_laplacian(30)
-        miss = load_or_compute(lap, tmp_path, unit_band=True)
+        miss = load_or_compute(lap, tmp_path)
         monkeypatch.setattr(
             "gnodeformer.spectral.sym_eig",
             lambda *a, **k: pytest.fail("a hit must not solve"),
         )
-        hit = load_or_compute(lap, tmp_path, unit_band=True)
+        hit = load_or_compute(lap, tmp_path)
         assert np.array_equal(hit.eigenvalues, miss.eigenvalues)
         assert np.array_equal(hit.eigenvectors, miss.eigenvectors)
         # one layout on both paths, so products downstream round alike
@@ -284,12 +287,12 @@ class TestCache:
 
     def test_hit_skips_full_validation(self, tmp_path, monkeypatch):
         lap = path_laplacian()
-        load_or_compute(lap, tmp_path, unit_band=True)
+        load_or_compute(lap, tmp_path)
         monkeypatch.setattr(
             SpectralBasis, "validate",
             lambda *a, **k: pytest.fail("a hit must not run the O(n^3) validate"),
         )
-        load_or_compute(lap, tmp_path, unit_band=True)
+        load_or_compute(lap, tmp_path)
 
     def test_corrupt_cache_recomputed(self, tmp_path, caplog):
         lap = self.lap()
@@ -301,7 +304,7 @@ class TestCache:
         assert "bad cache entry" in caplog.text
         basis.validate(lap)
         # the rewritten entry is valid again
-        load_basis(path).validate(lap)
+        load_basis(path, matrix_digest(lap)).validate(lap)
 
     @pytest.mark.parametrize(
         "offset, match",
@@ -316,7 +319,7 @@ class TestCache:
     )
     def test_flipped_byte_recomputed(self, tmp_path, caplog, offset, match):
         lap = path_laplacian()
-        good = load_or_compute(lap, tmp_path, unit_band=True)
+        good = load_or_compute(lap, tmp_path)
         path = tmp_path / f"{matrix_digest(lap)}.eig"
         flip_byte(path, offset)
         self.assert_discarded_and_rewritten(lap, path, good, caplog, match)
@@ -325,7 +328,7 @@ class TestCache:
         # flipping the last mantissa bit of one eigenvector entry leaves a
         # basis that the full validation accepts; only the checksum sees it
         lap = path_laplacian()
-        good = load_or_compute(lap, tmp_path, unit_band=True)
+        good = load_or_compute(lap, tmp_path)
         path = tmp_path / f"{matrix_digest(lap)}.eig"
         flip_byte(path, 80 + 8 * 8, mask=0x01)
         vecs = good.eigenvectors.copy()
@@ -344,9 +347,9 @@ class TestCache:
     @pytest.mark.parametrize("same_size", [False, True])
     def test_entry_of_another_matrix_recomputed(self, tmp_path, caplog, same_size):
         lap = path_laplacian()
-        other = path_laplacian() if same_size else self.lap()
-        if same_size:
-            other[0, 0] += 1e-3
+        # the same-size other is the complete graph on the path's 8 nodes
+        k8 = np.ones((8, 8)) - np.eye(8)
+        other = build_normalized_laplacian(make_dataset(k8)) if same_size else self.lap()
         load_or_compute(other, tmp_path)
         path = tmp_path / f"{matrix_digest(lap)}.eig"
         shutil.copy(tmp_path / f"{matrix_digest(other)}.eig", path)
@@ -362,10 +365,21 @@ class TestCache:
         load_basis(path, digest)  # tag, digest and checksum all hold
         self.assert_discarded_and_rewritten(lap, path, good, caplog, "reconstruction")
 
+    def test_entry_outside_the_band_recomputed(self, tmp_path, caplog):
+        # tag, digest and checksum hold, but the eigenvalues are 5x too large
+        lap = path_laplacian()
+        good = sym_eig(lap, unit_band=True)
+        digest = matrix_digest(lap)
+        scaled = SpectralBasis(5 * good.eigenvalues, good.eigenvectors)
+        path = save_basis(scaled, tmp_path / f"{digest}.eig", digest)
+        self.assert_discarded_and_rewritten(
+            lap, path, good, caplog, "normalized-Laplacian band"
+        )
+
     @staticmethod
     def assert_discarded_and_rewritten(lap, path, good, caplog, match):
         with caplog.at_level("WARNING"):
-            basis = load_or_compute(lap, path.parent, unit_band=True)
+            basis = load_or_compute(lap, path.parent)
         assert "discarding bad cache entry" in caplog.text
         assert match in caplog.text
         assert np.array_equal(basis.eigenvalues, good.eigenvalues)
@@ -374,7 +388,7 @@ class TestCache:
         back = load_basis(path, matrix_digest(lap)).validate(lap, unit_band=True)
         assert np.array_equal(back.eigenvectors, good.eigenvectors)
         caplog.clear()
-        load_or_compute(lap, path.parent, unit_band=True)
+        load_or_compute(lap, path.parent)
         assert "bad cache entry" not in caplog.text
 
     def test_digest_distinguishes_matrices(self):
@@ -389,13 +403,25 @@ class TestCache:
         p = tmp_path / "bad.eig"
         p.write_bytes(b"\x01\x02")
         with pytest.raises(NumericsError, match="truncated"):
-            load_basis(p)
+            load_basis(p, "00" * 32)
 
     def test_forged_size_rejected_before_allocation(self, tmp_path):
         p = tmp_path / "big.eig"
         p.write_bytes(CACHE_MAGIC + (4_000_000_000).to_bytes(8, "little") + bytes(64))
         with pytest.raises(NumericsError, match="bytes, expected"):
-            load_basis(p)
+            load_basis(p, "00" * 32)
+
+    def test_short_payload_read_rejected(self, tmp_path, monkeypatch):
+        # a file cut after its size was read: the payload read comes up short
+        lap = path_laplacian(3)
+        digest = matrix_digest(lap)
+        path = save_basis(sym_eig(lap), tmp_path / "e.eig", digest)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        stat = SimpleNamespace(st_size=size)
+        monkeypatch.setattr(spectral, "os", SimpleNamespace(fstat=lambda fd: stat))
+        with pytest.raises(NumericsError, match="truncated"):
+            load_basis(path, digest)
 
     @settings(max_examples=150, deadline=None)
     @given(raw=st.binary(max_size=200))
@@ -427,7 +453,8 @@ class TestCache:
             path = Path(tmp) / "x.eig"
             path.write_bytes(raw)
             try:
-                basis = load_basis(path)
+                # the digest the bytes record, so every other check is reached
+                basis = load_basis(path, raw[16:48].ljust(32, b"\0").hex())
             except NumericsError:
                 return
         assert basis.eigenvectors.shape == (basis.n, basis.n)
