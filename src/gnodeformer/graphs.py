@@ -173,7 +173,10 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
 
     means = rng.standard_normal((len(sizes), config.feature_dim))
     noise = rng.standard_normal((n, config.feature_dim))
-    features = config.signal * means[labels] + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = config.signal * means[labels] + noise
+    if not np.isfinite(features).all():
+        raise ConfigError(f"feature signal {config.signal!r} overflows the SBM features")
 
     train, val, test = split_masks(labels, config.seed)
     return GraphDataset(

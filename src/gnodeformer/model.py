@@ -30,7 +30,7 @@ from .autodiff import (
 )
 from .errors import ConfigError
 from .fileio import atomic_writer
-from .graphs import GraphDataset
+from .graphs import _INDEX_MAX, GraphDataset
 from .optim import ParamSet
 from .seeding import DROPOUT, INIT, derive_seed, rng_for
 from .spectral import SpectralBasis
@@ -71,6 +71,12 @@ class ModelConfig:
     learn_rk_weights: bool = True
 
     def __post_init__(self):
+        # past numpy's index range a size overflows in init_params, or
+        # param_shapes' loop runs until memory gives out
+        for name in ("feature_dim", "classes", "d", "heads", "layers", "hidden"):
+            if getattr(self, name) > _INDEX_MAX:
+                label = "width d" if name == "d" else name
+                raise ConfigError(f"{label} past numpy's index limit {_INDEX_MAX}")
         if self.feature_dim < 1 or self.classes < 2:
             raise ConfigError("need feature_dim >= 1 and classes >= 2")
         if self.d < 2 or self.d % 2 != 0:
@@ -280,17 +286,6 @@ def decode_eigenvalues(z_final: Tensor, params: ParamSet, config: ModelConfig) -
     return linear(hidden, params["decoder/w2"], params["decoder/b2"])
 
 
-def force_identity_channel(gamma: Tensor, channels: int) -> Tensor:
-    """Overwrite channel 0 with the constant 1 filter; the decoder's
-    channel-0 output receives no gradient through this path.
-    """
-    keep = np.ones((1, channels))
-    keep[0, 0] = 0.0
-    base = np.zeros((1, channels))
-    base[0, 0] = 1.0
-    return gamma * Tensor(keep) + Tensor(base)
-
-
 def spectral_conv_head(
     basis: SpectralBasis,
     gamma_new: Tensor,
@@ -300,9 +295,10 @@ def spectral_conv_head(
 ) -> tuple[Tensor, Tensor]:
     """Filtered spectral convolution over node features.
 
-    H0 = act(X W_in); each channel applies its filtered Laplacian to H0
-    and mixes with a per-channel matrix; logits read out the sum.
-    Returns (logits, effective filter channels).
+    With H0 = act(X W_in), channel 0 fixed at 1 and mixers M_m, logits
+    read out H0 + U (U^T H0 M_0 + sum_{m>=1} (gamma_m o U^T H0) M_m), that
+    is sum_m U diag(gamma_m) U^T H0 M_m plus H0, with one U^T and one U
+    product. Returns (logits, channels with column 0 set to 1 as data).
     """
     if gamma_new.shape != (basis.n, config.channels):
         raise ConfigError(
@@ -316,15 +312,15 @@ def spectral_conv_head(
     h0 = linear(x, params["head/w_in"], params["head/b_in"])
     h0 = getattr(h0, config.activation)()
 
-    gamma_eff = force_identity_channel(gamma_new, config.channels)
     u = Tensor(basis.eigenvectors)
     projected = u.T @ h0  # U^T h0, shared by every channel's filter
-    total = h0
-    for m in range(config.channels):
-        filtered = u @ (gamma_eff.column(m) * projected)
-        total = total + filtered @ params[f"head/mix{m}"]
-    logits = linear(total, params["head/w_out"], params["head/b_out"])
-    return logits, gamma_eff
+    # filtered terms first (the same sums): backward then reaches the decoder
+    # last, after the head's n x hidden gradients are freed
+    mixed = projected @ params["head/mix0"]
+    for m in range(1, config.channels):
+        mixed = (gamma_new.column(m) * projected) @ params[f"head/mix{m}"] + mixed
+    logits = linear(u @ mixed + h0, params["head/w_out"], params["head/b_out"])
+    return logits, Tensor(np.column_stack([np.ones(basis.n), gamma_new.data[:, 1:]]))
 
 
 def forward(
@@ -337,8 +333,9 @@ def forward(
 ) -> tuple[Tensor, Tensor]:
     """Full pipeline from eigenvalues to logits.
 
-    Returns (logits n x C, effective filter channels n x M). Pure given
-    (params, dropout_seed); eval mode ignores the seed.
+    Returns (logits n x C, filter channels n x M); the head reads logits
+    out of H0 + U (U^T H0 M_0 + sum_{m>=1} (gamma_m o U^T H0) M_m).
+    Pure given (params, dropout_seed); eval mode ignores the seed.
     """
     if basis.n != dataset.n:
         raise ConfigError(f"basis over {basis.n} nodes, dataset has {dataset.n}")

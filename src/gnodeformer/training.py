@@ -112,8 +112,9 @@ def evaluate(
     logits: Tensor | None = None,
 ) -> tuple[float, float, tuple[Tensor, Tensor | None]]:
     """Loss and accuracy on ``mask`` with dropout disabled, and the eval
-    forward's (logits, gamma) they were scored from, graph included, so
-    the caller may hand it to a training step (see ``hands_off``).
+    forward's (logits, gamma) they were scored from, the logits' graph
+    included, so the caller may hand it to a training step (see
+    ``hands_off``).
 
     ``logits``, if given, is an eval forward already made at ``params``
     and is scored instead of running a new one; gamma is then None.

@@ -813,9 +813,18 @@ class TestExitCodes:
              "feature_dim past numpy's index limit"),
             (["train", "--sbm", TINY_SBM, "--epsilon", "1e308"],
              "encoding temperature epsilon=1e+308 must be in (0, "),
+            (["train", "--sbm", "blocks=10,10,10;p_in=0.3;p_out=0.05;signal=1e308"],
+             "feature signal 1e+308 overflows the SBM features"),
+            (["train", "--sbm", TINY_SBM, "--hidden", "9" * 400],
+             "hidden past numpy's index limit"),
+            (["train", "--sbm", TINY_SBM, "--width", "9" * 399 + "8", "--heads", "2"],
+             "width d past numpy's index limit"),
+            (["train", "--sbm", TINY_SBM, "--layers", "9" * 400],
+             "layers past numpy's index limit"),
         ],
         ids=["negative_block", "negative_heads", "sbm_no_equals", "huge_block",
-             "blocks_sum_past_intp", "huge_feature_dim", "huge_epsilon"],
+             "blocks_sum_past_intp", "huge_feature_dim", "huge_epsilon",
+             "huge_signal", "huge_hidden", "huge_width", "huge_layers"],
     )
     def test_config_error_names_its_reason(self, tmp_path, capsys, argv, reason):
         code = run_cli(*argv, "--out", tmp_path / "out")
@@ -893,6 +902,15 @@ class TestExitCodes:
         assert code == 0
         metrics = read_csv(tmp_path / "out" / "metrics.csv")
         assert np.isfinite([float(v) for v in metrics[1][1:5]]).all()
+
+    def test_overflowing_signal_is_refused_without_warnings(self, tmp_path):
+        # the overflowing product is checked, not reported by numpy
+        spec = "blocks=10,10,10;p_in=0.3;p_out=0.05;signal=1e308"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("gen-data", "--sbm", spec, "--out", tmp_path / "g")
+        assert code == 2
+        assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("command", ["fed-train", "partition-report"])
     def test_more_clients_than_nodes_is_config_error(self, tmp_path, command):

@@ -353,8 +353,9 @@ class TestDecoderAndHead:
         np.testing.assert_allclose(filtered.data, lap @ h, atol=1e-9)
 
     def test_head_equals_per_channel_filters(self, rng):
-        # one shared U^T h0 product gives the same logits, bit for bit, as
-        # filtering each channel on its own
+        # the head is the merged composition, bit for bit: one U^T h0 and
+        # one U product shared by every channel; it agrees with filtering
+        # each channel on its own to rounding
         ds, basis = tiny_dataset()
         cfg = tiny_config()
         params = init_params(cfg, seed=4)
@@ -362,13 +363,52 @@ class TestDecoderAndHead:
         logits, gamma_eff = spectral_conv_head(basis, gamma, ds.features, params, cfg)
         h0 = (Tensor(ds.features) @ params["head/w_in"] + params["head/b_in"]).relu()
         u = Tensor(basis.eigenvectors)
+        projected = u.T @ h0
+        mixed = projected @ params["head/mix0"]
+        for m in range(1, cfg.channels):
+            col = Tensor(gamma.data[:, m : m + 1])
+            mixed = mixed + (col * projected) @ params[f"head/mix{m}"]
+        merged = (h0 + u @ mixed) @ params["head/w_out"] + params["head/b_out"]
+        np.testing.assert_array_equal(logits.data, merged.data)
+
         total = h0
         for m in range(cfg.channels):
             col = Tensor(gamma_eff.data[:, m : m + 1])
             filtered = spectral_filter_apply(u, u.T, col, h0)
             total = total + filtered @ params[f"head/mix{m}"]
-        expected = total @ params["head/w_out"] + params["head/b_out"]
-        np.testing.assert_array_equal(logits.data, expected.data)
+        per_channel = total @ params["head/w_out"] + params["head/b_out"]
+        np.testing.assert_allclose(logits.data, per_channel.data, rtol=1e-12, atol=0)
+
+    def test_head_makes_two_basis_products_each_way(self, monkeypatch, rng):
+        # one U^T and one U product for all channels, in the forward and in
+        # the backward; filtering channel by channel makes four of each
+        ds, basis = tiny_dataset()
+        cfg = tiny_config()
+        params = init_params(cfg, seed=4)
+        n = ds.n
+        counts = {"forward": 0, "backward": 0}
+        matmul = Tensor.__matmul__
+
+        def counting_matmul(a, b):
+            out = matmul(a, b)
+            if (n, n) in (a.shape, b.shape):
+                counts["forward"] += 1
+                if out._backward is not None:
+                    inner = out._backward
+
+                    def counted(g):
+                        counts["backward"] += 1
+                        inner(g)
+
+                    out._backward = counted
+            return out
+
+        monkeypatch.setattr(Tensor, "__matmul__", counting_matmul)
+        gamma = Tensor(rng.standard_normal((n, cfg.channels)), requires_grad=True)
+        logits, _ = spectral_conv_head(basis, gamma, ds.features, params, cfg)
+        loss, _ = loss_and_metrics(logits, ds.labels, np.ones(n, dtype=bool))
+        backward(loss, params)
+        assert counts == {"forward": 2, "backward": 2}
 
     def test_zero_learned_channels_use_identity_path_only(self, rng):
         ds, basis = tiny_dataset()
