@@ -28,8 +28,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-12
 # rows of dS per block in attention's softmax backward are sized to this
-# many bytes, which bounds the (dS * P) temporary of the row sums
+# many bytes, which bounds the (dS * E) temporary of the row sums
 _SOFTMAX_BLOCK_BYTES = 256 * 1024
+# attention shifts row i of its scores by the Cauchy-Schwarz bound c_i
+# while every c_i is at most this (see _attend): then each exp(s - c_i) is
+# at least exp(-2 c_i) >= e^-128, a normal float, and 1 / rowsum stays
+# below e^128, far from overflow in the backward's g / r. Any limit under
+# 354 keeps exp(-2c) normal; past the limit the exact row max is used
+_SHIFT_BOUND_LIMIT = 64.0
 
 
 class Tensor:
@@ -145,7 +151,11 @@ class Tensor:
     # row ops ------------------------------------------------------------
 
     def softmax_rows(self):
-        s = _softmax_rows_inplace(self.data.copy())
+        if not np.isfinite(self.data).all():
+            raise NumericsError("softmax on non-finite input")
+        s = self.data - self.data.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
 
         def backward(g):
             dot = (g * s).sum(axis=1, keepdims=True)
@@ -219,16 +229,6 @@ def _acc(t: Tensor, g: np.ndarray):
         return
     g = _unbroadcast(g, t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
-
-
-def _softmax_rows_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite x with its row-wise softmax and return it."""
-    if not np.isfinite(x).all():
-        raise NumericsError("softmax on non-finite input")
-    x -= x.max(axis=1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=1, keepdims=True)
-    return x
 
 
 def _layer_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,23 +363,56 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float, seed: int):
-    """Scaled dot-product attention over arrays.
+    """Scaled dot-product attention over arrays, in four passes over n x n
+    arrays: the score product, exp, the row sums and the product with v.
 
-    Returns (context, probabilities, grads): context is
-    dropout(P, p, seed) v for the read-only P = softmax_rows((q * scale)
-    k^T), and grads(g, need_v, need_q, need_k) gives (dv, dq, dk) for
-    context gradient g, each None unless asked for. Of the n x n arrays,
-    grads keeps only P and the dropout mask. It allocates one n x n
-    buffer, dS: it holds dP = g v^T, and the softmax backward then turns
-    it into dS in place, a block of rows at a time, with no second n x n
-    temporary. The floating-point operations are those of the
-    composition scale, @, softmax_rows, dropout, @ in the same order.
+    Returns (context, weights, row_sums, grads). For the scores S =
+    (q * scale) k^T, weights is the read-only E = exp(S - c) with one
+    shift c_i per row, and row_sums is r, the row sums of E, so that
+    P = E / r is softmax_rows(S). context is dropout(P, p, seed) v,
+    computed as (dropout(E, p, seed) v) / r: the division is deferred to
+    the n x dh context.
+
+    The shift is a bound, not the row max: c_i = |qs_i| max_j |k_j| for
+    qs = q * scale. By Cauchy-Schwarz |S_ij| <= c_i, so S_ij - c_i lies
+    in [-2 c_i, 0] (up to rounding). It enters the score product as one
+    more column, E = exp([qs | -c] [k | 1]^T), so there is no subtract
+    pass, and while max c_i <= _SHIFT_BOUND_LIMIT no score can be
+    non-finite, so there is no finiteness scan either. Otherwise (a large
+    bound, or a NaN or inf in q or k, which makes the bound NaN or inf)
+    it falls back to the unshifted scores: it checks them for finiteness,
+    raising NumericsError on a non-finite one, and shifts each row by its
+    exact max.
+
+    grads(g, need_v, need_q, need_k) gives (dv, dq, dk) for context
+    gradient g, each None unless asked for. Of the n x n arrays, grads
+    keeps only E and the dropout mask. It allocates one n x n buffer, dS:
+    it holds (g / r) v^T, and the softmax backward then turns it into dS
+    in place, a block of rows at a time, with no second n x n temporary.
     """
     keep, keep_scale = _dropout_mask((q.shape[0], k.shape[0]), p, seed)
     scale = float(scale)
     qs = q * scale
-    probs = _softmax_rows_inplace(qs @ k.T)
-    probs.flags.writeable = False
+    # a NaN or inf here (0 * inf, an overflowing square) only sends the
+    # kernel to the checked fallback
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = np.sqrt((qs * qs).sum(axis=1, keepdims=True))
+        shift *= np.sqrt((k * k).sum(axis=1)).max()
+    if not shift.max() <= _SHIFT_BOUND_LIMIT:
+        weights = qs @ k.T
+        if not np.isfinite(weights).all():
+            raise NumericsError("softmax on non-finite input")
+        weights -= weights.max(axis=1, keepdims=True)
+    else:
+        ones = np.ones((k.shape[0], 1))
+        weights = np.hstack((qs, -shift)) @ np.hstack((k, ones)).T
+    np.exp(weights, out=weights)
+    # r after E: allocated before E (after the temporaries above), r moved
+    # where glibc placed the n x n blocks, and the 2000-node replay
+    # benchmark's peak RSS rose from 401 to 424 MB with the same arrays
+    # alive
+    row_sums = weights.sum(axis=1, keepdims=True)
+    weights.flags.writeable = False
 
     def dropped(x: np.ndarray) -> np.ndarray:
         if keep is None:
@@ -389,30 +422,34 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
         return x
 
     def grads(g, need_v, need_q, need_k):
-        dv = dropped(probs).T @ g if need_v else None
+        gs = g / row_sums
+        dv = dropped(weights).T @ gs if need_v else None
         if not (need_q or need_k):
             return dv, None, None
-        # dP, then dS = (dP - rowsum(dP * P)) * P in place. Only the
-        # elementwise work and row sums go by row blocks: they give the
-        # same bits per row, while a row-split GEMM can differ in the
-        # last bit (BLAS edge kernels).
-        ds = g @ v.T
+        # dS = (dP - rowsum(dP * P)) * P for P = E / r and dP = dropout(g
+        # v^T), as (B - rowsum(B * E) / r) * E for B = dropout(gs v^T),
+        # in place. Only the elementwise work and row sums go by row
+        # blocks: they give the same bits per row, while a row-split GEMM
+        # can differ in the last bit (BLAS edge kernels).
+        ds = gs @ v.T
         rows = max(1, _SOFTMAX_BLOCK_BYTES // (ds.shape[1] * ds.itemsize))
         for start in range(0, ds.shape[0], rows):
             blk = ds[start : start + rows]
-            pb = probs[start : start + rows]
+            eb = weights[start : start + rows]
             if keep is not None:
                 blk *= keep[start : start + rows]
                 blk *= keep_scale
-            blk -= (blk * pb).sum(axis=1, keepdims=True)
-            blk *= pb
+            blk -= (blk * eb).sum(axis=1, keepdims=True) / row_sums[start : start + rows]
+            blk *= eb
         dq = (ds @ k) * scale if need_q else None
         # (qs^T dS)^T rather than dS^T qs: the product and layout the
         # unfused matmul-then-transpose backward passes on
         dk = (qs.T @ ds).T if need_k else None
         return dv, dq, dk
 
-    return dropped(probs) @ v, probs, grads
+    context = dropped(weights) @ v
+    context /= row_sums
+    return context, weights, row_sums, grads
 
 
 def attention_head(
@@ -422,8 +459,14 @@ def attention_head(
     """One attention head as one node: dropout(softmax_rows((q * scale)
     k^T), p, seed) v wo for q, k, v = x wq, x wk, x wv (see _attend).
 
-    Bit for bit the Tensor composition of those ops: the same products in
-    the same order, and backward passes the gradients to wo, then x and
+    The softmax differs from the Tensor composition of those ops in the
+    last bits: _attend shifts each row of scores by the Cauchy-Schwarz
+    bound |qs_i| max_j |k_j| inside the score product (by the exact row
+    max, after a finiteness check, when that bound passes
+    _SHIFT_BOUND_LIMIT or is not finite), keeps E = exp(S - c) and its row
+    sums r (r allocated after E, for the heap's layout), and divides the
+    context, not the n x n weights, by r. The products around it are the
+    composition's, and backward passes the gradients to wo, then x and
     wv, x and wk, x and wq, the order in which the unfused nodes did.
     """
     xd = x.data
@@ -436,7 +479,7 @@ def attention_head(
             f"attention head shapes x {xd.shape}, q {wq.data.shape}, "
             f"k {wk.data.shape}, v {wv.data.shape}, o {wo.data.shape} incompatible"
         )
-    context, _, grads = _attend(xd @ wq.data, xd @ wk.data, xd @ wv.data, scale, p, seed)
+    context, _, _, grads = _attend(xd @ wq.data, xd @ wk.data, xd @ wv.data, scale, p, seed)
 
     def backward(g):
         need_v = x.requires_grad or wv.requires_grad

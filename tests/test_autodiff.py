@@ -158,14 +158,70 @@ class TestPrimitiveGradients:
 
 
 def unfused_attention(q, k, v, scale, p, seed):
-    """The op composition that _attend() computes over arrays."""
+    """The op composition that _attend() computes over arrays, up to the
+    last bits of its shifted softmax."""
     weights = (q.scale(scale) @ k.T).softmax_rows()
     return dropout(weights, p, seed) @ v
 
 
 def unfused_head(x, wq, wk, wv, wo, scale, p, seed):
-    """The op composition that attention_head() fuses."""
+    """The op composition that attention_head() fuses, up to the last bits
+    of _attend()'s shifted softmax."""
     return unfused_attention(x @ wq, x @ wk, x @ wv, scale, p, seed) @ wo
+
+
+def shifted_exp(q, k, scale, bound=True):
+    """_attend()'s (E, r), written out: E = exp(S - c) for the scores S =
+    qs k^T, qs = q * scale, and r its row sums. With ``bound`` the shift
+    c_i = |qs_i| max_j |k_j| enters the product as one more column;
+    otherwise each row is shifted by its max."""
+    qs = q * scale
+    if bound:
+        c = np.sqrt((qs * qs).sum(axis=1, keepdims=True))
+        c *= np.sqrt((k * k).sum(axis=1)).max()
+        e = np.hstack((qs, -c)) @ np.hstack((k, np.ones((len(k), 1)))).T
+    else:
+        e = qs @ k.T
+        e -= e.max(axis=1, keepdims=True)
+    e = np.exp(e)
+    return e, e.sum(axis=1, keepdims=True)
+
+
+def attend_formula(q, k, v, scale, p, seed, g, bound=True):
+    """_attend()'s context and its (dv, dq, dk) for context gradient g, as
+    whole-array formulas over shifted_exp's E and r: the context is
+    (dropout(E) v) / r, and dS = (B - rowsum(B * E) / r) * E for B =
+    dropout((g / r) v^T)."""
+    e, r = shifted_exp(q, k, scale, bound)
+    dropped, ds = e, (g / r) @ v.T
+    if p:
+        keep = np.random.default_rng(seed).random(e.shape) >= p
+        dropped = e * keep * (1.0 / (1.0 - p))
+        ds = ds * keep * (1.0 / (1.0 - p))
+    ds = (ds - (ds * e).sum(axis=1, keepdims=True) / r) * e
+    return (
+        (dropped @ v) / r,
+        dropped.T @ (g / r),
+        (ds @ k) * scale,
+        ((q * scale).T @ ds).T,
+    )
+
+
+def formula_attention(q, k, v, scale, p, seed):
+    """attend_formula as one node over the tensors q, k and v."""
+    zeros = np.zeros((q.shape[0], v.shape[1]))
+    context = attend_formula(q.data, k.data, v.data, scale, p, seed, zeros)[0]
+
+    def grads(g):
+        _, dv, dq, dk = attend_formula(q.data, k.data, v.data, scale, p, seed, g)
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            autodiff._acc(t, d)
+
+    return autodiff._make(context, (q, k, v), grads)
+
+
+def assert_close(got, want, rtol=1e-12):
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
 
 def head_leaves(rng, n, width=4, dk=2, dv=3):
@@ -189,17 +245,21 @@ class TestAttention:
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_matches_unfused_composition(self, rng, monkeypatch, p):
         # 3 rows of dS per block over 7 rows: the blocked backward, too, has
-        # the composition's bits
+        # the written-out formula's bits
         monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 3 * 7 * 8)
         q, k, v = leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 4)
         w = rng.uniform(-1, 1, size=(7, 4))
-        context, _, grads = autodiff._attend(q.data, k.data, v.data, 0.5, p, 3)
+        context, _, _, grads = autodiff._attend(q.data, k.data, v.data, 0.5, p, 3)
+        got = (context, *grads(w, True, True, True))
+        want = attend_formula(q.data, k.data, v.data, 0.5, p, 3, w)
+        for name, a, b in zip(("context", "v", "q", "k"), got, want):
+            assert a.tobytes() == b.tobytes(), name
+        # the softmax composition, up to the last bits
         plain_out = unfused_attention(q, k, v, 0.5, p, seed=3)
         plain = named_grads((plain_out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
-        np.testing.assert_array_equal(context, plain_out.data)
-        dv, dq, dk = grads(w, True, True, True)
-        for name, got in (("v", dv), ("q", dq), ("k", dk)):
-            assert got.tobytes() == plain[name].tobytes(), name
+        assert_close(context, plain_out.data)
+        for name, a in zip(("v", "q", "k"), got[1:]):
+            assert_close(a, plain[name])
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     @pytest.mark.parametrize("n, rows", [(7, 2), (50, 3)])
@@ -213,21 +273,26 @@ class TestAttention:
         v = rng.uniform(-1, 1, size=(n, 4))
         w = rng.uniform(-1, 1, size=(n, 4))
         scale, seed = 0.5, 3
-        _, probs, grads = autodiff._attend(q, k, v, scale, p, seed)
+        _, _, _, grads = autodiff._attend(q, k, v, scale, p, seed)
         dv, dq, dk = grads(w, True, True, True)
+        _, want_dv, want_dq, want_dk = attend_formula(q, k, v, scale, p, seed, w)
+        np.testing.assert_array_equal(dv, want_dv)
+        np.testing.assert_array_equal(dq, want_dq)
+        np.testing.assert_array_equal(dk, want_dk)
 
-        dropped = probs
-        ds = w @ v.T
+        # the whole-array formula over the softmax P, up to the last bits
+        s = (q * scale) @ k.T
+        probs = np.exp(s - s.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        dropped, ds = probs, w @ v.T
         if p:
             keep = np.random.default_rng(seed).random(probs.shape) >= p
             dropped = probs * keep * (1.0 / (1.0 - p))
-            ds *= keep
-            ds *= 1.0 / (1.0 - p)
-        ds -= (ds * probs).sum(axis=1, keepdims=True)
-        ds *= probs
-        np.testing.assert_array_equal(dv, dropped.T @ w)
-        np.testing.assert_array_equal(dq, (ds @ k) * scale)
-        np.testing.assert_array_equal(dk, ((q * scale).T @ ds).T)
+            ds = ds * keep * (1.0 / (1.0 - p))
+        ds = (ds - (ds * probs).sum(axis=1, keepdims=True)) * probs
+        assert_close(dv, dropped.T @ w)
+        assert_close(dq, (ds @ k) * scale)
+        assert_close(dk, ((q * scale).T @ ds).T)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_blocked_gradients_match_finite_differences(self, rng, monkeypatch, p):
@@ -239,20 +304,82 @@ class TestAttention:
             lambda: read(attention_head(x, *ws, 0.7, p, seed=11)), [x, *ws]
         )
 
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "row_max"])
+    def test_each_shift_matches_softmax_composition(self, rng, monkeypatch, bound, p):
+        # a limit below every bound sends the kernel to its row-max path;
+        # 4 rows of dS per block over 30 rows: 8 blocks, the last partial
+        if not bound:
+            monkeypatch.setattr(autodiff, "_SHIFT_BOUND_LIMIT", -1.0)
+        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 4 * 30 * 8)
+        q, k, v = leaf(rng, 30, 3, -2, 2), leaf(rng, 30, 3, -2, 2), leaf(rng, 30, 4)
+        w = rng.uniform(-1, 1, size=(30, 4))
+        context, weights, row_sums, grads = autodiff._attend(
+            q.data, k.data, v.data, 0.5, p, 3
+        )
+        e, r = shifted_exp(q.data, k.data, 0.5, bound)
+        assert weights.tobytes() == e.tobytes()
+        assert row_sums.tobytes() == r.tobytes()
+        assert (weights.max(axis=1) == 1.0).all() == (not bound)
+        got = (context, *grads(w, True, True, True))
+        want = attend_formula(q.data, k.data, v.data, 0.5, p, 3, w, bound)
+        for name, a, b in zip(("context", "v", "q", "k"), got, want):
+            assert a.tobytes() == b.tobytes(), name
+
+        plain_out = unfused_attention(q, k, v, 0.5, p, seed=3)
+        plain = named_grads((plain_out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
+        assert_close(context, plain_out.data)
+        for name, a in zip(("v", "q", "k"), got[1:]):
+            assert_close(a, plain[name])
+
+    def test_large_bound_with_finite_scores_takes_row_max_path(self, rng):
+        # scores up to about +-1000: finite, but a bound past the limit,
+        # where exp(-2c) would underflow
+        q, k = (rng.uniform(-30, 30, size=(8, 3)) for _ in range(2))
+        v = rng.uniform(-1, 1, size=(8, 2))
+        qs = q * 0.5
+        scores = qs @ k.T
+        assert 300 < np.abs(scores).max() < 2000
+        bound = np.linalg.norm(qs, axis=1).max() * np.linalg.norm(k, axis=1).max()
+        assert bound > autodiff._SHIFT_BOUND_LIMIT
+        context, weights, row_sums, _ = autodiff._attend(q, k, v, 0.5, 0.0, 0)
+        probs = weights / row_sums
+        assert np.isfinite(probs).all() and np.isfinite(context).all()
+        np.testing.assert_allclose(probs.sum(axis=1), np.ones(8), atol=1e-12)
+        e, r = shifted_exp(q, k, 0.5, bound=False)
+        assert weights.tobytes() == e.tobytes()
+        assert row_sums.tobytes() == r.tobytes()
+        expected = (Tensor(qs) @ Tensor(k.T)).softmax_rows().data
+        assert_close(probs, expected)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_row_max_path_gradients_match_finite_differences(self, rng, monkeypatch, p):
+        monkeypatch.setattr(autodiff, "_SHIFT_BOUND_LIMIT", -1.0)
+        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 2 * 5 * 8)
+        x, ws = head_leaves(rng, 5)
+        read = weighting(rng, 5, 4)
+        check_against_fd(
+            lambda: read(attention_head(x, *ws, 0.7, p, seed=11)), [x, *ws]
+        )
+
     def test_probabilities_are_the_softmax_before_dropout(self, rng):
         q, k, v = (rng.uniform(-1, 1, size=(6, d)) for d in (2, 2, 3))
-        out, probs, _ = autodiff._attend(q, k, v, 0.5, 0.5, seed=1)
+        out, weights, row_sums, _ = autodiff._attend(q, k, v, 0.5, 0.5, seed=1)
+        e, r = shifted_exp(q, k, 0.5)
+        assert weights.tobytes() == e.tobytes()
+        assert row_sums.tobytes() == r.tobytes()
         expected = (Tensor(q * 0.5) @ Tensor(k.T)).softmax_rows().data
-        np.testing.assert_array_equal(probs, expected)
-        assert not probs.flags.writeable
+        assert_close(weights / row_sums, expected)
+        assert not weights.flags.writeable
         assert out.shape == (6, 3)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # 1e200: finite inputs whose scores overflow
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_nonfinite_score(self, rng, bad):
         x, ws = head_leaves(rng, 3)
         x.data[1, 0] = bad
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericsError, match="non-finite"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericsError, match="softmax on non-finite input"):
                 attention_head(x, *ws, 1.0, 0.0, seed=0)
 
     def test_shape_mismatch(self, rng):
@@ -353,9 +480,15 @@ class TestFusedNodes:
         wo, m = leaf(rng, 3, 4), leaf(rng, 4, 4)
         read = weighting(rng, 7, 4)
         named = {"x": x, "wq": wq, "wk": wk, "wv": wv, "wo": wo, "m": m}
-        fused = attention_head(x, wq, wk, wv, wo, 0.5, p, seed=3) + x @ m
-        plain = unfused_head(x, wq, wk, wv, wo, 0.5, p, seed=3) + x @ m
-        assert_same_bits(fused, plain, named, read)
+        fused = lambda: attention_head(x, wq, wk, wv, wo, 0.5, p, seed=3) + x @ m
+        written = formula_attention(x @ wq, x @ wk, x @ wv, 0.5, p, seed=3) @ wo + x @ m
+        assert_same_bits(fused(), written, named, read)
+        # the softmax composition, up to the last bits
+        out, plain = fused(), unfused_head(x, wq, wk, wv, wo, 0.5, p, seed=3) + x @ m
+        assert_close(out.data, plain.data)
+        got, want = named_grads(read(out), named), named_grads(read(plain), named)
+        for name in named:
+            assert_close(got[name], want[name])
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_attention_head_gradients_match_finite_differences(self, rng, p):

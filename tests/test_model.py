@@ -282,18 +282,19 @@ class TestResidualHistory:
 
 
 def layer_attention(z, params, layer, cfg):
-    """Per-head attention probabilities of one block, wired as in
-    transformer_layer_f."""
+    """Per-head attention probabilities P = E / r of one block, wired as
+    in transformer_layer_f."""
     p = lambda key: params[f"layer{layer}/{key}"]
     zn = z.layer_norm_rows() * p("ln1/gain") + p("ln1/bias")
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    return [
-        autodiff._attend(
+    mats = []
+    for h in range(cfg.heads):
+        _, weights, row_sums, _ = autodiff._attend(
             (zn @ p(f"attn/q{h}")).data, (zn @ p(f"attn/k{h}")).data,
             (zn @ p(f"attn/v{h}")).data, scale, 0.0, 0,
-        )[1]
-        for h in range(cfg.heads)
-    ]
+        )
+        mats.append(weights / row_sums)
+    return mats
 
 
 class TestTransformerLayer:
