@@ -27,9 +27,6 @@ if TYPE_CHECKING:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LAYER_NORM_EPS = 1e-12
-# rows of dS per block in attention's softmax backward are sized to this
-# many bytes, which bounds the (dS * E) temporary of the row sums
-_SOFTMAX_BLOCK_BYTES = 256 * 1024
 # attention shifts row i of its scores by the Cauchy-Schwarz bound c_i
 # while every c_i is at most this (see _attend): then each exp(s - c_i) is
 # at least exp(-2 c_i) >= e^-128, a normal float, and 1 / rowsum stays
@@ -385,10 +382,12 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     exact max.
 
     grads(g, need_v, need_q, need_k) gives (dv, dq, dk) for context
-    gradient g, each None unless asked for. Of the n x n arrays, grads
-    keeps only E and the dropout mask. It allocates one n x n buffer, dS:
-    it holds (g / r) v^T, and the softmax backward then turns it into dS
-    in place, a block of rows at a time, with no second n x n temporary.
+    gradient g, each None unless asked for. The softmax backward's row
+    term, rowsum(dP * P), comes from the n x dh context (as in
+    FlashAttention's backward), so dS takes two passes over n x n arrays,
+    its product and the multiply by E, and the context is read-only like
+    E. Of the n x n arrays, grads keeps only E and the dropout mask, and
+    it holds at most one n x n array of its own at a time.
     """
     keep, keep_scale = _dropout_mask((q.shape[0], k.shape[0]), p, seed)
     scale = float(scale)
@@ -427,20 +426,21 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
         if not (need_q or need_k):
             return dv, None, None
         # dS = (dP - rowsum(dP * P)) * P for P = E / r and dP = dropout(g
-        # v^T), as (B - rowsum(B * E) / r) * E for B = dropout(gs v^T),
-        # in place. Only the elementwise work and row sums go by row
-        # blocks: they give the same bits per row, while a row-split GEMM
-        # can differ in the last bit (BLAS edge kernels).
-        ds = gs @ v.T
-        rows = max(1, _SOFTMAX_BLOCK_BYTES // (ds.shape[1] * ds.itemsize))
-        for start in range(0, ds.shape[0], rows):
-            blk = ds[start : start + rows]
-            eb = weights[start : start + rows]
-            if keep is not None:
-                blk *= keep[start : start + rows]
-                blk *= keep_scale
-            blk -= (blk * eb).sum(axis=1, keepdims=True) / row_sums[start : start + rows]
-            blk *= eb
+        # v^T) is (B - delta) * E for B = dropout(gs v^T), where delta =
+        # rowsum(B * E) / r equals rowsum(gs * context): the context
+        # already holds the dropout and the division by r, so no n x n
+        # pass makes delta. Without dropout delta enters the dS product as
+        # one more column, as the shift does in the forward; with dropout
+        # it is subtracted after the mask. Either way dS is made in place
+        delta = (gs * context).sum(axis=1, keepdims=True)
+        if keep is None:
+            ds = np.hstack((gs, -delta)) @ np.hstack((v, np.ones((v.shape[0], 1)))).T
+        else:
+            ds = gs @ v.T
+            ds *= keep
+            ds *= keep_scale
+            ds -= delta
+        ds *= weights
         dq = (ds @ k) * scale if need_q else None
         # (qs^T dS)^T rather than dS^T qs: the product and layout the
         # unfused matmul-then-transpose backward passes on
@@ -449,6 +449,8 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
 
     context = dropped(weights) @ v
     context /= row_sums
+    # grads reads the context: a caller's edit would corrupt dq and dk
+    context.flags.writeable = False
     return context, weights, row_sums, grads
 
 
@@ -465,9 +467,12 @@ def attention_head(
     max, after a finiteness check, when that bound passes
     _SHIFT_BOUND_LIMIT or is not finite), keeps E = exp(S - c) and its row
     sums r (r allocated after E, for the heap's layout), and divides the
-    context, not the n x n weights, by r. The products around it are the
-    composition's, and backward passes the gradients to wo, then x and
-    wv, x and wk, x and wq, the order in which the unfused nodes did.
+    context, not the n x n weights, by r. Its backward likewise takes the
+    softmax's row term rowsum(dP * P) from the context, rowsum((g / r) *
+    context), and without dropout folds it into the dS product as one
+    more column. The products around it are the composition's, and
+    backward passes the gradients to wo, then x and wv, x and wk, x and
+    wq, the order in which the unfused nodes did.
     """
     xd = x.data
     if not (

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -190,21 +191,22 @@ def shifted_exp(q, k, scale, bound=True):
 def attend_formula(q, k, v, scale, p, seed, g, bound=True):
     """_attend()'s context and its (dv, dq, dk) for context gradient g, as
     whole-array formulas over shifted_exp's E and r: the context is
-    (dropout(E) v) / r, and dS = (B - rowsum(B * E) / r) * E for B =
-    dropout((g / r) v^T)."""
+    (dropout(E) v) / r, and dS = (B - delta) * E for B = dropout(gs v^T),
+    gs = g / r and the row term delta = rowsum(gs * context). Without
+    dropout delta enters the product as one more column, [gs | -delta]
+    [v | 1]^T."""
     e, r = shifted_exp(q, k, scale, bound)
-    dropped, ds = e, (g / r) @ v.T
+    gs, dropped = g / r, e
     if p:
         keep = np.random.default_rng(seed).random(e.shape) >= p
         dropped = e * keep * (1.0 / (1.0 - p))
-        ds = ds * keep * (1.0 / (1.0 - p))
-    ds = (ds - (ds * e).sum(axis=1, keepdims=True) / r) * e
-    return (
-        (dropped @ v) / r,
-        dropped.T @ (g / r),
-        (ds @ k) * scale,
-        ((q * scale).T @ ds).T,
-    )
+    context = (dropped @ v) / r
+    delta = (gs * context).sum(axis=1, keepdims=True)
+    if p:
+        ds = ((gs @ v.T) * keep * (1.0 / (1.0 - p)) - delta) * e
+    else:
+        ds = (np.hstack((gs, -delta)) @ np.hstack((v, np.ones((len(v), 1)))).T) * e
+    return context, dropped.T @ gs, (ds @ k) * scale, ((q * scale).T @ ds).T
 
 
 def formula_attention(q, k, v, scale, p, seed):
@@ -243,10 +245,7 @@ class TestAttention:
         check_against_fd(lambda: read(attention_head(x, *ws, 0.7, p, seed=11)), ws)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
-    def test_matches_unfused_composition(self, rng, monkeypatch, p):
-        # 3 rows of dS per block over 7 rows: the blocked backward, too, has
-        # the written-out formula's bits
-        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 3 * 7 * 8)
+    def test_matches_unfused_composition(self, rng, p):
         q, k, v = leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 3, -2, 2), leaf(rng, 7, 4)
         w = rng.uniform(-1, 1, size=(7, 4))
         context, _, _, grads = autodiff._attend(q.data, k.data, v.data, 0.5, p, 3)
@@ -262,13 +261,8 @@ class TestAttention:
             assert_close(a, plain[name])
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
-    @pytest.mark.parametrize("n, rows", [(7, 2), (50, 3)])
-    def test_blocked_backward_equals_whole_array_formula(
-        self, rng, monkeypatch, n, rows, p
-    ):
-        # a budget of `rows` rows of dS: several blocks, the last one partial
-        assert n % rows
-        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", rows * n * 8)
+    @pytest.mark.parametrize("n", [7, 50])
+    def test_backward_equals_whole_array_formula(self, rng, n, p):
         q, k = rng.uniform(-2, 2, size=(n, 3)), rng.uniform(-2, 2, size=(n, 3))
         v = rng.uniform(-1, 1, size=(n, 4))
         w = rng.uniform(-1, 1, size=(n, 4))
@@ -295,23 +289,11 @@ class TestAttention:
         assert_close(dk, ((q * scale).T @ ds).T)
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
-    def test_blocked_gradients_match_finite_differences(self, rng, monkeypatch, p):
-        # 2 rows of dS per block over 5 rows: blocks of 2, 2 and 1
-        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 2 * 5 * 8)
-        x, ws = head_leaves(rng, 5)
-        read = weighting(rng, 5, 4)
-        check_against_fd(
-            lambda: read(attention_head(x, *ws, 0.7, p, seed=11)), [x, *ws]
-        )
-
-    @pytest.mark.parametrize("p", [0.0, 0.3])
     @pytest.mark.parametrize("bound", [True, False], ids=["bound", "row_max"])
     def test_each_shift_matches_softmax_composition(self, rng, monkeypatch, bound, p):
-        # a limit below every bound sends the kernel to its row-max path;
-        # 4 rows of dS per block over 30 rows: 8 blocks, the last partial
+        # a limit below every bound sends the kernel to its row-max path
         if not bound:
             monkeypatch.setattr(autodiff, "_SHIFT_BOUND_LIMIT", -1.0)
-        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 4 * 30 * 8)
         q, k, v = leaf(rng, 30, 3, -2, 2), leaf(rng, 30, 3, -2, 2), leaf(rng, 30, 4)
         w = rng.uniform(-1, 1, size=(30, 4))
         context, weights, row_sums, grads = autodiff._attend(
@@ -354,8 +336,9 @@ class TestAttention:
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_row_max_path_gradients_match_finite_differences(self, rng, monkeypatch, p):
+        # the bound path's check is TestFusedNodes'
+        # test_attention_head_gradients_match_finite_differences
         monkeypatch.setattr(autodiff, "_SHIFT_BOUND_LIMIT", -1.0)
-        monkeypatch.setattr(autodiff, "_SOFTMAX_BLOCK_BYTES", 2 * 5 * 8)
         x, ws = head_leaves(rng, 5)
         read = weighting(rng, 5, 4)
         check_against_fd(
@@ -372,6 +355,28 @@ class TestAttention:
         assert_close(weights / row_sums, expected)
         assert not weights.flags.writeable
         assert out.shape == (6, 3)
+
+    def test_context_is_read_only(self, rng):
+        # the backward reads the context, so an edit would corrupt dq and dk
+        q, k, v = (rng.uniform(-1, 1, size=(6, d)) for d in (2, 2, 3))
+        context, _, _, _ = autodiff._attend(q, k, v, 0.5, 0.0, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            context[0, 0] = 1.0
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_backward_holds_one_square_array(self, rng, p):
+        # dS is the only n x n array grads holds: a second one, or a block
+        # temporary beside dS, would pass 1.25 n^2 doubles
+        n = 300
+        q, k, v, w = (rng.uniform(-1, 1, size=(n, 8)) for _ in range(4))
+        _, _, _, grads = autodiff._attend(q, k, v, 0.35, p, seed=3)
+        tracemalloc.start()
+        try:
+            grads(w, True, True, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8, peak / (n * n * 8)
 
     # 1e200: finite inputs whose scores overflow
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
