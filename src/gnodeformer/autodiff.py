@@ -33,6 +33,11 @@ LAYER_NORM_EPS = 1e-12
 # below e^128, far from overflow in the backward's g / r. Any limit under
 # 354 keeps exp(-2c) normal; past the limit the exact row max is used
 _SHIFT_BOUND_LIMIT = 64.0
+# _attend walks its n x n arrays in row tiles of about this many bytes,
+# so that a tile's passes run in a core's L2 cache (2 MiB on the machine
+# it was tuned on; 32 rows at n=1500). The row count depends on n alone,
+# so the tiled sums are the same on every run
+_ATTEND_TILE_BYTES = 384 * 1024
 
 
 class Tensor:
@@ -298,11 +303,17 @@ def dropout(t: Tensor, p: float, seed: int) -> Tensor:
 def _dropout_mask(shape, p: float, seed: int):
     """(keep, scale): inverted dropout's mask, a function of ``seed``
     alone and None at p=0, and its factor 1/(1-p)."""
+    scale = _keep_scale(p)
+    if p == 0.0:
+        return None, scale
+    return np.random.default_rng(seed).random(shape) >= p, scale
+
+
+def _keep_scale(p: float) -> float:
+    """Inverted dropout's factor 1/(1-p), for p checked to lie in [0, 1)."""
     if not 0.0 <= p < 1.0:
         raise NumericsError(f"dropout probability {p} outside [0, 1)")
-    if p == 0.0:
-        return None, 1.0
-    return np.random.default_rng(seed).random(shape) >= p, 1.0 / (1.0 - p)
+    return 1.0 / (1.0 - p)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -360,8 +371,8 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float, seed: int):
-    """Scaled dot-product attention over arrays, in four passes over n x n
-    arrays: the score product, exp, the row sums and the product with v.
+    """Scaled dot-product attention over arrays, walking the n x n array
+    in row tiles.
 
     Returns (context, weights, row_sums, grads). For the scores S =
     (q * scale) k^T, weights is the read-only E = exp(S - c) with one
@@ -370,6 +381,17 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     computed as (dropout(E, p, seed) v) / r: the division is deferred to
     the n x dh context.
 
+    The forward and the backward each make one sweep over E in tiles of
+    about _ATTEND_TILE_BYTES, so that each tile's elementwise passes and
+    its products run in cache. The tile's row count depends on n alone,
+    so a run sums in the same order every time. Per tile the forward
+    writes the score product straight into E's rows, takes exp in place
+    and multiplies the tile by [v | 1], whose last column is r. With
+    dropout the tile's mask is drawn into a tile-sized buffer (the same
+    draws as one whole-array draw), the tile times the mask is multiplied
+    by v * keep_scale, and r is the tile's row sums, taken before the
+    mask.
+
     The shift is a bound, not the row max: c_i = |qs_i| max_j |k_j| for
     qs = q * scale. By Cauchy-Schwarz |S_ij| <= c_i, so S_ij - c_i lies
     in [-2 c_i, 0] (up to rounding). It enters the score product as one
@@ -377,19 +399,23 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     pass, and while max c_i <= _SHIFT_BOUND_LIMIT no score can be
     non-finite, so there is no finiteness scan either. Otherwise (a large
     bound, or a NaN or inf in q or k, which makes the bound NaN or inf)
-    it falls back to the unshifted scores: it checks them for finiteness,
-    raising NumericsError on a non-finite one, and shifts each row by its
-    exact max.
+    it falls back to the unshifted scores: it checks each tile for
+    finiteness, raising NumericsError on a non-finite score, and shifts
+    each row by its exact max.
 
     grads(g, need_v, need_q, need_k) gives (dv, dq, dk) for context
     gradient g, each None unless asked for. The softmax backward's row
     term, rowsum(dP * P), comes from the n x dh context (as in
-    FlashAttention's backward), so dS takes two passes over n x n arrays,
-    its product and the multiply by E, and the context is read-only like
-    E. Of the n x n arrays, grads keeps only E and the dropout mask, and
-    it holds at most one n x n array of its own at a time.
+    FlashAttention's backward), so each tile of dS is its product and one
+    multiply by E's tile, made in one tile-sized buffer; dq's rows are
+    written per tile, and dv and dk^T are summed over tiles. grads holds
+    no n x n array of its own, and the context is read-only like E.
     """
-    keep, keep_scale = _dropout_mask((q.shape[0], k.shape[0]), p, seed)
+    n, m = q.shape[0], k.shape[0]
+    dh = v.shape[1]
+    keep_scale = _keep_scale(p)
+    rows = _tile_rows(m)
+    tiles = [slice(i, i + rows) for i in range(0, n, rows)]
     scale = float(scale)
     qs = q * scale
     # a NaN or inf here (0 * inf, an overflowing square) only sends the
@@ -397,61 +423,116 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     with np.errstate(over="ignore", invalid="ignore"):
         shift = np.sqrt((qs * qs).sum(axis=1, keepdims=True))
         shift *= np.sqrt((k * k).sum(axis=1)).max()
-    if not shift.max() <= _SHIFT_BOUND_LIMIT:
-        weights = qs @ k.T
-        if not np.isfinite(weights).all():
-            raise NumericsError("softmax on non-finite input")
-        weights -= weights.max(axis=1, keepdims=True)
+    bound = shift.max() <= _SHIFT_BOUND_LIMIT
+    if bound:
+        lhs, rhs = np.hstack((qs, -shift)), np.hstack((k, np.ones((m, 1))))
     else:
-        ones = np.ones((k.shape[0], 1))
-        weights = np.hstack((qs, -shift)) @ np.hstack((k, ones)).T
-    np.exp(weights, out=weights)
-    # r after E: allocated before E (after the temporaries above), r moved
-    # where glibc placed the n x n blocks, and the 2000-node replay
-    # benchmark's peak RSS rose from 401 to 424 MB with the same arrays
-    # alive
-    row_sums = weights.sum(axis=1, keepdims=True)
-    weights.flags.writeable = False
-
-    def dropped(x: np.ndarray) -> np.ndarray:
+        lhs, rhs = qs, k
+    weights = np.empty((n, m))
+    if p:
+        rng = np.random.default_rng(seed)
+        keep = np.empty((n, m), dtype=bool)
+        buf = np.empty((min(rows, n), m))
+        vs = v * keep_scale
+        context, row_sums = np.empty((n, dh)), np.empty((n, 1))
+    else:
+        keep = None
+        vo = np.hstack((v, np.ones((m, 1))))
+        out = np.empty((n, dh + 1))
+    for s in tiles:
+        tile = weights[s]
+        np.matmul(lhs[s], rhs.T, out=tile)
+        if not bound:
+            if not np.isfinite(tile).all():
+                raise NumericsError("softmax on non-finite input")
+            tile -= tile.max(axis=1, keepdims=True)
+        np.exp(tile, out=tile)
         if keep is None:
-            return x
-        x = x * keep
-        x *= keep_scale
-        return x
+            np.matmul(tile, vo, out=out[s])
+            continue
+        d = buf[: len(tile)]
+        rng.random(out=d)
+        np.greater_equal(d, p, out=keep[s])
+        _masked(tile, keep[s], d)
+        np.matmul(d, vs, out=context[s])
+        tile.sum(axis=1, keepdims=True, out=row_sums[s])
+    if keep is None:
+        row_sums = out[:, dh:].copy()
+        context = out[:, :dh] / row_sums
+    else:
+        context /= row_sums
+    weights.flags.writeable = False
+    # grads reads the context: a caller's edit would corrupt dq and dk
+    context.flags.writeable = False
 
     def grads(g, need_v, need_q, need_k):
         gs = g / row_sums
-        dv = dropped(weights).T @ gs if need_v else None
-        if not (need_q or need_k):
-            return dv, None, None
-        # dS = (dP - rowsum(dP * P)) * P for P = E / r and dP = dropout(g
-        # v^T) is (B - delta) * E for B = dropout(gs v^T), where delta =
-        # rowsum(B * E) / r equals rowsum(gs * context): the context
-        # already holds the dropout and the division by r, so no n x n
-        # pass makes delta. Without dropout delta enters the dS product as
-        # one more column, as the shift does in the forward; with dropout
-        # it is subtracted after the mask. Either way dS is made in place
-        delta = (gs * context).sum(axis=1, keepdims=True)
+        need_s = need_q or need_k
+        if need_s:
+            # dS = (dP - rowsum(dP * P)) * P for P = E / r and dP =
+            # dropout(g v^T) is (B - delta) * E for B = dropout(gs v^T),
+            # where delta = rowsum(B * E) / r equals rowsum(gs * context):
+            # the context already holds the dropout and the division by r,
+            # so no n x n pass makes delta. Without dropout delta enters the
+            # dS product as one more column, as the shift does in the
+            # forward; with dropout it is subtracted after the mask
+            delta = (gs * context).sum(axis=1, keepdims=True)
+            dq = np.empty((n, k.shape[1]))
+            dkt = np.empty((k.shape[1], m))
         if keep is None:
-            ds = np.hstack((gs, -delta)) @ np.hstack((v, np.ones((v.shape[0], 1)))).T
+            lhs = np.hstack((gs, -delta)) if need_s else None
         else:
-            ds = gs @ v.T
-            ds *= keep
-            ds *= keep_scale
-            ds -= delta
-        ds *= weights
-        dq = (ds @ k) * scale if need_q else None
-        # (qs^T dS)^T rather than dS^T qs: the product and layout the
-        # unfused matmul-then-transpose backward passes on
-        dk = (qs.T @ ds).T if need_k else None
-        return dv, dq, dk
+            # dropout(E) = (E * keep) * keep_scale: the scale goes to gs
+            gs *= keep_scale
+        dv = np.empty((m, dh)) if need_v else None
+        buf = np.empty((min(rows, n), m))
+        for t, s in enumerate(tiles):
+            tile = weights[s]
+            ds = buf[: len(tile)]
+            if need_v:
+                dropped = tile if keep is None else _masked(tile, keep[s], ds)
+                _sum_product(dv, dropped.T, gs[s], t == 0)
+            if not need_s:
+                continue
+            if keep is None:
+                np.matmul(lhs[s], vo.T, out=ds)
+            else:
+                np.matmul(gs[s], v.T, out=ds)
+                ds *= keep[s]
+                ds -= delta[s]
+            ds *= tile
+            if need_q:
+                np.matmul(ds, k, out=dq[s])
+            if need_k:
+                # (qs^T dS)^T rather than dS^T qs: the product and layout
+                # the unfused matmul-then-transpose backward passes on
+                _sum_product(dkt, qs[s].T, ds, t == 0)
+        if need_q:
+            dq *= scale
+        return dv, dq if need_q else None, dkt.T if need_k else None
 
-    context = dropped(weights) @ v
-    context /= row_sums
-    # grads reads the context: a caller's edit would corrupt dq and dk
-    context.flags.writeable = False
     return context, weights, row_sums, grads
+
+
+def _tile_rows(cols: int) -> int:
+    """Rows in one of _attend's tiles of an n x cols array."""
+    return max(1, _ATTEND_TILE_BYTES // (8 * cols))
+
+
+def _masked(tile: np.ndarray, keep: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = tile * keep, with the mask copied in first: a float multiply
+    after the copy is faster than numpy's mixed bool-float multiply."""
+    np.copyto(out, keep)
+    out *= tile
+    return out
+
+
+def _sum_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray, first: bool):
+    """acc = a @ b for the first tile, acc += a @ b for later ones."""
+    if first:
+        np.matmul(a, b, out=acc)
+    else:
+        acc += a @ b
 
 
 def attention_head(
@@ -466,11 +547,13 @@ def attention_head(
     bound |qs_i| max_j |k_j| inside the score product (by the exact row
     max, after a finiteness check, when that bound passes
     _SHIFT_BOUND_LIMIT or is not finite), keeps E = exp(S - c) and its row
-    sums r (r allocated after E, for the heap's layout), and divides the
-    context, not the n x n weights, by r. Its backward likewise takes the
-    softmax's row term rowsum(dP * P) from the context, rowsum((g / r) *
-    context), and without dropout folds it into the dS product as one
-    more column. The products around it are the composition's, and
+    sums r, and divides the context, not the n x n weights, by r. It walks
+    E in row tiles of about _ATTEND_TILE_BYTES, and without dropout r is
+    the last column of each tile's product with [v | 1]. Its backward
+    likewise takes the softmax's row term rowsum(dP * P) from the context,
+    rowsum((g / r) * context), and without dropout folds it into each
+    tile's dS product as one more column; dv and dk are summed over the
+    tiles. The products around it are the composition's, and
     backward passes the gradients to wo, then x and wv, x and wk, x and
     wq, the order in which the unfused nodes did.
     """

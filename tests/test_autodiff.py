@@ -171,42 +171,82 @@ def unfused_head(x, wq, wk, wv, wo, scale, p, seed):
     return unfused_attention(x @ wq, x @ wk, x @ wv, scale, p, seed) @ wo
 
 
-def shifted_exp(q, k, scale, bound=True):
-    """_attend()'s (E, r), written out: E = exp(S - c) for the scores S =
-    qs k^T, qs = q * scale, and r its row sums. With ``bound`` the shift
-    c_i = |qs_i| max_j |k_j| enters the product as one more column;
-    otherwise each row is shifted by its max."""
+def tile_slices(n, cols):
+    """_attend()'s row tiles of an n x cols array: as many rows as fit in
+    _ATTEND_TILE_BYTES, and at least one."""
+    rows = max(1, autodiff._ATTEND_TILE_BYTES // (8 * cols))
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
+def summed(products):
+    """The products added in order, as _attend() sums dv and dk^T over
+    its tiles."""
+    total = None
+    for product in products:
+        total = product if total is None else total + product
+    return total
+
+
+def shifted_exp(q, k, v, scale, p=0.0, bound=True):
+    """_attend()'s (E, r), written out tile by tile: E = exp(S - c) for
+    the scores S = qs k^T, qs = q * scale, and r its row sums. With
+    ``bound`` the shift c_i = |qs_i| max_j |k_j| enters each tile's
+    product as one more column; otherwise each row is shifted by its max.
+    Without dropout r is the last column of each tile's product with
+    [v | 1]; with dropout it is the tile's row sums."""
     qs = q * scale
     if bound:
         c = np.sqrt((qs * qs).sum(axis=1, keepdims=True))
         c *= np.sqrt((k * k).sum(axis=1)).max()
-        e = np.hstack((qs, -c)) @ np.hstack((k, np.ones((len(k), 1)))).T
+        lhs, rhs = np.hstack((qs, -c)), np.hstack((k, np.ones((len(k), 1))))
     else:
-        e = qs @ k.T
-        e -= e.max(axis=1, keepdims=True)
-    e = np.exp(e)
-    return e, e.sum(axis=1, keepdims=True)
+        lhs, rhs = qs, k
+    tiles = []
+    for s in tile_slices(len(q), len(k)):
+        t = lhs[s] @ rhs.T
+        if not bound:
+            t -= t.max(axis=1, keepdims=True)
+        tiles.append(np.exp(t))
+    e = np.vstack(tiles)
+    if p:
+        return e, e.sum(axis=1, keepdims=True)
+    vo = np.hstack((v, np.ones((len(v), 1))))
+    return e, np.vstack([e[s] @ vo for s in tile_slices(len(q), len(k))])[:, -1:]
 
 
 def attend_formula(q, k, v, scale, p, seed, g, bound=True):
-    """_attend()'s context and its (dv, dq, dk) for context gradient g, as
-    whole-array formulas over shifted_exp's E and r: the context is
-    (dropout(E) v) / r, and dS = (B - delta) * E for B = dropout(gs v^T),
-    gs = g / r and the row term delta = rowsum(gs * context). Without
-    dropout delta enters the product as one more column, [gs | -delta]
-    [v | 1]^T."""
-    e, r = shifted_exp(q, k, scale, bound)
-    gs, dropped = g / r, e
+    """_attend()'s context and its (dv, dq, dk) for context gradient g,
+    written out tile by tile over shifted_exp's E and r. The context is
+    (dropout(E) v) / r: without dropout each tile's product with [v | 1]
+    gives it, with dropout (E * keep) (v * keep_scale). dS = (B - delta) *
+    E for B = dropout(gs v^T), gs = g / r and the row term delta =
+    rowsum(gs * context): without dropout delta enters the product as one
+    more column, [gs | -delta] [v | 1]^T; with dropout keep_scale goes to
+    gs and delta is subtracted after the mask. dq's rows come from each
+    tile; dv and dk^T are summed over the tiles in order."""
+    e, r = shifted_exp(q, k, v, scale, p, bound)
+    tiles = tile_slices(len(q), len(k))
+    qs, gs = q * scale, g / r
+    vo = np.hstack((v, np.ones((len(v), 1))))
     if p:
+        # drawn as one whole array; _attend draws it a tile at a time
         keep = np.random.default_rng(seed).random(e.shape) >= p
-        dropped = e * keep * (1.0 / (1.0 - p))
-    context = (dropped @ v) / r
+        vs = v * (1.0 / (1.0 - p))
+        context = np.vstack([(e[s] * keep[s]) @ vs for s in tiles]) / r
+    else:
+        context = np.vstack([e[s] @ vo for s in tiles])[:, :-1] / r
     delta = (gs * context).sum(axis=1, keepdims=True)
     if p:
-        ds = ((gs @ v.T) * keep * (1.0 / (1.0 - p)) - delta) * e
+        gs = gs * (1.0 / (1.0 - p))
+        dv = summed((e[s] * keep[s]).T @ gs[s] for s in tiles)
+        ds = [((gs[s] @ v.T) * keep[s] - delta[s]) * e[s] for s in tiles]
     else:
-        ds = (np.hstack((gs, -delta)) @ np.hstack((v, np.ones((len(v), 1)))).T) * e
-    return context, dropped.T @ gs, (ds @ k) * scale, ((q * scale).T @ ds).T
+        lhs = np.hstack((gs, -delta))
+        dv = summed(e[s].T @ gs[s] for s in tiles)
+        ds = [(lhs[s] @ vo.T) * e[s] for s in tiles]
+    dq = np.vstack([d @ k for d in ds]) * scale
+    dk = summed(qs[s].T @ d for s, d in zip(tiles, ds)).T
+    return context, dv, dq, dk
 
 
 def formula_attention(q, k, v, scale, p, seed):
@@ -299,7 +339,7 @@ class TestAttention:
         context, weights, row_sums, grads = autodiff._attend(
             q.data, k.data, v.data, 0.5, p, 3
         )
-        e, r = shifted_exp(q.data, k.data, 0.5, bound)
+        e, r = shifted_exp(q.data, k.data, v.data, 0.5, p, bound)
         assert weights.tobytes() == e.tobytes()
         assert row_sums.tobytes() == r.tobytes()
         assert (weights.max(axis=1) == 1.0).all() == (not bound)
@@ -313,6 +353,46 @@ class TestAttention:
         assert_close(context, plain_out.data)
         for name, a in zip(("v", "q", "k"), got[1:]):
             assert_close(a, plain[name])
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "row_max"])
+    @pytest.mark.parametrize("n", [7, 50])
+    @pytest.mark.parametrize("tiling", ["one_row", "ragged", "one_tile", "narrow_qk"])
+    def test_tile_boundaries(self, rng, monkeypatch, tiling, n, bound, p):
+        # one-row tiles; tiles of 3 (n 7) or 16 (n 50) rows, the last one
+        # short; one tile over every row; and ragged tiles with q and k 2
+        # wide against v 5 wide
+        rows = {"one_row": 1, "one_tile": n}.get(tiling, 3 if n == 7 else 16)
+        monkeypatch.setattr(autodiff, "_ATTEND_TILE_BYTES", rows * n * 8)
+        if not bound:
+            monkeypatch.setattr(autodiff, "_SHIFT_BOUND_LIMIT", -1.0)
+        assert autodiff._tile_rows(n) == rows
+        dqk, dv = (2, 5) if tiling == "narrow_qk" else (3, 3)
+        q, k = leaf(rng, n, dqk, -2, 2), leaf(rng, n, dqk, -2, 2)
+        v, w = leaf(rng, n, dv), rng.uniform(-1, 1, size=(n, dv))
+        context, weights, row_sums, grads = autodiff._attend(
+            q.data, k.data, v.data, 0.5, p, 3
+        )
+        e, r = shifted_exp(q.data, k.data, v.data, 0.5, p, bound)
+        assert weights.tobytes() == e.tobytes()
+        assert row_sums.tobytes() == r.tobytes()
+        got = (context, *grads(w, True, True, True))
+        want = attend_formula(q.data, k.data, v.data, 0.5, p, 3, w, bound)
+        for name, a, b in zip(("context", "v", "q", "k"), got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+        plain_out = unfused_attention(q, k, v, 0.5, p, seed=3)
+        plain = named_grads((plain_out * Tensor(w)).sum(), {"q": q, "k": k, "v": v})
+        assert_close(row_sums, weights.sum(axis=1, keepdims=True))
+        assert_close(context, plain_out.data)
+        for name, a in zip(("v", "q", "k"), got[1:]):
+            assert_close(a, plain[name])
+        # each gradient alone is the one asked for with the others
+        for i, name in enumerate(("v", "q", "k")):
+            need = [j == i for j in range(3)]
+            alone = grads(w, *need)
+            assert alone[i].tobytes() == got[1 + i].tobytes(), name
+            assert all(a is None for j, a in enumerate(alone) if j != i)
 
     def test_large_bound_with_finite_scores_takes_row_max_path(self, rng):
         # scores up to about +-1000: finite, but a bound past the limit,
@@ -328,7 +408,7 @@ class TestAttention:
         probs = weights / row_sums
         assert np.isfinite(probs).all() and np.isfinite(context).all()
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(8), atol=1e-12)
-        e, r = shifted_exp(q, k, 0.5, bound=False)
+        e, r = shifted_exp(q, k, v, 0.5, bound=False)
         assert weights.tobytes() == e.tobytes()
         assert row_sums.tobytes() == r.tobytes()
         expected = (Tensor(qs) @ Tensor(k.T)).softmax_rows().data
@@ -348,7 +428,7 @@ class TestAttention:
     def test_probabilities_are_the_softmax_before_dropout(self, rng):
         q, k, v = (rng.uniform(-1, 1, size=(6, d)) for d in (2, 2, 3))
         out, weights, row_sums, _ = autodiff._attend(q, k, v, 0.5, 0.5, seed=1)
-        e, r = shifted_exp(q, k, 0.5)
+        e, r = shifted_exp(q, k, v, 0.5, 0.5)
         assert weights.tobytes() == e.tobytes()
         assert row_sums.tobytes() == r.tobytes()
         expected = (Tensor(q * 0.5) @ Tensor(k.T)).softmax_rows().data
@@ -364,11 +444,15 @@ class TestAttention:
             context[0, 0] = 1.0
 
     @pytest.mark.parametrize("p", [0.0, 0.3])
-    def test_backward_holds_one_square_array(self, rng, p):
-        # dS is the only n x n array grads holds: a second one, or a block
-        # temporary beside dS, would pass 1.25 n^2 doubles
-        n = 300
-        q, k, v, w = (rng.uniform(-1, 1, size=(n, 8)) for _ in range(4))
+    def test_backward_holds_no_square_array(self, rng, p):
+        # grads holds one tile-sized buffer and arrays of n x dh: an n x n
+        # dS, an n x n dropout temporary or a second tile would pass the
+        # bound, which stays under n^2 / 4 doubles
+        n, dh = 800, 8
+        tile = autodiff._tile_rows(n) * n * 8
+        bound = tile + 8 * n * (dh + 1) * 8
+        assert bound < n * n * 8 / 4
+        q, k, v, w = (rng.uniform(-1, 1, size=(n, dh)) for _ in range(4))
         _, _, _, grads = autodiff._attend(q, k, v, 0.35, p, seed=3)
         tracemalloc.start()
         try:
@@ -376,7 +460,24 @@ class TestAttention:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * n * n * 8, peak / (n * n * 8)
+        assert peak < bound, (peak, bound)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_forward_holds_no_square_array_beyond_weights(self, rng, p):
+        # beyond E (and, with dropout, its boolean mask) the forward holds
+        # at most one tile and arrays of n x dh: a whole-array draw of the
+        # mask, or a whole-array dropout(E), would pass the bound
+        n, dh = 800, 8
+        tile = autodiff._tile_rows(n) * n * 8
+        held = n * n * 8 + (n * n if p else 0)
+        q, k, v = (rng.uniform(-1, 1, size=(n, dh)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            autodiff._attend(q, k, v, 0.35, p, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < tile + 8 * n * (dh + 1) * 8, (peak - held, tile)
 
     # 1e200: finite inputs whose scores overflow
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
