@@ -15,6 +15,8 @@ shapes; the backward pass sums gradients over broadcast axes.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,6 +40,58 @@ _SHIFT_BOUND_LIMIT = 64.0
 # it was tuned on; 32 rows at n=1500). The row count depends on n alone,
 # so the tiled sums are the same on every run
 _ATTEND_TILE_BYTES = 384 * 1024
+
+
+class _ArrayPool:
+    """Arrays that outlive one _attend call and are reused by the next.
+
+    A forward holds its n x n E arrays (and, with dropout, their masks)
+    until its backward. Allocated afresh each step, they would land on
+    pages that glibc gave back to the kernel when the last backward freed
+    them, and every forward would fault them in again.
+
+    take() returns a view of a pooled array that no other array refers
+    to. Whether an array is in use is read from the pooled array's own
+    reference count: every view, and every slice of a view, refers to the
+    array that owns the memory, so it is free only when none is left. A
+    finalizer on the handed-out view would not do, since a slice can
+    outlive the view. When no free array of the shape asked for exists,
+    the free arrays of every other shape are dropped before a new one is
+    made, so that callers whose sizes change (federated clients) do not
+    hoard memory. One lock guards the pool, which the federated thread
+    pool shares.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        # what _refs() reads for an array nothing else refers to (3 in
+        # CPython 3.11: the list, the loop variable and getrefcount's
+        # argument), measured on a probe rather than assumed, so that an
+        # interpreter that counts otherwise neither hands out arrays in
+        # use nor stops reusing free ones
+        self._arrays = [np.empty(0)]
+        (self._free_refs,) = self._refs()
+        self._arrays = []
+
+    def _refs(self) -> list[int]:
+        return [sys.getrefcount(held) for held in self._arrays]
+
+    def take(self, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+        """A writable view of a free pooled array of shape and dtype,
+        whose entries hold whatever the last user left."""
+        with self._lock:
+            free = [refs == self._free_refs for refs in self._refs()]
+            for held, unused in zip(self._arrays, free):
+                if unused and held.shape == shape and held.dtype == dtype:
+                    return held.view()
+            self._arrays = [held for held, unused in zip(self._arrays, free)
+                            if held.shape == shape or not unused]
+            fresh = np.empty(shape, dtype)
+            self._arrays.append(fresh)
+            return fresh.view()
+
+
+_POOL = _ArrayPool()
 
 
 class Tensor:
@@ -410,6 +464,12 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     multiply by E's tile, made in one tile-sized buffer; dq's rows are
     written per tile, and dv and dk^T are summed over tiles. grads holds
     no n x n array of its own, and the context is read-only like E.
+
+    E, and with dropout its boolean mask, come from _POOL: an array that
+    no graph refers to any more (its backward has run, or an eval forward
+    was dropped) is handed to the next call of the same shape, so a
+    step's n x n memory stays mapped across steps. Every entry of both is
+    overwritten, so reuse changes no bits.
     """
     n, m = q.shape[0], k.shape[0]
     dh = v.shape[1]
@@ -428,10 +488,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
         lhs, rhs = np.hstack((qs, -shift)), np.hstack((k, np.ones((m, 1))))
     else:
         lhs, rhs = qs, k
-    weights = np.empty((n, m))
+    weights = _POOL.take((n, m))
     if p:
         rng = np.random.default_rng(seed)
-        keep = np.empty((n, m), dtype=bool)
+        keep = _POOL.take((n, m), bool)
         buf = np.empty((min(rows, n), m))
         vs = v * keep_scale
         context, row_sums = np.empty((n, dh)), np.empty((n, 1))

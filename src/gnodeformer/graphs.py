@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import atomic_writer, parse_pairs, write_lines
+from .optim import MAX_GRAD
 from .seeding import MASKS, SBM, rng_for
 
 log = logging.getLogger(__name__)
@@ -24,6 +25,18 @@ META_KEYS = ("n", "f", "c", "name")
 
 # train/val/test shares of every split the program makes
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+
+# largest feature magnitude that the SBM generator and the loader accept.
+# Every gradient grows at most linearly with the feature scale: features
+# enter the model once, through the head's first product, and the loss's
+# gradient for the logits stays within [-1, 1] at any scale. So a gradient
+# entry is the feature scale times a factor set by the weights, the basis
+# and the graph's size, and Adam refuses one past optim.MAX_GRAD. The
+# bound sqrt(MAX_GRAD), about 1.16e77, leaves that factor the other half
+# of the exponent range. With no bound, a 30-node SBM trained at signal
+# 1e153 and overflowed at 1e154, next to MAX_GRAD's 1.34e154: a factor
+# near 1, far inside that half
+FEATURE_SCALE_MAX = float(np.sqrt(MAX_GRAD))
 
 
 @dataclass
@@ -175,8 +188,12 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
     noise = rng.standard_normal((n, config.feature_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         features = config.signal * means[labels] + noise
-    if not np.isfinite(features).all():
-        raise ConfigError(f"feature signal {config.signal!r} overflows the SBM features")
+    scale = np.abs(features).max()
+    if not scale <= FEATURE_SCALE_MAX:
+        raise ConfigError(
+            f"feature signal {config.signal!r} overflows the SBM features: their "
+            f"scale {scale:.3g} passes the feature scale bound {FEATURE_SCALE_MAX:.3g}"
+        )
 
     train, val, test = split_masks(labels, config.seed)
     return GraphDataset(
@@ -283,6 +300,17 @@ def load_dataset(path: str | Path, mask_seed: int) -> GraphDataset:
         )
     if labels.shape != (n,):
         raise DataError(f"{path / 'labels'}: {labels.shape[0]} rows, meta says {n}")
+
+    # a non-finite value (inf, or nan, which compares false) is
+    # GraphDataset's to report
+    scale = np.abs(features)
+    past = np.argwhere((scale > FEATURE_SCALE_MAX) & (scale < np.inf))
+    if past.size:
+        node, column = past[0]
+        raise DataError(
+            f"{path / 'features'}: feature scale {scale[node, column]:.3g} at "
+            f"node {node}, column {column} passes the bound {FEATURE_SCALE_MAX:.3g}"
+        )
 
     edges = _read_table(path / "edges", np.int64, ndmin=2)
     train, val, test = split_masks(labels, mask_seed)

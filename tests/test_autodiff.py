@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -20,7 +23,10 @@ from gnodeformer.autodiff import (
     masked_cross_entropy,
 )
 from gnodeformer.errors import DataError, NumericsError
+from gnodeformer.graphs import SbmConfig, build_normalized_laplacian, generate_sbm
+from gnodeformer.model import ModelConfig, forward, init_params, loss_and_metrics
 from gnodeformer.optim import AdamConfig, ParamSet, adam_step, init_optimizer
+from gnodeformer.spectral import sym_eig
 from tests.helpers import central_difference_grads, max_rel_err, named_grads
 
 GRAD_TOL = 1e-5
@@ -518,6 +524,156 @@ class TestAttention:
         assert ref() is not None  # held by the graph until backward
         named_grads(loss, {str(i): t for i, t in enumerate([x, *ws])})
         assert ref() is None
+
+
+def central_step(dataset, basis, config, params, seed=3):
+    """One training forward, its loss and backward; the parameter gradient."""
+    logits, _ = forward(dataset, basis, config, params, training=True, dropout_seed=seed)
+    return backward(loss_and_metrics(logits, dataset.labels, dataset.train_mask)[0], params)
+
+
+class TestArrayPool:
+    """_attend takes E, and with dropout its mask, from autodiff._POOL, which
+    hands an array out again only once nothing refers to it."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        fresh = autodiff._ArrayPool()
+        monkeypatch.setattr(autodiff, "_POOL", fresh)
+        return fresh
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_held_weights_keep_their_values(self, rng, pool, p):
+        q, k, v = (rng.uniform(-1, 1, size=(40, 3)) for _ in range(3))
+        weights = autodiff._attend(q, k, v, 0.5, p, 1)[1]
+        part = weights[5:9, 2:]
+        want, want_part = weights.copy(), part.copy()
+        for seed in range(3):
+            later = autodiff._attend(-q, k, v, 0.7, p, seed)[1]
+            assert not np.shares_memory(later, weights)
+        np.testing.assert_array_equal(weights, want)
+        # a slice alone keeps the whole array out of the pool
+        del weights
+        for seed in range(3):
+            later = autodiff._attend(-q, k, v, 0.7, p, seed)[1]
+            assert not np.shares_memory(later, part)
+        np.testing.assert_array_equal(part, want_part)
+        # once nothing refers to them, the arrays are handed out again
+        del part, later
+        count = len(pool._arrays)
+        for seed in range(3):
+            autodiff._attend(q, k, v, 0.5, p, seed)
+        assert len(pool._arrays) == count
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_two_live_graphs_match_one_at_a_time(self, rng, pool, p):
+        x, ws = head_leaves(rng, 30)
+        named = {str(i): t for i, t in enumerate([x, *ws])}
+        read = weighting(rng, 30, 4)
+
+        def loss(seed):
+            return read(attention_head(x, *ws, 0.7, p, seed))
+
+        alone = [named_grads(loss(seed), named) for seed in (1, 2)]
+        first, second = loss(1), loss(2)
+        together = [named_grads(first, named), named_grads(second, named)]
+        for one, other in zip(alone, together):
+            for name in named:
+                assert one[name].tobytes() == other[name].tobytes(), name
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    def test_warm_step_allocates_no_square_array(self, pool, monkeypatch, p):
+        # the traced peak of a step on a warm pool, against one on an empty
+        # pool less the arrays it allocated: an n x n array made afresh in
+        # the warm step would pass the one-array slack
+        dataset = generate_sbm(SbmConfig((100, 100, 100), 0.1, 0.02, seed=1))
+        basis = sym_eig(build_normalized_laplacian(dataset), unit_band=True)
+        config = ModelConfig(
+            dataset.feature_dim, dataset.num_classes, rk_order=4, dropout=p
+        )
+        params = init_params(config, 1)
+        square = dataset.n**2 * 8
+        central_step(dataset, basis, config, params)
+
+        def traced_step():
+            tracemalloc.start()
+            try:
+                central_step(dataset, basis, config, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        warm = traced_step()
+        cold_pool = autodiff._ArrayPool()
+        monkeypatch.setattr(autodiff, "_POOL", cold_pool)
+        cold = traced_step()
+        held = sum(a.nbytes for a in cold_pool._arrays)
+        # 16 attention calls: 2 layers x 4 stages x 2 heads
+        assert held == 16 * (square + (square // 8 if p else 0))
+        assert warm < cold - held + square, (warm, cold - held, square)
+
+    def test_shape_change_drops_free_arrays_of_old_shape(self, rng, pool):
+        def attend(n, p=0.3):
+            q, k, v = (rng.uniform(-1, 1, size=(n, 3)) for _ in range(3))
+            return autodiff._attend(q, k, v, 0.5, p, 1)
+
+        def pooled():
+            return sorted((a.shape, a.dtype.str) for a in pool._arrays)
+
+        held = [attend(30) for _ in range(2)]
+        del held
+        assert pooled() == [((30, 30), "<f8")] * 2 + [((30, 30), "|b1")] * 2
+        kept = attend(20)[1]
+        assert pooled() == [((20, 20), "<f8"), ((20, 20), "|b1")]
+        # an array in use stays through a request for another shape; the
+        # free mask beside it goes
+        attend(30, p=0.0)
+        assert pooled() == [((20, 20), "<f8"), ((30, 30), "<f8")]
+        del kept
+        attend(40, p=0.0)
+        assert pooled() == [((40, 40), "<f8")]
+
+    def test_threads_never_share_an_array(self, rng, pool, monkeypatch):
+        class YieldingSys:
+            # a thread switch between reading an array's reference count
+            # and handing it out: without the lock two threads would both
+            # find the same array free
+            @staticmethod
+            def getrefcount(a):
+                time.sleep(0)
+                return sys.getrefcount(a) - 1  # less this frame's reference
+
+        monkeypatch.setattr(autodiff, "sys", YieldingSys)
+        n, rounds = 60, 40
+        inputs = [[rng.uniform(-1, 1, size=(n, 3)) for _ in range(3)] for _ in range(4)]
+        want = [autodiff._attend(*qkv, 0.5, 0.2, i)[1].copy() for i, qkv in enumerate(inputs)]
+        barrier = threading.Barrier(len(inputs), timeout=60)
+        faults = []
+
+        def worker(i):
+            barrier.wait()
+            for _ in range(rounds):
+                weights = autodiff._attend(*inputs[i], 0.5, 0.2, i)[1]
+                # other threads take arrays while this one is held
+                time.sleep(0)
+                if not np.array_equal(weights, want[i]):
+                    faults.append(i)
+                del weights
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert faults == []
+        # each thread held at most one E and one mask at a time
+        assert len(pool._arrays) <= 2 * len(inputs)
 
 
 def assert_same_bits(fused, plain, named, read):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gnodeformer import cli, training
+from gnodeformer import cli, graphs, training
 from gnodeformer.cli import main, parse_sbm_spec
 from gnodeformer.errors import ConfigError
 from gnodeformer.graphs import GraphDataset, split_masks
@@ -661,12 +661,21 @@ class TestExitCodes:
         [("labels_short", "labels", "59 rows, meta says 60"),
          ("meta_wide_f", "features", "feature matrix (60, 8), meta says (60, 9)"),
          ("meta_not_int", "meta",
-          "meta file: invalid literal for int() with base 10: 'sixty'")],
+          "meta file: invalid literal for int() with base 10: 'sixty'"),
+         ("features_past_bound", "features",
+          "feature scale 1e+300 at node 7, column 2 passes the bound 1.16e+77")],
     )
     def test_loader_reason_names_its_file(self, tmp_path, capsys, case, name, reason):
         data = tmp_path / "data"
         assert run_cli("gen-data", "--sbm", TINY_SBM, "--out", data) == 0
-        if case == "labels_short":
+        if case == "features_past_bound":
+            # finite, but past graphs.FEATURE_SCALE_MAX
+            rows = (data / "features").read_text().splitlines()
+            cells = rows[7].split()
+            cells[2] = "-1e300"
+            rows[7] = " ".join(cells)
+            (data / "features").write_text("\n".join(rows) + "\n")
+        elif case == "labels_short":
             rows = (data / "labels").read_text().splitlines()
             (data / "labels").write_text("\n".join(rows[:-1]) + "\n")
         elif case == "meta_wide_f":
@@ -678,20 +687,22 @@ class TestExitCodes:
         assert run_cli(*argv) == 3
         assert capsys.readouterr().err == f"data error: {data / name}: {reason}\n"
 
-    def test_overflowing_gradient_is_numerics_error(self, tmp_path):
+    def test_overflowing_gradient_is_numerics_error(self, tmp_path, capsys, monkeypatch):
         # a finite feature of 1e308 gives a finite first gradient whose
-        # entries reach 1e306; Adam's second moment would overflow on it
+        # entries reach 1e306; Adam's second moment would overflow on it.
+        # The loader now refuses such a feature (the features_past_bound
+        # case above), so the bound is lifted to reach Adam's own guard
+        monkeypatch.setattr(graphs, "FEATURE_SCALE_MAX", np.inf)
         data = tmp_path / "data"
         sbm = "blocks=10,10,10;p_in=0.3;p_out=0.05;feature_dim=4;seed=1"
         assert run_cli("gen-data", "--sbm", sbm, "--out", data) == 0
         rows = (data / "features").read_text().splitlines()
         rows[0] = " ".join(["1e308", *rows[0].split()[1:]])
         (data / "features").write_text("\n".join(rows) + "\n")
-        result = run_child(
-            "train", "--dataset", data, "--epochs", 20, "--out", tmp_path / "out"
-        )
-        assert result.returncode == 4, result.stderr
-        assert result.stderr == (
+        capsys.readouterr()
+        code = run_cli("train", "--dataset", data, "--epochs", 20, "--out", tmp_path / "out")
+        assert code == 4
+        assert capsys.readouterr().err == (
             "numerics error: overflowing gradient for 'input_proj/w'; step aborted\n"
         )
 
@@ -815,6 +826,9 @@ class TestExitCodes:
              "encoding temperature epsilon=1e+308 must be in (0, "),
             (["train", "--sbm", "blocks=10,10,10;p_in=0.3;p_out=0.05;signal=1e308"],
              "feature signal 1e+308 overflows the SBM features"),
+            (["train", "--sbm", "blocks=10,10,10;p_in=0.3;p_out=0.05;signal=1e300"],
+             "feature signal 1e+300 overflows the SBM features: their scale 1.88e+300 "
+             "passes the feature scale bound 1.16e+77"),
             (["train", "--sbm", TINY_SBM, "--hidden", "9" * 400],
              "hidden past numpy's index limit"),
             (["train", "--sbm", TINY_SBM, "--width", "9" * 399 + "8", "--heads", "2"],
@@ -824,7 +838,8 @@ class TestExitCodes:
         ],
         ids=["negative_block", "negative_heads", "sbm_no_equals", "huge_block",
              "blocks_sum_past_intp", "huge_feature_dim", "huge_epsilon",
-             "huge_signal", "huge_hidden", "huge_width", "huge_layers"],
+             "huge_signal", "signal_past_feature_scale", "huge_hidden", "huge_width",
+             "huge_layers"],
     )
     def test_config_error_names_its_reason(self, tmp_path, capsys, argv, reason):
         code = run_cli(*argv, "--out", tmp_path / "out")

@@ -52,3 +52,21 @@ def test_alpha_sweep():
     assert 0.0 <= float(mean_tv) <= 1.0
     assert 0.0 <= float(accuracy) <= 1.0
     assert lines[2].startswith("(clients=5, rounds=1, local_epochs=1")
+
+
+def test_step_profile():
+    lines = run_script(
+        "step_profile.py", "--sbm", "blocks=20,20,20;p_in=0.3;p_out=0.05;seed=1",
+        "--rk", "2", "--blas-threads", "1", "--steps", "3",
+    )
+    assert lines[0] == "n=60 rk=2 blas_threads=1"
+    header = lines[1].split()
+    assert header == ["step", "forward_ms", "backward_ms", "adam_ms", "faults_forward",
+                      "faults_backward", "faults_adam", "maxrss_mb"]
+    rows = [line.split() for line in lines[2:5]]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    for row in rows:
+        assert len(row) == len(header)
+        assert all(float(v) >= 0 for v in row[1:])
+    assert lines[5].startswith("median of steps 1-2: forward_ms ")
+    assert len(lines) == 6
