@@ -57,7 +57,7 @@ def main() -> None:
     state = init_optimizer(params, AdamConfig(lr=0.01))
 
     def forward_loss():
-        logits, _ = forward(dataset, basis, config, params, training=True)
+        logits, _ = forward(dataset, basis, config, params, dropout_seed=0)
         return loss_and_metrics(logits, dataset.labels, dataset.train_mask)[0]
 
     print(f"n={dataset.n} rk={args.rk} "

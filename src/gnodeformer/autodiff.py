@@ -348,19 +348,11 @@ def dropout(t: Tensor, p: float, seed: int) -> Tensor:
     survivors by 1/(1-p). Identity when p=0. The mask is a pure function
     of the seed.
     """
-    keep, scale = _dropout_mask(t.data.shape, p, seed)
-    if keep is None:
-        return t
-    return _make(t.data * keep * scale, (t,), lambda g: _acc(t, g * keep * scale))
-
-
-def _dropout_mask(shape, p: float, seed: int):
-    """(keep, scale): inverted dropout's mask, a function of ``seed``
-    alone and None at p=0, and its factor 1/(1-p)."""
     scale = _keep_scale(p)
     if p == 0.0:
-        return None, scale
-    return np.random.default_rng(seed).random(shape) >= p, scale
+        return t
+    keep = np.random.default_rng(seed).random(t.data.shape) >= p
+    return _make(t.data * keep * scale, (t,), lambda g: _acc(t, g * keep * scale))
 
 
 def _keep_scale(p: float) -> float:
@@ -457,13 +449,13 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     finiteness, raising NumericsError on a non-finite score, and shifts
     each row by its exact max.
 
-    grads(g, need_v, need_q, need_k) gives (dv, dq, dk) for context
-    gradient g, each None unless asked for. The softmax backward's row
-    term, rowsum(dP * P), comes from the n x dh context (as in
-    FlashAttention's backward), so each tile of dS is its product and one
-    multiply by E's tile, made in one tile-sized buffer; dq's rows are
-    written per tile, and dv and dk^T are summed over tiles. grads holds
-    no n x n array of its own, and the context is read-only like E.
+    grads(g) gives all three of (dv, dq, dk) for context gradient g.
+    The softmax backward's row term, rowsum(dP * P), comes from the n x dh
+    context (as in FlashAttention's backward), so each tile of dS is its
+    product and one multiply by E's tile, made in one tile-sized buffer;
+    dq's rows are written per tile, and dv and dk^T are summed over tiles.
+    grads holds no n x n array of its own, and the context is read-only
+    like E.
 
     E, and with dropout its boolean mask, come from _POOL: an array that
     no graph refers to any more (its backward has run, or an eval forward
@@ -525,35 +517,30 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     # grads reads the context: a caller's edit would corrupt dq and dk
     context.flags.writeable = False
 
-    def grads(g, need_v, need_q, need_k):
+    def grads(g):
         gs = g / row_sums
-        need_s = need_q or need_k
-        if need_s:
-            # dS = (dP - rowsum(dP * P)) * P for P = E / r and dP =
-            # dropout(g v^T) is (B - delta) * E for B = dropout(gs v^T),
-            # where delta = rowsum(B * E) / r equals rowsum(gs * context):
-            # the context already holds the dropout and the division by r,
-            # so no n x n pass makes delta. Without dropout delta enters the
-            # dS product as one more column, as the shift does in the
-            # forward; with dropout it is subtracted after the mask
-            delta = (gs * context).sum(axis=1, keepdims=True)
-            dq = np.empty((n, k.shape[1]))
-            dkt = np.empty((k.shape[1], m))
+        # dS = (dP - rowsum(dP * P)) * P for P = E / r and dP = dropout(g
+        # v^T) is (B - delta) * E for B = dropout(gs v^T), where delta =
+        # rowsum(B * E) / r equals rowsum(gs * context): the context
+        # already holds the dropout and the division by r, so no n x n pass
+        # makes delta. Without dropout delta enters the dS product as one
+        # more column, as the shift does in the forward; with dropout it is
+        # subtracted after the mask
+        delta = (gs * context).sum(axis=1, keepdims=True)
+        dq = np.empty((n, k.shape[1]))
+        dkt = np.empty((k.shape[1], m))
         if keep is None:
-            lhs = np.hstack((gs, -delta)) if need_s else None
+            lhs = np.hstack((gs, -delta))
         else:
             # dropout(E) = (E * keep) * keep_scale: the scale goes to gs
             gs *= keep_scale
-        dv = np.empty((m, dh)) if need_v else None
+        dv = np.empty((m, dh))
         buf = np.empty((min(rows, n), m))
         for t, s in enumerate(tiles):
             tile = weights[s]
             ds = buf[: len(tile)]
-            if need_v:
-                dropped = tile if keep is None else _masked(tile, keep[s], ds)
-                _sum_product(dv, dropped.T, gs[s], t == 0)
-            if not need_s:
-                continue
+            dropped = tile if keep is None else _masked(tile, keep[s], ds)
+            _sum_product(dv, dropped.T, gs[s], t == 0)
             if keep is None:
                 np.matmul(lhs[s], vo.T, out=ds)
             else:
@@ -561,15 +548,12 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
                 ds *= keep[s]
                 ds -= delta[s]
             ds *= tile
-            if need_q:
-                np.matmul(ds, k, out=dq[s])
-            if need_k:
-                # (qs^T dS)^T rather than dS^T qs: the product and layout
-                # the unfused matmul-then-transpose backward passes on
-                _sum_product(dkt, qs[s].T, ds, t == 0)
-        if need_q:
-            dq *= scale
-        return dv, dq if need_q else None, dkt.T if need_k else None
+            np.matmul(ds, k, out=dq[s])
+            # (qs^T dS)^T rather than dS^T qs: the product and layout the
+            # unfused matmul-then-transpose backward passes on
+            _sum_product(dkt, qs[s].T, ds, t == 0)
+        dq *= scale
+        return dv, dq, dkt.T
 
     return context, weights, row_sums, grads
 
@@ -630,18 +614,11 @@ def attention_head(
     context, _, _, grads = _attend(xd @ wq.data, xd @ wk.data, xd @ wv.data, scale, p, seed)
 
     def backward(g):
-        need_v = x.requires_grad or wv.requires_grad
-        need_k = x.requires_grad or wk.requires_grad
-        need_q = x.requires_grad or wq.requires_grad
-        dctx = g @ wo.data.T if (need_v or need_k or need_q) else None
+        dctx = g @ wo.data.T
         if wo.requires_grad:
             _acc(wo, context.T @ g)
-        if dctx is None:
-            return
-        dv, dq, dk = grads(dctx, need_v, need_q, need_k)
+        dv, dq, dk = grads(dctx)
         for d, w in ((dv, wv), (dk, wk), (dq, wq)):
-            if d is None:
-                continue
             if x.requires_grad:
                 _acc(x, d @ w.data.T)
             if w.requires_grad:

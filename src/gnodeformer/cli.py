@@ -235,7 +235,7 @@ def cmd_train(args) -> int:
     # one eval forward serves both the filter table and the test score: the
     # last validation forward when it ran at these params, else a new one
     if last is None:
-        last = forward(dataset, basis, config, params, training=False)
+        last = forward(dataset, basis, config, params)
     logits, gamma = last
     with _writing(out):
         write_filter_table(out / "filters.txt", basis.eigenvalues, gamma.data)

@@ -253,8 +253,9 @@ def client_update(
 def fedavg(param_sets: list[ParamSet], weights: list[float]) -> ParamSet:
     """Weighted average of parameter sets, weights normalized to sum 1.
 
-    Anchored at the first participant so identical inputs average to
-    themselves exactly.
+    Anchored at the first participant so identical inputs, one set
+    among them, average to themselves exactly (anchor + 0.0 keeps every
+    bit but a -0.0's sign, and no parameter is ever -0.0).
     """
     if not param_sets:
         raise ConfigError("fedavg needs at least one parameter set")
@@ -263,8 +264,6 @@ def fedavg(param_sets: list[ParamSet], weights: list[float]) -> ParamSet:
     weights = np.asarray(weights, dtype=float)
     if (weights <= 0).any():
         raise ConfigError("weights must be positive")
-    if len(param_sets) == 1:
-        return param_sets[0].copy()
     names = param_sets[0].names()
     layout = param_sets[0].layout()
     for other in param_sets[1:]:

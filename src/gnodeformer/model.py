@@ -199,20 +199,18 @@ def transformer_layer_f(
     params: ParamSet,
     layer: int,
     config: ModelConfig,
-    training: bool = False,
     seeds: Iterator[int] | None = None,
 ) -> Tensor:
     """One evaluation of the block's vector field: pre-norm multi-head
     self-attention over the eigen-tokens, then a pre-norm two-layer
     feed-forward. No internal skip connections; the integrator adds the
-    input back outside this function.
+    input back outside this function. Dropout draws its seeds from
+    ``seeds``; None is eval mode (no dropout).
     """
     if z.shape[1] != config.d:
         raise ConfigError(f"token width {z.shape[1]} != configured d={config.d}")
     p = lambda key: params[f"layer{layer}/{key}"]
-    drop = config.dropout if training else 0.0
-    if drop and seeds is None:
-        raise ConfigError("dropout enabled but no seed stream supplied")
+    drop = 0.0 if seeds is None else config.dropout
 
     zn = layer_norm_affine(z, p("ln1/gain"), p("ln1/bias"))
     scale = 1.0 / math.sqrt(config.head_dim)
@@ -328,14 +326,14 @@ def forward(
     basis: SpectralBasis,
     config: ModelConfig,
     params: ParamSet,
-    training: bool = False,
-    dropout_seed: int = 0,
+    dropout_seed: int | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Full pipeline from eigenvalues to logits.
 
     Returns (logits n x C, filter channels n x M); the head reads logits
     out of H0 + U (U^T H0 M_0 + sum_{m>=1} (gamma_m o U^T H0) M_m).
-    Pure given (params, dropout_seed); eval mode ignores the seed.
+    Pure given (params, dropout_seed). A None seed is eval mode: no
+    dropout, whatever config.dropout says.
     """
     if basis.n != dataset.n:
         raise ConfigError(f"basis over {basis.n} nodes, dataset has {dataset.n}")
@@ -348,7 +346,9 @@ def forward(
             f"dataset has {dataset.num_classes} classes, config allows {config.classes}"
         )
     # deterministic per-call dropout seeds for this forward pass
-    seeds = (derive_seed(dropout_seed, DROPOUT, i) for i in itertools.count())
+    seeds = None
+    if dropout_seed is not None:
+        seeds = (derive_seed(dropout_seed, DROPOUT, i) for i in itertools.count())
 
     encoded = Tensor(eigen_encode(basis.eigenvalues, config))
     raw = linear(encoded, params["input_proj/w"], params["input_proj/b"])
@@ -356,9 +356,7 @@ def forward(
         raw, params["layer0/ln_hist/gain"], params["layer0/ln_hist/bias"]
     )
     for layer in range(config.layers):
-        f = lambda z: transformer_layer_f(
-            z, params, layer, config, training=training, seeds=seeds
-        )
+        f = lambda z: transformer_layer_f(z, params, layer, config, seeds)
         increment = rk_increment(
             normalized, f, config.rk_order, params[f"layer{layer}/rk_w"]
         )

@@ -76,9 +76,6 @@ class ParamSet:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __iter__(self):
-        return iter(self._items)
-
     def names(self) -> list[str]:
         return list(self._items)
 

@@ -87,12 +87,7 @@ def run_epochs(
         start = perf_counter()
         if logits is None:
             logits, _ = forward(
-                dataset,
-                basis,
-                config,
-                params,
-                training=True,
-                dropout_seed=derive_seed(seed, DROPOUT, epoch),
+                dataset, basis, config, params, derive_seed(seed, DROPOUT, epoch)
             )
         loss, accuracy = loss_and_metrics(logits, dataset.labels, dataset.train_mask)
         logits = None
@@ -121,7 +116,7 @@ def evaluate(
     """
     gamma = None
     if logits is None:
-        logits, gamma = forward(dataset, basis, config, params, training=False)
+        logits, gamma = forward(dataset, basis, config, params)
     loss, accuracy = loss_and_metrics(logits, dataset.labels, mask)
     return loss.item(), accuracy, (logits, gamma)
 

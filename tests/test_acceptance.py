@@ -148,9 +148,7 @@ def test_03_gradients_match_finite_differences():
         params = init_params(config, seed=0)
 
         def compute():
-            logits, _ = forward(
-                ds, basis, config, params, training=True, dropout_seed=11
-            )
+            logits, _ = forward(ds, basis, config, params, dropout_seed=11)
             return loss_and_metrics(logits, ds.labels, ds.train_mask)[0]
 
         grads = params.like(backward(compute(), params))

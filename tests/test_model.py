@@ -450,8 +450,8 @@ class TestForward:
         ds, basis = tiny_dataset()
         cfg = tiny_config()
         params = init_params(cfg, seed=5)
-        a, _ = forward(ds, basis, cfg, params, training=True, dropout_seed=3)
-        b, _ = forward(ds, basis, cfg, params, training=True, dropout_seed=3)
+        a, _ = forward(ds, basis, cfg, params, dropout_seed=3)
+        b, _ = forward(ds, basis, cfg, params, dropout_seed=3)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_identity_channel_forced(self):
@@ -514,7 +514,7 @@ class TestForward:
             basis = sym_eig(build_normalized_laplacian(graph), unit_band=True)
             ones = int(np.isclose(basis.eigenvalues, 1.0, rtol=0, atol=1e-9).sum())
             assert (ones > 1) == repeated, ones
-            logits.append(forward(graph, basis, cfg, params, training=False)[0].data)
+            logits.append(forward(graph, basis, cfg, params)[0].data)
         np.testing.assert_allclose(logits[1], logits[0][perm], rtol=0, atol=1e-10)
 
     def test_rotation_inside_degenerate_eigenspaces_keeps_eval_logits(self):
@@ -556,8 +556,7 @@ class TestForward:
         cfg = tiny_config(classes=3, rk_order=4, layers=2)
         params = init_params(cfg, seed=7)
         logits = [
-            forward(ds, SpectralBasis(eigenvalues=values, eigenvectors=u), cfg, params,
-                    training=False)[0].data
+            forward(ds, SpectralBasis(eigenvalues=values, eigenvectors=u), cfg, params)[0].data
             for u in (vectors, rotated)
         ]
         np.testing.assert_allclose(logits[1], logits[0], rtol=0, atol=1e-10)
@@ -566,12 +565,14 @@ class TestForward:
         ds, basis = tiny_dataset()
         cfg = tiny_config(dropout=0.5)
         params = init_params(cfg, seed=0)
-        train_a, _ = forward(ds, basis, cfg, params, training=True, dropout_seed=1)
-        train_b, _ = forward(ds, basis, cfg, params, training=True, dropout_seed=2)
-        eval_a, _ = forward(ds, basis, cfg, params, training=False, dropout_seed=1)
-        eval_b, _ = forward(ds, basis, cfg, params, training=False, dropout_seed=2)
+        train_a, _ = forward(ds, basis, cfg, params, dropout_seed=1)
+        train_b, _ = forward(ds, basis, cfg, params, dropout_seed=2)
+        # no seed is eval mode: the forward of the same model without dropout
+        eval_, _ = forward(ds, basis, cfg, params)
+        plain, _ = forward(ds, basis, tiny_config(dropout=0.0), params, dropout_seed=1)
         assert not np.array_equal(train_a.data, train_b.data)
-        np.testing.assert_array_equal(eval_a.data, eval_b.data)
+        assert not np.array_equal(train_a.data, eval_.data)
+        np.testing.assert_array_equal(eval_.data, plain.data)
 
     def test_config_mismatch_rejected(self):
         ds, basis = tiny_dataset()
@@ -610,8 +611,7 @@ class TestFullModelGradients:
         params = init_params(cfg, seed=seed)
 
         def compute():
-            logits, _ = forward(ds, basis, cfg, params, training=cfg.dropout > 0,
-                                dropout_seed=11)
+            logits, _ = forward(ds, basis, cfg, params, dropout_seed=11)
             return loss_and_metrics(logits, ds.labels, ds.train_mask)[0]
 
         grads = params.like(backward(compute(), params))
@@ -666,7 +666,7 @@ class TestBackwardWork:
             real_acc(t, g)
 
         monkeypatch.setattr(autodiff, "_acc", acc)
-        logits, _ = forward(ds, basis, cfg, params, training=True, dropout_seed=5)
+        logits, _ = forward(ds, basis, cfg, params, dropout_seed=5)
         loss, _ = loss_and_metrics(logits, ds.labels, ds.train_mask)
         backward(loss, params)
         assert targets and all(targets)

@@ -89,7 +89,7 @@ class TestEvaluate:
         ds, basis, cfg = small_problem()
         params = init_params(cfg, seed=2)
         loss, acc, _ = evaluate(ds, basis, cfg, params, ds.test_mask)
-        logits, _ = forward(ds, basis, cfg, params, training=False)
+        logits, _ = forward(ds, basis, cfg, params)
         want_loss, want_acc = loss_and_metrics(logits, ds.labels, ds.test_mask)
         assert loss == want_loss.item()
         assert acc == want_acc
@@ -222,10 +222,8 @@ class TestForwardReuse:
         ds, basis, cfg = small_problem()
         cfg = replace(cfg, rk_order=rk)
         params = init_params(cfg, seed=4)
-        train_logits, train_gamma = forward(
-            ds, basis, cfg, params, training=True, dropout_seed=11
-        )
-        eval_logits, eval_gamma = forward(ds, basis, cfg, params, training=False)
+        train_logits, train_gamma = forward(ds, basis, cfg, params, dropout_seed=11)
+        eval_logits, eval_gamma = forward(ds, basis, cfg, params)
         assert train_logits.data.tobytes() == eval_logits.data.tobytes()
         assert train_gamma.data.tobytes() == eval_gamma.data.tobytes()
 
@@ -270,7 +268,7 @@ class TestForwardReuse:
         )
         # dropout makes every step run its own forward; the kept one is not new
         assert len(made) == (5 + 1 if dropout == 0 else 2 * 5)
-        want_logits, want_gamma = forward(ds, basis, cfg, params, training=False)
+        want_logits, want_gamma = forward(ds, basis, cfg, params)
         assert logits.data.tobytes() == want_logits.data.tobytes()
         assert gamma.data.tobytes() == want_gamma.data.tobytes()
 
@@ -318,7 +316,7 @@ class TestForwardReuse:
         ds, basis, cfg = small_problem(dropout=0.2)
         params = init_params(cfg, seed=0)
         state = init_optimizer(params, AdamConfig(lr=0.01))
-        logits, _ = forward(ds, basis, cfg, params, training=False)
+        logits, _ = forward(ds, basis, cfg, params)
         with pytest.raises(ConfigError, match="dropout"):
             run_epochs(ds, basis, cfg, params, state, 1, seed=0, logits=logits)
 
@@ -327,7 +325,7 @@ class TestForwardReuse:
         params = init_params(cfg, seed=2)
         loss, acc, (logits, gamma) = evaluate(ds, basis, cfg, params, ds.val_mask)
         assert (loss, acc) == evaluate(ds, basis, cfg, params, ds.val_mask)[:2]
-        want_logits, want_gamma = forward(ds, basis, cfg, params, training=False)
+        want_logits, want_gamma = forward(ds, basis, cfg, params)
         np.testing.assert_array_equal(logits.data, want_logits.data)
         np.testing.assert_array_equal(gamma.data, want_gamma.data)
         made = counting_forward(monkeypatch, training)
