@@ -42,6 +42,71 @@ _SHIFT_BOUND_LIMIT = 64.0
 _ATTEND_TILE_BYTES = 384 * 1024
 
 
+# erf in cephes' rational forms (ndtr.c; W. J. Cody, "Rational Chebyshev
+# approximations for the error function", Math. Comp. 23, 1969): for
+# 0 <= a < 1, erf(a) = a T(a^2) / U(a^2); for a >= 1, erf(a) = 1 - erfc(a)
+# with erfc(a) = exp(-a^2) P(a) / Q(a). Coefficients run from the highest
+# power down; U and Q are monic. Past a = 8 cephes takes erfc from another
+# pair, R/S, but there erfc < 1.2e-29 and 1 - erfc rounds to 1, as it does
+# with P/Q at a = 8, so a is clipped to 8 instead
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(coefs: tuple, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The polynomial with coefs (highest power first, at least two) at z,
+    written into out (which may not be z) or a new array."""
+    p = np.multiply(z, coefs[0], out=out)
+    p += coefs[1]
+    for c in coefs[2:]:
+        p *= z
+        p += c
+    return p
+
+
+def _erf_scaled(x: np.ndarray, gauss: np.ndarray | None = None) -> np.ndarray:
+    """erf(x / sqrt 2), a new array; nan stays nan.
+
+    gauss, when given, is exp(-0.5 * x * x) over x; otherwise that factor
+    is computed on the entries with |x| >= sqrt 2 alone, to the same bits.
+    """
+    # C order, so that erf, which takes a's layout, has a flat view
+    a = np.multiply(x, _INV_SQRT2, order="C")
+    # |a| < 1: every entry, a clipped to [-1, 1] so that no square
+    # overflows; a T / U is odd in a, so its sign is erf's. The entries
+    # with |a| >= 1, where the clipped square is 1, are overwritten below
+    small = np.clip(a, -1.0, 1.0)
+    z = small * small
+    erf = _horner(_ERF_T, z)
+    erf *= small
+    erf /= _horner(_ERF_U, z, out=small)
+    tail = np.flatnonzero(z >= 1.0)
+    if gauss is None:
+        xt = np.take(x, tail)
+        gauss_t = np.exp(-0.5 * xt * xt)
+    else:
+        gauss_t = np.take(gauss, tail)
+    at = np.take(a, tail)
+    mag = np.minimum(np.abs(at), 8.0)
+    gauss_t *= _horner(_ERFC_P, mag)
+    gauss_t /= _horner(_ERFC_Q, mag)
+    erf.reshape(-1)[tail] = np.copysign(1.0 - gauss_t, at)
+    return erf
+
+
 class _ArrayPool:
     """Arrays that outlive one _attend call and are reused by the next.
 
@@ -89,6 +154,13 @@ class _ArrayPool:
             fresh = np.empty(shape, dtype)
             self._arrays.append(fresh)
             return fresh.view()
+
+    def drop_free(self):
+        """Drop every pooled array that nothing refers to, so that a run's
+        arrays do not outlive it in a process that goes on."""
+        with self._lock:
+            free = [refs == self._free_refs for refs in self._refs()]
+            self._arrays = [held for held, unused in zip(self._arrays, free) if not unused]
 
 
 _POOL = _ArrayPool()
@@ -168,17 +240,20 @@ class Tensor:
         return _make(self.data * mask, (self,), lambda g: _acc(self, g * mask))
 
     def gelu(self):
-        # exact form x * Phi(x) with the Gaussian CDF, not the tanh fit.
-        # scipy.special is imported on the first call, not with the package;
-        # the FFN and decoder always use gelu, so every run loads it (about
-        # 0.3 s) in its first forward, whatever the head's activation
-        from scipy.special import erf
-
+        # exact form x * Phi(x) with the Gaussian CDF Phi(x) = (1 + erf(x /
+        # sqrt 2)) / 2, not the tanh fit. exp(-x^2 / 2) is the slope's pdf
+        # and the erf tail's factor; an input that needs no gradient needs
+        # no slope, and _erf_scaled then takes exp on its tail alone
         x = self.data
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        gauss = np.exp(-0.5 * x * x) if self.requires_grad else None
+        cdf = _erf_scaled(x, gauss)
+        cdf += 1.0
+        cdf *= 0.5
+        if gauss is None:
+            return _make(x * cdf, (self,), None)
         # the slope now, not in backward: there its temporaries raise the peak RSS
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        local = cdf + x * pdf
+        gauss *= _INV_SQRT_2PI
+        local = cdf + x * gauss
         return _make(x * cdf, (self,), lambda g: _acc(self, g * local))
 
     def tanh(self):
