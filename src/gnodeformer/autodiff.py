@@ -77,12 +77,9 @@ def _horner(coefs: tuple, z: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return p
 
 
-def _erf_scaled(x: np.ndarray, gauss: np.ndarray | None = None) -> np.ndarray:
-    """erf(x / sqrt 2), a new array; nan stays nan.
-
-    gauss, when given, is exp(-0.5 * x * x) over x; otherwise that factor
-    is computed on the entries with |x| >= sqrt 2 alone, to the same bits.
-    """
+def _erf_scaled(x: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """erf(x / sqrt 2), a new array; nan stays nan. gauss is
+    exp(-0.5 * x * x) over x, the factor of the erfc tail."""
     # C order, so that erf, which takes a's layout, has a flat view
     a = np.multiply(x, _INV_SQRT2, order="C")
     # |a| < 1: every entry, a clipped to [-1, 1] so that no square
@@ -94,11 +91,7 @@ def _erf_scaled(x: np.ndarray, gauss: np.ndarray | None = None) -> np.ndarray:
     erf *= small
     erf /= _horner(_ERF_U, z, out=small)
     tail = np.flatnonzero(z >= 1.0)
-    if gauss is None:
-        xt = np.take(x, tail)
-        gauss_t = np.exp(-0.5 * xt * xt)
-    else:
-        gauss_t = np.take(gauss, tail)
+    gauss_t = np.take(gauss, tail)
     at = np.take(a, tail)
     mag = np.minimum(np.abs(at), 8.0)
     gauss_t *= _horner(_ERFC_P, mag)
@@ -154,13 +147,6 @@ class _ArrayPool:
             fresh = np.empty(shape, dtype)
             self._arrays.append(fresh)
             return fresh.view()
-
-    def drop_free(self):
-        """Drop every pooled array that nothing refers to, so that a run's
-        arrays do not outlive it in a process that goes on."""
-        with self._lock:
-            free = [refs == self._free_refs for refs in self._refs()]
-            self._arrays = [held for held, unused in zip(self._arrays, free) if not unused]
 
 
 _POOL = _ArrayPool()
@@ -242,15 +228,12 @@ class Tensor:
     def gelu(self):
         # exact form x * Phi(x) with the Gaussian CDF Phi(x) = (1 + erf(x /
         # sqrt 2)) / 2, not the tanh fit. exp(-x^2 / 2) is the slope's pdf
-        # and the erf tail's factor; an input that needs no gradient needs
-        # no slope, and _erf_scaled then takes exp on its tail alone
+        # and the erf tail's factor
         x = self.data
-        gauss = np.exp(-0.5 * x * x) if self.requires_grad else None
+        gauss = np.exp(-0.5 * x * x)
         cdf = _erf_scaled(x, gauss)
         cdf += 1.0
         cdf *= 0.5
-        if gauss is None:
-            return _make(x * cdf, (self,), None)
         # the slope now, not in backward: there its temporaries raise the peak RSS
         gauss *= _INV_SQRT_2PI
         local = cdf + x * gauss

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff
 from .errors import ConfigError, DataError, GnodeformerError, NumericsError
 from .fedsim import (
     FedConfig,
@@ -491,9 +490,6 @@ def main(argv=None) -> int:
     except GnodeformerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # a caller that runs commands in one process keeps no free E arrays
-        autodiff._POOL.drop_free()
 
 
 if __name__ == "__main__":

@@ -628,14 +628,6 @@ class TestArrayPool:
         attend(40, p=0.0)
         assert pooled() == [((40, 40), "<f8")]
 
-    def test_drop_free_keeps_arrays_in_use(self, rng, pool):
-        q, k, v = (rng.uniform(-1, 1, size=(30, 3)) for _ in range(3))
-        kept = autodiff._attend(q, k, v, 0.5, 0.3, 1)[1]
-        autodiff._attend(q, k, v, 0.5, 0.0, 1)
-        assert len(pool._arrays) == 3
-        pool.drop_free()
-        assert len(pool._arrays) == 1 and np.shares_memory(pool._arrays[0], kept)
-
     def test_threads_never_share_an_array(self, rng, pool, monkeypatch):
         class YieldingSys:
             # a thread switch between reading an array's reference count
@@ -922,26 +914,26 @@ class TestForwardValues:
 
     def test_gelu_matches_erf_formula_bitwise(self, rng):
         # x * Phi(x) with Phi from the kernel's erf, and the slope from the
-        # same exp(-x^2 / 2) it shares with the erf tail; a forward whose
-        # input needs no gradient gives the same bits
+        # same exp(-x^2 / 2) it shares with the erf tail; the transposed
+        # (F-ordered) input gives the same bits
         edges = [[0.0, -0.0, 1e-300, -40.0, 40.0, 7.5, -7.5]]
         x = np.concatenate([rng.uniform(-6, 6, (5, 7)), edges])
         w = rng.uniform(-1, 1, x.shape)
         a = Tensor(x.copy(), requires_grad=True)
         out = a.gelu()
         grad = named_grads((out * Tensor(w)).sum(), {"a": a})["a"]
-        cdf = 0.5 * (1.0 + autodiff._erf_scaled(x))
-        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        gauss = np.exp(-0.5 * x * x)
+        cdf = 0.5 * (1.0 + autodiff._erf_scaled(x, gauss))
+        pdf = gauss * (1.0 / math.sqrt(2.0 * math.pi))
         assert np.array_equal(out.data, x * cdf)
         assert np.array_equal(grad, w * (cdf + x * pdf))
-        assert Tensor(x).gelu().data.tobytes() == out.data.tobytes()
         assert Tensor(x.T).gelu().data.T.tobytes() == out.data.tobytes()
 
     def test_gelu_erf_within_4_ulp_of_math_erf(self):
         # the kernel's erf(x / sqrt 2) against math.erf of the same
         # argument: a dense grid over +-40, the branch points sqrt 2 (a = 1)
         # and 8 sqrt 2 (a = 8) with four neighbours each way, +-0 and
-        # 1e-300; both ways of getting exp(-x^2 / 2) give the same bits
+        # 1e-300
         near = []
         for point in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)):
             below = np.nextafter(point, 0.0)
@@ -954,8 +946,7 @@ class TestForwardValues:
         x = np.concatenate([
             np.linspace(-40.0, 40.0, 100_001), near, -near, [0.0, -0.0, 1e-300]
         ]).reshape(1, -1)
-        got = autodiff._erf_scaled(x)
-        assert got.tobytes() == autodiff._erf_scaled(x, np.exp(-0.5 * x * x)).tobytes()
+        got = autodiff._erf_scaled(x, np.exp(-0.5 * x * x))
         arg = x * (1.0 / math.sqrt(2.0))
         want = np.array([math.erf(v) for v in arg.ravel()]).reshape(x.shape)
         ulps = np.abs(got - want) / np.spacing(np.abs(want))
@@ -969,18 +960,15 @@ class TestForwardValues:
         # to nan (-inf * 0), and the slope at +-inf is nan (inf * 0)
         x = np.array([[1e200, -1e200, np.inf, -np.inf, np.nan]])
         known = {"overflow encountered in multiply", "invalid value encountered in multiply"}
-        for requires_grad in (True, False):
-            a = Tensor(x.copy(), requires_grad=requires_grad)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = a.gelu()
-                if requires_grad:
-                    grad = named_grads(out.sum(), {"a": a})["a"]
-            assert {str(w.message) for w in caught} <= known
-            np.testing.assert_array_equal(out.data, [[1e200, -0.0, np.inf, np.nan, np.nan]])
-            assert np.signbit(out.data[0, 1])
-            if requires_grad:
-                np.testing.assert_array_equal(grad, [[1.0, 0.0, np.nan, np.nan, np.nan]])
+        a = Tensor(x.copy(), requires_grad=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = a.gelu()
+            grad = named_grads(out.sum(), {"a": a})["a"]
+        assert {str(w.message) for w in caught} <= known
+        np.testing.assert_array_equal(out.data, [[1e200, -0.0, np.inf, np.nan, np.nan]])
+        assert np.signbit(out.data[0, 1])
+        np.testing.assert_array_equal(grad, [[1.0, 0.0, np.nan, np.nan, np.nan]])
 
     def test_dropout_eval_is_identity(self, rng):
         a = leaf(rng, 3, 3)
