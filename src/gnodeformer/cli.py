@@ -186,11 +186,6 @@ def _writing(out):
         raise ConfigError(f"cannot write --out {out}: {exc}") from None
 
 
-def _basis_for(dataset: GraphDataset, out: Path):
-    lap = build_normalized_laplacian(dataset)
-    return load_or_compute(lap, cache_dir=out / "eig_cache")
-
-
 def _write_central_csv(path: Path, history) -> None:
     rows = ["epoch,train_loss,train_accuracy,val_loss,val_accuracy,seconds"]
     for h in history:
@@ -222,7 +217,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-        basis = _basis_for(dataset, out)
+        basis = load_or_compute(build_normalized_laplacian(dataset), out / "eig_cache")
 
     params, history, last = train_centralized(
         dataset, basis, config, optimizer,

@@ -21,7 +21,6 @@ model for accounting only.
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from math import ceil, inf, nan
 
@@ -95,14 +94,13 @@ class ClientState:
 class RoundRecord:
     """One round: each participant's local steps (none when its update
     failed or there are no local epochs), the global test row and the
-    bytes transferred."""
+    bytes transferred in this and every earlier round."""
 
     round_index: int
     participants: tuple[int, ...]
     client_epochs: dict[int, list[EpochRecord]]
     global_loss: float
     global_accuracy: float
-    round_bytes: int
     bytes_cum: int
 
 
@@ -358,9 +356,9 @@ def run_rounds(
     Deterministic given the seed. With threads > 1, a round with a
     participant of at least _POOL_MIN_NODES nodes hands its client
     updates to a thread pool in client-id order; any other round runs
-    them on the calling thread, in the same order, and no pool starts
-    when no client is that big. Aggregation consumes every result in
-    client-id order, so where an update ran never changes a number.
+    them on the calling thread, in the same order, and no pool thread
+    starts while no round needs one. Aggregation consumes every result
+    in client-id order, so where an update ran never changes a number.
 
     Each round's RoundRecord is appended when the round aggregates, with
     a nan global row. That row scores the aggregate, the parameters that
@@ -390,16 +388,9 @@ def run_rounds(
         if on_round is not None:
             on_round(records[-1], global_params)
 
-    def overlaps(ids) -> bool:
-        """Whether a round of these clients goes to the pool."""
-        return any(clients[c].dataset.n >= _POOL_MIN_NODES for c in ids)
-
-    # one worker pool serves every round that gains from it; a single
-    # thread, or only small clients, need none
-    pool = None
-    if config.threads > 1 and overlaps(range(len(clients))):
-        pool = ThreadPoolExecutor(max_workers=config.threads)
-    with pool or nullcontext():
+    # one worker pool serves every round that gains from it; it starts a
+    # thread only at its first submit, so a run of small clients starts none
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
         for round_index in range(config.rounds):
             participants = sample_clients(
                 config.clients, config.fraction_fit, round_index, config.seed
@@ -412,7 +403,10 @@ def run_rounds(
             # per round, not per client: small clients on this thread beside
             # a pool busy with big ones keep threads + 1 threads busy, and on
             # a 2-vCPU VM a heterophilic alpha-0.1 run took up to 17% longer
-            run = pool.map if pool and overlaps(participants) else map
+            pooled = config.threads > 1 and any(
+                clients[c].dataset.n >= _POOL_MIN_NODES for c in participants
+            )
+            run = pool.map if pooled else map
             results = dict(zip(participants, run(update, participants)))
             if records:
                 finish({cid: r[2] for cid, r in results.items() if r[2] is not None})
@@ -425,11 +419,10 @@ def run_rounds(
             else:
                 logger.warning("round %d: every participant failed; keeping params", round_index)
 
-            round_bytes = 2 * len(participants) * one_way_bytes
-            bytes_cum += round_bytes
+            bytes_cum += 2 * len(participants) * one_way_bytes
             epochs = {cid: r[1] for cid, r in results.items()}
             records.append(RoundRecord(
-                round_index, tuple(participants), epochs, nan, nan, round_bytes, bytes_cum
+                round_index, tuple(participants), epochs, nan, nan, bytes_cum
             ))
         if records:
             finish({})

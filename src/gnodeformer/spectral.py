@@ -113,15 +113,15 @@ class SpectralBasis:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's largest-magnitude component is
-    positive; magnitude ties resolve to the lowest index (argmax picks
-    the first maximum). The result is column-major, the layout that a
-    cache hit reads back without a transposing copy.
+    """Flip columns of ``vectors`` in place so each one's largest-magnitude
+    component is positive, and return it; magnitude ties resolve to the
+    lowest index (argmax picks the first maximum).
     """
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return np.multiply(vectors, signs, order="F")
+    vectors *= signs
+    return vectors
 
 
 def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
@@ -139,6 +139,7 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
         raise NumericsError("matrix contains non-finite entries")
     diff = matrix - matrix.T
     asym = np.abs(diff, out=diff).max(initial=0.0)
+    del diff  # not held through eigh and validate
     if asym > SYMMETRY_ATOL:
         raise NumericsError(f"matrix asymmetric by {asym:.2e} (> {SYMMETRY_ATOL})")
 
@@ -153,13 +154,13 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
 
 # ---------------------------------------------------------------------------
 # Cache: one file per normalized Laplacian, named by its matrix_digest.
-# Layout v2 (little-endian): an 80-byte header of CACHE_MAGIC (8 bytes),
+# Layout v3 (little-endian): an 80-byte header of CACHE_MAGIC (8 bytes),
 # n (u64), the raw 32-byte matrix_digest of the decomposed Laplacian and
 # the SHA-256 of the payload (32 bytes); then the payload: eigenvalues
-# (n f64) and eigenvectors (n*n f64, column-major).
+# (n f64) and eigenvectors (n*n f64, row-major, as eigh returns them).
 # ---------------------------------------------------------------------------
 
-CACHE_MAGIC = b"GNFEIG\x00\x02"
+CACHE_MAGIC = b"GNFEIG\x00\x03"
 _HEADER = struct.Struct("<8sQ32s32s")
 
 
@@ -176,15 +177,14 @@ def save_basis(basis: SpectralBasis, path: str | Path, digest: str) -> Path:
     matrix_digest is ``digest``."""
     path = Path(path)
     vals = np.ascontiguousarray(basis.eigenvalues, dtype="<f8")
-    # the transpose of a column-major array is C-contiguous, with the same bytes
-    vecs_t = np.asfortranarray(basis.eigenvectors, dtype="<f8").T
+    vecs = np.ascontiguousarray(basis.eigenvectors, dtype="<f8")
     checksum = hashlib.sha256(vals)
-    checksum.update(vecs_t)
+    checksum.update(vecs)
     header = _HEADER.pack(CACHE_MAGIC, basis.n, bytes.fromhex(digest), checksum.digest())
     with atomic_writer(path) as fh:
         fh.write(header)
         fh.write(vals)
-        fh.write(vecs_t)
+        fh.write(vecs)
     return path
 
 
@@ -221,7 +221,7 @@ def load_basis(path: str | Path, digest: str) -> SpectralBasis:
         raise NumericsError(f"cache file {path} truncated")
     if hashlib.sha256(payload).digest() != checksum:
         raise NumericsError(f"cache file {path} fails its payload checksum")
-    vecs = payload[n:].reshape((n, n), order="F")
+    vecs = payload[n:].reshape(n, n)
     return SpectralBasis(eigenvalues=payload[:n], eigenvectors=vecs)
 
 

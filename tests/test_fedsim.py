@@ -3,6 +3,7 @@ import math
 import sys
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -454,13 +455,13 @@ class TestRunRounds:
         count = count_parameters(cfg.model)
         _, records, _ = run_rounds(ds, cfg)
         assert [r.round_index for r in records] == [0, 1, 2]
-        running = 0
+        previous = 0
         for rec in records:
             assert len(rec.participants) == 2
             assert list(rec.participants) == sorted(rec.participants)
-            assert rec.round_bytes == 2 * 2 * 4 * count
-            running += rec.round_bytes
-            assert rec.bytes_cum == running
+            # two participants, each way, 4 bytes per parameter
+            assert rec.bytes_cum - previous == 2 * 2 * 4 * count
+            previous = rec.bytes_cum
             assert set(rec.client_epochs) == set(rec.participants)
             assert 0.0 <= rec.global_accuracy <= 1.0
 
@@ -563,7 +564,7 @@ def fingerprint(records):
     rows = []
     for rec in records:
         rows.append((
-            rec.round_index, rec.participants, rec.round_bytes, rec.bytes_cum,
+            rec.round_index, rec.participants, rec.bytes_cum,
             bits(rec.global_loss), bits(rec.global_accuracy),
             {
                 cid: [(e.epoch, bits(e.loss), bits(e.accuracy)) for e in epochs]
@@ -629,12 +630,22 @@ class TestPlacement:
                 assert (ident != here) == on_pool, (round_index, n, threads)
 
     def test_no_pool_starts_for_small_clients(self, monkeypatch):
+        # the executor starts its worker threads in _adjust_thread_count,
+        # which each submit calls; the first submit below shows the hook
+        # sees a start
         started = []
-        monkeypatch.setattr(
-            fedsim, "ThreadPoolExecutor", lambda **kw: started.append(kw)
-        )
+        real = ThreadPoolExecutor._adjust_thread_count
+
+        def counted(pool):
+            started.append(pool)
+            real(pool)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "_adjust_thread_count", counted)
         run_rounds(global_sbm(n_per_block=12), small_fed_config(threads=3))
         assert started == []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(int).result()
+        assert started == [pool]
 
 
 def bits(x: float) -> bytes:
@@ -872,7 +883,7 @@ class TestMetricsCsv:
         # mean step seconds, nan for one that took no step; the global
         # row's seconds average the participants that took steps
         steps = [EpochRecord(0, 0.9, 0.25, 1.0), EpochRecord(1, 0.7, 0.5, 3.0)]
-        record = RoundRecord(4, (0, 2), {0: steps, 2: []}, 0.8, 0.375, 16, 32)
+        record = RoundRecord(4, (0, 2), {0: steps, 2: []}, 0.8, 0.375, 32)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, [record])
         assert path.read_text().splitlines()[1:] == [

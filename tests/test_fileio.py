@@ -72,7 +72,7 @@ def _central_rows(path):
 
 
 def _round_rows(path):
-    record = RoundRecord(0, (0,), {0: [EpochRecord(0, 1.0, 0.5, 0.1)]}, 1.0, 0.5, 8, 8)
+    record = RoundRecord(0, (0,), {0: [EpochRecord(0, 1.0, 0.5, 0.1)]}, 1.0, 0.5, 8)
     write_metrics_csv(path, [record])
 
 

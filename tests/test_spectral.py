@@ -1,6 +1,7 @@
 import hashlib
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -112,6 +113,22 @@ class TestSymEig:
         scale = max(abs(np.trace(m)), 1.0)
         assert abs(basis.eigenvalues.sum() - np.trace(m)) <= 1e-8 * scale
 
+    def test_set_up_holds_four_square_arrays(self):
+        # traced above the input: eigh's output, whose signs are flipped in
+        # place, and validate's Gram matrix, scaled U^T and reconstruction.
+        # eigh's own copy of the input and its LAPACK workspace are
+        # malloc'd by numpy's linalg module and not traced. A flipped copy
+        # of the vectors, or a temporary held through eigh, passes the bound
+        n = 600
+        lap = path_laplacian(n)
+        tracemalloc.start()
+        try:
+            sym_eig(lap, unit_band=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * n * n * 8, peak / (n * n * 8)
+
     def test_laplacian_band_holds_on_sbm(self):
         from gnodeformer.graphs import SbmConfig, generate_sbm
 
@@ -166,13 +183,24 @@ def swap_first_and_last_columns(basis):
     return SpectralBasis(basis.eigenvalues, vecs)
 
 
-def v1_entry(basis):
-    """The pre-checksum layout: n (u64), eigenvalues, column-major eigenvectors."""
+def column_major_payload(basis):
     return (
-        basis.n.to_bytes(8, "little")
-        + basis.eigenvalues.astype("<f8").tobytes()
+        basis.eigenvalues.astype("<f8").tobytes()
         + basis.eigenvectors.astype("<f8").tobytes(order="F")
     )
+
+
+def v1_entry(basis, digest):
+    """The pre-checksum layout: n (u64), eigenvalues, column-major eigenvectors."""
+    return basis.n.to_bytes(8, "little") + column_major_payload(basis)
+
+
+def v2_entry(basis, digest):
+    """Layout v2: today's header under tag 2, with its digest and a right
+    checksum, then eigenvalues and column-major eigenvectors."""
+    payload = column_major_payload(basis)
+    head = b"GNFEIG\x00\x02" + basis.n.to_bytes(8, "little") + bytes.fromhex(digest)
+    return head + hashlib.sha256(payload).digest() + payload
 
 
 class TestProbeCheck:
@@ -235,19 +263,21 @@ class TestCache:
 
     def test_file_layout(self, tmp_path):
         # 80-byte header: tag, n as u64, raw matrix digest, payload SHA-256;
-        # then eigenvalues and column-major eigenvectors
-        lap = path2_laplacian()
+        # then eigenvalues and row-major eigenvectors; the 3-node path's
+        # eigenvector matrix is not symmetric, so the two layouts differ
+        lap = path_laplacian(3)
         basis = sym_eig(lap)
-        raw = save_basis(basis, tmp_path / "p2.eig", matrix_digest(lap)).read_bytes()
-        assert len(raw) == 80 + 2 * 8 + 4 * 8
-        assert raw[:8] == CACHE_MAGIC == b"GNFEIG\x00\x02"
-        assert int.from_bytes(raw[8:16], "little") == 2
+        assert not np.array_equal(basis.eigenvectors, basis.eigenvectors.T)
+        raw = save_basis(basis, tmp_path / "p3.eig", matrix_digest(lap)).read_bytes()
+        assert len(raw) == 80 + 3 * 8 + 9 * 8
+        assert raw[:8] == CACHE_MAGIC == b"GNFEIG\x00\x03"
+        assert int.from_bytes(raw[8:16], "little") == 3
         assert raw[16:48] == bytes.fromhex(matrix_digest(lap))
         assert raw[48:80] == hashlib.sha256(raw[80:]).digest()
-        vals = np.frombuffer(raw, dtype="<f8", count=2, offset=80)
+        vals = np.frombuffer(raw, dtype="<f8", count=3, offset=80)
         np.testing.assert_array_equal(vals, basis.eigenvalues)
-        vecs = np.frombuffer(raw, dtype="<f8", count=4, offset=96)
-        np.testing.assert_array_equal(vecs, basis.eigenvectors.flatten(order="F"))
+        vecs = np.frombuffer(raw, dtype="<f8", count=9, offset=104)
+        np.testing.assert_array_equal(vecs, basis.eigenvectors.flatten())
 
     def test_save_uses_unique_temp_file(self, tmp_path):
         stale = tmp_path / "k5.eig.tmp"
@@ -282,8 +312,8 @@ class TestCache:
         assert np.array_equal(hit.eigenvalues, miss.eigenvalues)
         assert np.array_equal(hit.eigenvectors, miss.eigenvectors)
         # one layout on both paths, so products downstream round alike
-        assert miss.eigenvectors.flags.f_contiguous
-        assert hit.eigenvectors.flags.f_contiguous
+        assert miss.eigenvectors.flags.c_contiguous
+        assert hit.eigenvectors.flags.c_contiguous
 
     def test_hit_skips_full_validation(self, tmp_path, monkeypatch):
         lap = path_laplacian()
@@ -337,11 +367,13 @@ class TestCache:
         SpectralBasis(good.eigenvalues, vecs).validate(lap, unit_band=True)
         self.assert_discarded_and_rewritten(lap, path, good, caplog, "checksum")
 
-    def test_v1_entry_recomputed(self, tmp_path, caplog):
+    @pytest.mark.parametrize("entry", [v1_entry, v2_entry], ids=["v1", "v2"])
+    def test_old_layout_entry_recomputed(self, tmp_path, caplog, entry):
         lap = path_laplacian()
         good = sym_eig(lap, unit_band=True)
-        path = tmp_path / f"{matrix_digest(lap)}.eig"
-        path.write_bytes(v1_entry(good))
+        digest = matrix_digest(lap)
+        path = tmp_path / f"{digest}.eig"
+        path.write_bytes(entry(good, digest))
         self.assert_discarded_and_rewritten(lap, path, good, caplog, "tag")
 
     @pytest.mark.parametrize("same_size", [False, True])
