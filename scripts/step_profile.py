@@ -5,9 +5,11 @@ Builds the SBM graph of --sbm and its eigenbasis, then runs --steps full
 training steps of the default model (the `train` command's defaults) at
 --rk. Each step is a forward with its loss, a backward and an Adam step,
 each timed with perf_counter and counted in minor page faults
-(getrusage); the last column is the process's peak RSS (ru_maxrss) after
-the step. The first step pays one-time costs (imports, first touch of
-every buffer), so the summary line is the median of the later steps.
+(getrusage), under the allocator policy that every command sets
+(cli.set_allocator_policy); the last column is the process's peak RSS
+(ru_maxrss) after the step. The first step pays one-time costs (imports,
+first touch of every buffer), so the summary line is the median of the
+later steps.
 
     python3 scripts/step_profile.py \\
         --sbm 'blocks=500,500,500;p_in=0.02;p_out=0.01;signal=0.6;seed=5' \\
@@ -42,12 +44,13 @@ def main() -> None:
             os.environ[name] = str(args.blas_threads)
 
     from gnodeformer.autodiff import backward
-    from gnodeformer.cli import parse_sbm_spec
+    from gnodeformer.cli import parse_sbm_spec, set_allocator_policy
     from gnodeformer.graphs import build_normalized_laplacian, generate_sbm
     from gnodeformer.model import ModelConfig, forward, init_params, loss_and_metrics
     from gnodeformer.optim import AdamConfig, adam_step, init_optimizer
     from gnodeformer.spectral import sym_eig
 
+    set_allocator_policy()
     dataset = generate_sbm(parse_sbm_spec(args.sbm))
     basis = sym_eig(build_normalized_laplacian(dataset), unit_band=True)
     config = ModelConfig(

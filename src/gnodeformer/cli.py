@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerics.
 """
 
 import argparse
+import ctypes
 import logging
 import sys
 from contextlib import contextmanager
@@ -217,7 +218,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-        basis = load_or_compute(build_normalized_laplacian(dataset), out / "eig_cache")
+        basis = load_or_compute(dataset, out / "eig_cache", build_normalized_laplacian)
 
     params, history, last = train_centralized(
         dataset, basis, config, optimizer,
@@ -465,7 +466,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def set_allocator_policy() -> None:
+    """Serve blocks up to 32 MiB from the heap and trim it only past 64 MiB.
+
+    These are the values glibc's own dynamic rule reaches after the first
+    free of a block near its 32 MiB mmap ceiling, such as the dense
+    Laplacian of a cache miss. A cache hit frees no such block, and at
+    glibc's defaults each 0.14-1 MB array of a training step would be
+    mapped and faulted in afresh on every forward. A no-op where the C
+    library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    set_allocator_policy()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

@@ -32,6 +32,7 @@ from .graphs import (
     GraphDataset,
     _largest_remainder,
     build_normalized_laplacian,
+    sorted_unique,
     split_masks,
 )
 from .model import ModelConfig, count_parameters, init_params
@@ -124,7 +125,7 @@ def dirichlet_partition(
     rng = rng_for(seed, PARTITION)
 
     assigned: list[list[np.ndarray]] = [[] for _ in range(clients)]
-    for cls in np.unique(labels):
+    for cls in sorted_unique(labels):
         nodes = rng.permutation(np.flatnonzero(labels == cls))
         proportions = rng.dirichlet(np.full(clients, alpha))
         counts = _largest_remainder(len(nodes), proportions)
@@ -163,15 +164,14 @@ def induce_subgraph(
     dataset: GraphDataset, nodes: np.ndarray, mask_seed: int, name: str | None = None
 ) -> GraphDataset:
     """Subgraph on ``nodes`` with edges between them; masks re-split locally."""
-    nodes = np.asarray(nodes)
+    nodes = np.sort(nodes)
     if nodes.size == 0:
         raise ConfigError("cannot induce a subgraph on an empty node list")
-    if np.unique(nodes).size != nodes.size:
+    if (nodes[1:] == nodes[:-1]).any():
         raise ConfigError("duplicate node ids in subgraph selection")
-    if nodes.min() < 0 or nodes.max() >= dataset.n:
+    if nodes[0] < 0 or nodes[-1] >= dataset.n:
         raise ConfigError("node id outside the graph")
 
-    nodes = np.sort(nodes)
     labels = dataset.labels[nodes]
     train, val, test = split_masks(labels, mask_seed)
     # new id of each kept node, -1 elsewhere; the ids rise with the old

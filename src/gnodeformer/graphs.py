@@ -39,6 +39,16 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 FEATURE_SCALE_MAX = float(np.sqrt(MAX_GRAD))
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, ascending: np.unique(values)
+    without its np.ma.is_masked test, whose import of numpy.ma would cost
+    every command 10-16 ms and 1.2 MB."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 @dataclass
 class GraphDataset:
     """One node-classification graph, checked on construction.
@@ -73,10 +83,10 @@ class GraphDataset:
         loops = lo == hi
         if loops.any():
             log.warning(
-                "%s: dropping %d self-loops", self.name, np.unique(lo[loops]).size
+                "%s: dropping %d self-loops", self.name, sorted_unique(lo[loops]).size
             )
-        # one key per edge: np.unique merges reversed and repeated rows and sorts
-        keys = np.unique(lo[~loops] * self.n + hi[~loops])
+        # one key per edge: sorted_unique merges reversed and repeated rows and sorts
+        keys = sorted_unique(lo[~loops] * self.n + hi[~loops])
         self.edges = np.stack(divmod(keys, self.n), axis=1)
 
         if self.features.shape[0] != self.n:
@@ -113,6 +123,9 @@ class GraphDataset:
 
 
 _INDEX_MAX = int(np.iinfo(np.intp).max)
+
+# generate_sbm draws its edge uniforms this many bytes at a time
+_DRAW_BYTES = 1 << 20
 
 
 @dataclass
@@ -154,24 +167,51 @@ class SbmConfig:
             raise ConfigError(f"seed {self.seed} must be >= 0")
 
 
-def build_normalized_laplacian(dataset: GraphDataset) -> np.ndarray:
-    """I - D^{-1/2} A D^{-1/2} for the dataset's edges, as a dense matrix.
+# The normalized Laplacian I - D^{-1/2} A D^{-1/2} has 1 on its whole
+# diagonal and, for each edge (u, v), the one weight -1/sqrt(d_u d_v) at
+# (u, v) and (v, u); every other entry is +0.0. An isolated node's row is
+# the identity row, so the spectrum stays within [0, 2]. The functions
+# below are the dense matrix and the two things a cache hit needs of it
+# without building it: its product with a few vectors, and its norm.
 
-    Isolated nodes get a zero inverse-sqrt degree, so their row equals
-    the identity row and the spectrum stays within [0, 2].
-    """
-    n = dataset.n
-    u, v = dataset.edges.T
-    deg = np.bincount(dataset.edges.ravel(), minlength=n).astype(np.float64)
+
+def laplacian_weights(dataset: GraphDataset) -> np.ndarray:
+    """The normalized Laplacian's entry for each row (u, v) of
+    ``dataset.edges``: -1/sqrt(d_u d_v)."""
+    deg = np.bincount(dataset.edges.ravel(), minlength=dataset.n).astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = deg[nz] ** -0.5
-    # exactly symmetric: both entries of an edge get one product; every
-    # entry off the edges and the diagonal stays +0.0
+    u, v = dataset.edges.T
+    return -(inv_sqrt[u] * inv_sqrt[v])
+
+
+def build_normalized_laplacian(dataset: GraphDataset) -> np.ndarray:
+    """The normalized Laplacian of the dataset's edges, as a dense matrix,
+    exactly symmetric: both entries of an edge get one weight."""
+    n = dataset.n
+    u, v = dataset.edges.T
     lap = np.zeros((n, n))
-    lap[u, v] = lap[v, u] = -(inv_sqrt[u] * inv_sqrt[v])
+    lap[u, v] = lap[v, u] = laplacian_weights(dataset)
     lap.flat[:: n + 1] = 1.0
     return lap
+
+
+def laplacian_product(dataset: GraphDataset, x: np.ndarray) -> np.ndarray:
+    """L @ x for the normalized Laplacian L and an (n, k) array x, in
+    O((n + m) k) through the edge list."""
+    u, v = dataset.edges.T
+    w = laplacian_weights(dataset)[:, None]
+    out = np.array(x, dtype=np.float64)
+    np.add.at(out, u, w * x[v])
+    np.add.at(out, v, w * x[u])
+    return out
+
+
+def laplacian_norm(dataset: GraphDataset) -> float:
+    """The Frobenius norm of the normalized Laplacian, sqrt(n + 2 sum w^2)."""
+    w = laplacian_weights(dataset)
+    return float(np.sqrt(dataset.n + 2.0 * np.dot(w, w)))
 
 
 def generate_sbm(config: SbmConfig) -> GraphDataset:
@@ -180,9 +220,20 @@ def generate_sbm(config: SbmConfig) -> GraphDataset:
     n = int(sizes.sum())
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
+    # the n x n uniforms in row blocks of about _DRAW_BYTES: the same
+    # stream, so the same edges, as one (n, n) draw, without the n x n array
     rng = rng_for(config.seed, SBM)
-    prob = np.where(labels[:, None] == labels[None, :], config.p_in, config.p_out)
-    edges = np.argwhere(np.triu(rng.random((n, n)) < prob, k=1))
+    rows = max(1, _DRAW_BYTES // (8 * n))
+    block = np.empty((min(rows, n), n))
+    parts = []
+    for start in range(0, n, rows):
+        uniforms = block[: min(rows, n - start)]
+        rng.random(out=uniforms)
+        same = labels[start : start + len(uniforms), None] == labels[None, :]
+        hits = np.argwhere(uniforms < np.where(same, config.p_in, config.p_out))
+        hits[:, 0] += start
+        parts.append(hits[hits[:, 1] > hits[:, 0]])
+    edges = np.concatenate(parts)
 
     means = rng.standard_normal((len(sizes), config.feature_dim))
     noise = rng.standard_normal((n, config.feature_dim))

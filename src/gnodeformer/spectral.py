@@ -1,6 +1,7 @@
 """Symmetric eigendecomposition with a deterministic sign convention,
-and an on-disk cache of normalized-Laplacian decompositions whose every
-read checks the matrix digest, the payload checksum and the [0, 2] band.
+and an on-disk cache of normalized-Laplacian decompositions, keyed by the
+graph, whose every read checks the graph digest, the payload checksum and
+the [0, 2] band.
 
 The decomposition is a preprocessing step: gradients never flow through
 it. Inputs here are trusted numeric intermediates, so violations raise
@@ -13,6 +14,7 @@ import hashlib
 import logging
 import os
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .fileio import atomic_writer
+from .graphs import GraphDataset, laplacian_norm, laplacian_product
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +60,7 @@ class SpectralBasis:
         gram = vecs.T @ vecs
         gram.flat[:: self.n + 1] -= 1.0
         gram_err = np.abs(gram, out=gram).max()
+        del gram  # not held through the reconstruction
         if gram_err > ORTHO_TOL:
             raise NumericsError(f"eigenvector columns not orthonormal ({gram_err:.2e})")
         scale = np.linalg.norm(matrix)
@@ -67,30 +71,31 @@ class SpectralBasis:
             raise NumericsError(f"reconstruction error {err:.2e} too large")
         return self
 
-    def probe_check(self, matrix: np.ndarray, seed: int, unit_band: bool = False):
-        """O(n^2) randomized form of validate(matrix, unit_band).
+    def probe_check(self, graph: GraphDataset, seed: int, unit_band: bool = False):
+        """O(n^2) randomized form of validate(L, unit_band) for the
+        normalized Laplacian L of ``graph``, which it never builds.
 
         For a matrix E and Gaussian probes X (n x PROBES) drawn from
         ``seed``, the root mean square of the columns of E X estimates
         the Frobenius norm of E. The check bounds that estimate for
-        E = U^T U - I by ORTHO_TOL and for E = U diag(vals) U^T - matrix
-        by RECON_TOL * max(||matrix||_F, 1).
+        E = U U^T - I by ORTHO_TOL (for a square U, ||U U^T - I||_F equals
+        validate's ||U^T U - I||_F) and for E = U diag(vals) U^T - L by
+        RECON_TOL * max(||L||_F, 1). It reads U twice, for Z = U^T X and
+        for U [Z | diag(vals) Z], and applies L through the edge list.
         """
         self._check_values(unit_band)
         vals, vecs = self.eigenvalues, self.eigenvectors
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != vecs.shape:
-            raise NumericsError(
-                f"basis of size {self.n} for a matrix of shape {matrix.shape}"
-            )
+        if graph.n != self.n:
+            raise NumericsError(f"basis of size {self.n} for a graph of {graph.n} nodes")
         x = np.random.default_rng(seed).standard_normal((self.n, PROBES))
-        ortho = np.linalg.norm(vecs.T @ (vecs @ x) - x) / np.sqrt(PROBES)
+        z = vecs.T @ x
+        y = vecs @ np.hstack([z, vals[:, None] * z])
+        ortho = np.linalg.norm(y[:, :PROBES] - x) / np.sqrt(PROBES)
         if ortho > ORTHO_TOL:
             raise NumericsError(f"eigenvector columns not orthonormal (probe {ortho:.2e})")
-        scale = np.linalg.norm(matrix)
-        err = np.linalg.norm(vecs @ (vals[:, None] * (vecs.T @ x)) - matrix @ x)
+        err = np.linalg.norm(y[:, PROBES:] - laplacian_product(graph, x))
         err /= np.sqrt(PROBES)
-        if err > RECON_TOL * max(scale, 1.0):
+        if err > RECON_TOL * max(laplacian_norm(graph), 1.0):
             raise NumericsError(f"reconstruction error {err:.2e} too large (probe)")
         return self
 
@@ -153,10 +158,10 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
 
 
 # ---------------------------------------------------------------------------
-# Cache: one file per normalized Laplacian, named by its matrix_digest.
-# Layout v3 (little-endian): an 80-byte header of CACHE_MAGIC (8 bytes),
-# n (u64), the raw 32-byte matrix_digest of the decomposed Laplacian and
-# the SHA-256 of the payload (32 bytes); then the payload: eigenvalues
+# Cache: one file per graph, named by the matrix_digest of the graph whose
+# normalized Laplacian it decomposes. Layout v3 (little-endian): an 80-byte
+# header of CACHE_MAGIC (8 bytes), n (u64), the raw 32-byte matrix_digest
+# and the SHA-256 of the payload (32 bytes); then the payload: eigenvalues
 # (n f64) and eigenvectors (n*n f64, row-major, as eigh returns them).
 # ---------------------------------------------------------------------------
 
@@ -164,16 +169,17 @@ CACHE_MAGIC = b"GNFEIG\x00\x03"
 _HEADER = struct.Struct("<8sQ32s32s")
 
 
-def matrix_digest(matrix: np.ndarray) -> str:
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    h = hashlib.sha256()
-    h.update(struct.pack("<QQ", *matrix.shape))
-    h.update(matrix)
+def matrix_digest(graph: GraphDataset) -> str:
+    """The cache key of the graph's normalized Laplacian: a SHA-256 of n
+    and of the canonical edge list that GraphDataset keeps, which
+    determine the matrix."""
+    h = hashlib.sha256(struct.pack("<Q", graph.n))
+    h.update(np.ascontiguousarray(graph.edges, dtype="<i8"))
     return h.hexdigest()
 
 
 def save_basis(basis: SpectralBasis, path: str | Path, digest: str) -> Path:
-    """Write ``basis`` as the cache entry of the matrix whose
+    """Write ``basis`` as the cache entry of the graph whose
     matrix_digest is ``digest``."""
     path = Path(path)
     vals = np.ascontiguousarray(basis.eigenvalues, dtype="<f8")
@@ -189,7 +195,7 @@ def save_basis(basis: SpectralBasis, path: str | Path, digest: str) -> Path:
 
 
 def load_basis(path: str | Path, digest: str) -> SpectralBasis:
-    """Read the cache entry of the matrix whose matrix_digest is
+    """Read the cache entry of the graph whose matrix_digest is
     ``digest``; raise NumericsError unless its tag, length, recorded
     digest and payload checksum hold. The eigenvalues and eigenvectors
     are views of the one buffer the file is read into.
@@ -225,23 +231,29 @@ def load_basis(path: str | Path, digest: str) -> SpectralBasis:
     return SpectralBasis(eigenvalues=payload[:n], eigenvectors=vecs)
 
 
-def load_or_compute(matrix: np.ndarray, cache_dir: str | Path) -> SpectralBasis:
-    """Return the decomposition of the normalized Laplacian ``matrix``,
-    reusing the copy cached in ``cache_dir`` when its content hash matches.
+def load_or_compute(
+    graph: GraphDataset,
+    cache_dir: str | Path,
+    build_laplacian: Callable[[GraphDataset], np.ndarray],
+) -> SpectralBasis:
+    """Return the decomposition of the normalized Laplacian of ``graph``,
+    reusing the copy cached in ``cache_dir`` under the graph's digest.
 
     A hit must pass load_basis's checksum and digest checks and the
-    O(n^2) probe_check, with probes seeded from the digest; any other
-    entry is recomputed with the full O(n^3) validation and rewritten.
-    Both paths require the eigenvalues in the band [0, 2].
+    O(n^2) probe_check, with probes seeded from the digest; it builds no
+    dense matrix. Any other entry is recomputed from the dense Laplacian
+    that ``build_laplacian(graph)`` returns, with the full O(n^3)
+    validation, and rewritten. Both paths require the eigenvalues in the
+    band [0, 2].
     """
-    digest = matrix_digest(matrix)
+    digest = matrix_digest(graph)
     path = Path(cache_dir) / f"{digest}.eig"
     if path.exists():
         try:
             seed = int.from_bytes(bytes.fromhex(digest)[:8], "little")
-            return load_basis(path, digest).probe_check(matrix, seed, unit_band=True)
+            return load_basis(path, digest).probe_check(graph, seed, unit_band=True)
         except NumericsError as exc:
             log.warning("discarding bad cache entry %s: %s", path, exc)
-    basis = sym_eig(matrix, unit_band=True)
+    basis = sym_eig(build_laplacian(graph), unit_band=True)
     save_basis(basis, path, digest)
     return basis

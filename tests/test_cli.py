@@ -1,5 +1,6 @@
 import csv
 import io
+import platform
 import shutil
 import subprocess
 import sys
@@ -583,17 +584,57 @@ def test_import_leaves_scipy_special_unloaded():
     ["fed-train", "--clients", "2", "--rounds", "1", "--local-epochs", "1"],
 ])
 def test_commands_run_without_scipy(tmp_path, command):
-    # a None entry in sys.modules makes any import of scipy fail; gelu runs
-    # in the FFN and the decoder of every model, and in train's head here
+    # a None entry in sys.modules makes any import of the module fail; gelu
+    # runs in the FFN and the decoder of every model, and in train's head
+    # here. numpy.ma is what a flagless np.unique imports
     probe = (
-        "import sys; sys.modules['scipy'] = None; from gnodeformer.cli import main; "
-        "sys.exit(main(sys.argv[1:]))"
+        "import sys; sys.modules['scipy'] = None; sys.modules['numpy.ma'] = None; "
+        "from gnodeformer.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, *command, "--sbm", TINY_SBM, "--out", str(tmp_path / "run")],
         capture_output=True, text=True, env=package_env(), timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+# counts the minor page faults of each training.evaluate call in a child
+# process running cli.main on its arguments
+EVAL_FAULT_PROBE = """
+import resource, sys
+from gnodeformer import cli, training
+evaluate, faults = training.evaluate, []
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = evaluate(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return result
+training.evaluate = counted
+code = cli.main(sys.argv[1:])
+print(*faults)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="a glibc allocator policy")
+def test_warm_replay_eval_forwards_take_no_faults(tmp_path):
+    # a cache hit frees no large block at set-up, so glibc keeps its 128 KiB
+    # mmap threshold unless cli.main sets one: each eval forward at n=600
+    # then maps and faults in its arrays afresh, about 1.5k faults
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run_cli("gen-data", "--sbm", "blocks=200,200,200;p_in=0.03;p_out=0.01;seed=3",
+                   "--out", data) == 0
+    assert run_cli("train", "--dataset", data, "--epochs", 3, "--out", out) == 0
+    entry = next((out / "eig_cache").iterdir()).stat().st_ino
+    result = subprocess.run(
+        [sys.executable, "-c", EVAL_FAULT_PROBE, "train",
+         "--from-manifest", str(out / "manifest.txt"), "--out", str(out)],
+        capture_output=True, text=True, env=package_env(), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert next((out / "eig_cache").iterdir()).stat().st_ino == entry
+    faults = [int(f) for f in result.stdout.splitlines()[-1].split()]
+    assert len(faults) == 3 and max(faults) < 50, faults
 
 
 # a one-token edit of a dataset file: an empty value, nan, inf, -1, 0, a

@@ -14,6 +14,8 @@ from gnodeformer.graphs import (
     build_normalized_laplacian,
     generate_sbm,
     homophily_ratio,
+    laplacian_norm,
+    laplacian_product,
     load_dataset,
     save_dataset,
     split_masks,
@@ -106,15 +108,27 @@ class TestNormalizedLaplacian:
         assert eigs.max() <= 2.0 + 1e-10
 
     def test_digest_is_pinned(self):
-        # eigen-cache entries are named by this digest: a change to the
-        # Laplacian's bits would turn every existing cache entry into a miss
-        a = np.zeros((8, 8))
+        # eigen-cache entries are named by this digest of the graph: a change
+        # to it would turn every existing cache entry into a miss
+        a = np.zeros((9, 9))
         for u, v in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)]:
-            a[u, v] = a[v, u] = 1.0  # node 7 is isolated
-        lap = build_normalized_laplacian(make_dataset(a))
-        assert matrix_digest(lap) == (
-            "7116802b627f232da4ca710ad0ba5b1f242e524cebd93ae9de052d8bc5b750d5"
+            a[u, v] = a[v, u] = 1.0  # nodes 7 and 8 are isolated
+        assert matrix_digest(make_dataset(a[:8, :8])) == (
+            "881fad91eaba361974e2548c17467526bbf210404451619f7772e29697dbe5f1"
         )
+        # a new isolated node leaves the edges alone but changes the matrix
+        assert matrix_digest(make_dataset(a)) == (
+            "fa437c969a47852fd254714f3c97bc6f7a7331d5267ac79a7214c79381961ee2"
+        )
+
+    @given(random_graphs(), st.integers(min_value=1, max_value=4), st.integers(0, 2**32))
+    def test_edge_list_product_and_norm_match_the_dense_matrix(self, ds, k, seed):
+        lap = build_normalized_laplacian(ds)
+        x = np.random.default_rng(seed).standard_normal((ds.n, k))
+        want = lap @ x
+        err = np.linalg.norm(laplacian_product(ds, x) - want)
+        assert err <= 1e-15 * np.linalg.norm(want)
+        assert laplacian_norm(ds) == pytest.approx(np.linalg.norm(lap), rel=1e-15)
 
     @given(random_graphs())
     def test_matches_dense_formula_bit_for_bit(self, ds):
@@ -411,9 +425,7 @@ class TestDiskFormat:
         canon = load_dataset(tmp_path / "canon", 0)
         messy = load_dataset(tmp_path / "messy", 0)
         np.testing.assert_array_equal(messy.edges, canon.edges)
-        assert matrix_digest(build_normalized_laplacian(messy)) == matrix_digest(
-            build_normalized_laplacian(canon)
-        )
+        assert matrix_digest(messy) == matrix_digest(canon)
 
     @pytest.mark.parametrize(
         "text",

@@ -24,7 +24,7 @@ from gnodeformer.spectral import (
     sym_eig,
 )
 from tests.helpers import reconstruct_basis
-from tests.test_graphs import make_dataset, triangle
+from tests.test_graphs import make_dataset, random_graphs, triangle
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -115,10 +115,11 @@ class TestSymEig:
 
     def test_set_up_holds_four_square_arrays(self):
         # traced above the input: eigh's output, whose signs are flipped in
-        # place, and validate's Gram matrix, scaled U^T and reconstruction.
-        # eigh's own copy of the input and its LAPACK workspace are
-        # malloc'd by numpy's linalg module and not traced. A flipped copy
-        # of the vectors, or a temporary held through eigh, passes the bound
+        # place, and either validate's Gram matrix or its scaled U^T and
+        # reconstruction. eigh's own copy of the input and its LAPACK
+        # workspace are malloc'd by numpy's linalg module and not traced. A
+        # flipped copy of the vectors, a temporary held through eigh, or the
+        # Gram matrix held through the reconstruction passes the bound
         n = 600
         lap = path_laplacian(n)
         tracemalloc.start()
@@ -127,7 +128,7 @@ class TestSymEig:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * n * n * 8, peak / (n * n * 8)
+        assert peak < 3.5 * n * n * 8, peak / (n * n * 8)
 
     def test_laplacian_band_holds_on_sbm(self):
         from gnodeformer.graphs import SbmConfig, generate_sbm
@@ -159,10 +160,25 @@ class TestReconstruct:
         np.testing.assert_allclose(flipped, [[1.0, 1.0], [1.0, 1.0]], atol=1e-12)
 
 
-def path_laplacian(n=8):
+def path_graph(n=8):
     # a path graph's normalized Laplacian has n distinct eigenvalues
-    adjacency = np.eye(n, k=1) + np.eye(n, k=-1)
-    return build_normalized_laplacian(make_dataset(adjacency))
+    return make_dataset(np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+def path_laplacian(n=8):
+    return build_normalized_laplacian(path_graph(n))
+
+
+def complete_graph(n=5):
+    return make_dataset(np.ones((n, n)) - np.eye(n))
+
+
+def decompose(graph, cache_dir):
+    return load_or_compute(graph, cache_dir, build_normalized_laplacian)
+
+
+def no_laplacian(graph):
+    pytest.fail("a cache hit must not build the dense Laplacian")
 
 
 def flip_byte(path, offset, mask=0xFF):
@@ -205,59 +221,55 @@ def v2_entry(basis, digest):
 
 class TestProbeCheck:
     def test_accepts_exact_decomposition(self):
-        lap = path_laplacian()
-        basis = sym_eig(lap, unit_band=True)
-        assert basis.probe_check(lap, seed=3, unit_band=True) is basis
+        graph = path_graph()
+        basis = sym_eig(build_normalized_laplacian(graph), unit_band=True)
+        assert basis.probe_check(graph, seed=3, unit_band=True) is basis
 
     @pytest.mark.parametrize("forge", [move_one_eigenvalue, swap_first_and_last_columns])
     def test_rejects_wrong_basis_that_is_well_formed(self, forge):
-        lap = path_laplacian()
-        forged = forge(sym_eig(lap, unit_band=True))
+        graph = path_graph()
+        forged = forge(sym_eig(build_normalized_laplacian(graph), unit_band=True))
         with pytest.raises(NumericsError, match="reconstruction"):
-            forged.probe_check(lap, seed=3, unit_band=True)
+            forged.probe_check(graph, seed=3, unit_band=True)
 
     def test_rejects_non_orthonormal_columns(self):
-        lap = path_laplacian()
-        basis = sym_eig(lap)
+        graph = path_graph()
+        basis = sym_eig(build_normalized_laplacian(graph))
         skewed = SpectralBasis(basis.eigenvalues, basis.eigenvectors * 1.001)
         with pytest.raises(NumericsError, match="orthonormal"):
-            skewed.probe_check(lap, seed=3)
+            skewed.probe_check(graph, seed=3)
 
     def test_rejects_other_size(self):
         basis = sym_eig(path_laplacian(8))
         with pytest.raises(NumericsError, match="size 8"):
-            basis.probe_check(path_laplacian(6), seed=3)
+            basis.probe_check(path_graph(6), seed=3)
 
     def test_cheap_checks_still_apply(self):
-        lap = path_laplacian()
-        basis = sym_eig(lap)
+        graph = path_graph()
+        basis = sym_eig(build_normalized_laplacian(graph))
         vals = basis.eigenvalues.copy()
         vals[0] = np.nan
         with pytest.raises(NumericsError, match="non-finite"):
-            SpectralBasis(vals, basis.eigenvectors).probe_check(lap, seed=3)
+            SpectralBasis(vals, basis.eigenvectors).probe_check(graph, seed=3)
         descending = basis.eigenvalues[::-1].copy()
         with pytest.raises(NumericsError, match="ascending"):
-            SpectralBasis(descending, basis.eigenvectors).probe_check(lap, seed=3)
+            SpectralBasis(descending, basis.eigenvectors).probe_check(graph, seed=3)
         with pytest.raises(NumericsError, match="band"):
             SpectralBasis(basis.eigenvalues * 5, basis.eigenvectors).probe_check(
-                5 * lap, seed=3, unit_band=True
+                graph, seed=3, unit_band=True
             )
 
-    @given(symmetric_matrices())
-    def test_passes_whatever_sym_eig_returns(self, m):
-        sym_eig(m).probe_check(m, seed=0)
+    @given(random_graphs())
+    def test_passes_whatever_sym_eig_returns(self, graph):
+        sym_eig(build_normalized_laplacian(graph)).probe_check(graph, seed=0)
 
 
 class TestCache:
-    def lap(self):
-        ds = make_dataset(np.ones((5, 5)) - np.eye(5))
-        return build_normalized_laplacian(ds)
-
     def test_save_load_bit_exact(self, tmp_path):
-        lap = self.lap()
-        basis = sym_eig(lap)
-        path = save_basis(basis, tmp_path / "k5.eig", matrix_digest(lap))
-        back = load_basis(path, matrix_digest(lap))
+        graph = complete_graph()
+        basis = sym_eig(build_normalized_laplacian(graph))
+        path = save_basis(basis, tmp_path / "k5.eig", matrix_digest(graph))
+        back = load_basis(path, matrix_digest(graph))
         assert np.array_equal(back.eigenvalues, basis.eigenvalues)
         assert np.array_equal(back.eigenvectors, basis.eigenvectors)
 
@@ -265,14 +277,14 @@ class TestCache:
         # 80-byte header: tag, n as u64, raw matrix digest, payload SHA-256;
         # then eigenvalues and row-major eigenvectors; the 3-node path's
         # eigenvector matrix is not symmetric, so the two layouts differ
-        lap = path_laplacian(3)
-        basis = sym_eig(lap)
+        graph = path_graph(3)
+        basis = sym_eig(build_normalized_laplacian(graph))
         assert not np.array_equal(basis.eigenvectors, basis.eigenvectors.T)
-        raw = save_basis(basis, tmp_path / "p3.eig", matrix_digest(lap)).read_bytes()
+        raw = save_basis(basis, tmp_path / "p3.eig", matrix_digest(graph)).read_bytes()
         assert len(raw) == 80 + 3 * 8 + 9 * 8
         assert raw[:8] == CACHE_MAGIC == b"GNFEIG\x00\x03"
         assert int.from_bytes(raw[8:16], "little") == 3
-        assert raw[16:48] == bytes.fromhex(matrix_digest(lap))
+        assert raw[16:48] == bytes.fromhex(matrix_digest(graph))
         assert raw[48:80] == hashlib.sha256(raw[80:]).digest()
         vals = np.frombuffer(raw, dtype="<f8", count=3, offset=80)
         np.testing.assert_array_equal(vals, basis.eigenvalues)
@@ -282,33 +294,33 @@ class TestCache:
     def test_save_uses_unique_temp_file(self, tmp_path):
         stale = tmp_path / "k5.eig.tmp"
         stale.write_bytes(b"another writer")
-        lap = self.lap()
-        basis = sym_eig(lap)
-        digest = matrix_digest(lap)
+        graph = complete_graph()
+        basis = sym_eig(build_normalized_laplacian(graph))
+        digest = matrix_digest(graph)
         back = load_basis(save_basis(basis, tmp_path / "k5.eig", digest), digest)
         assert stale.read_bytes() == b"another writer"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["k5.eig", "k5.eig.tmp"]
         assert np.array_equal(back.eigenvectors, basis.eigenvectors)
 
     def test_load_or_compute_hits_cache(self, tmp_path):
-        lap = self.lap()
-        first = load_or_compute(lap, tmp_path)
+        graph = complete_graph()
+        first = decompose(graph, tmp_path)
         files = list(tmp_path.iterdir())
         assert len(files) == 1
-        assert files[0].name == f"{matrix_digest(lap)}.eig"
+        assert files[0].name == f"{matrix_digest(graph)}.eig"
         mtime = files[0].stat().st_mtime_ns
-        second = load_or_compute(lap, tmp_path)
+        second = decompose(graph, tmp_path)
         assert files[0].stat().st_mtime_ns == mtime
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
     def test_miss_then_hit_bitwise_equal(self, tmp_path, monkeypatch):
-        lap = path_laplacian(30)
-        miss = load_or_compute(lap, tmp_path)
+        graph = path_graph(30)
+        miss = decompose(graph, tmp_path)
         monkeypatch.setattr(
             "gnodeformer.spectral.sym_eig",
             lambda *a, **k: pytest.fail("a hit must not solve"),
         )
-        hit = load_or_compute(lap, tmp_path)
+        hit = load_or_compute(graph, tmp_path, no_laplacian)
         assert np.array_equal(hit.eigenvalues, miss.eigenvalues)
         assert np.array_equal(hit.eigenvectors, miss.eigenvectors)
         # one layout on both paths, so products downstream round alike
@@ -316,25 +328,42 @@ class TestCache:
         assert hit.eigenvectors.flags.c_contiguous
 
     def test_hit_skips_full_validation(self, tmp_path, monkeypatch):
-        lap = path_laplacian()
-        load_or_compute(lap, tmp_path)
+        graph = path_graph()
+        decompose(graph, tmp_path)
         monkeypatch.setattr(
             SpectralBasis, "validate",
             lambda *a, **k: pytest.fail("a hit must not run the O(n^3) validate"),
         )
-        load_or_compute(lap, tmp_path)
+        decompose(graph, tmp_path)
+
+    def test_hit_builds_no_laplacian(self, tmp_path):
+        # a hit holds the payload, n (n + 1) doubles, and beside it only
+        # _check_values' n x n booleans (an eighth of an n x n matrix) and
+        # arrays of n x 2 PROBES or m x PROBES entries: no n x n matrix
+        n = 600
+        graph = path_graph(n)
+        decompose(graph, tmp_path)
+        tracemalloc.start()
+        try:
+            load_or_compute(graph, tmp_path, no_laplacian)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra = peak - n * (n + 1) * 8
+        assert extra < 0.25 * n * n * 8, extra / (n * n * 8)
 
     def test_corrupt_cache_recomputed(self, tmp_path, caplog):
-        lap = self.lap()
-        load_or_compute(lap, tmp_path)
+        graph = complete_graph()
+        lap = build_normalized_laplacian(graph)
+        decompose(graph, tmp_path)
         path = next(tmp_path.iterdir())
         path.write_bytes(b"\x00" * 16)
         with caplog.at_level("WARNING"):
-            basis = load_or_compute(lap, tmp_path)
+            basis = decompose(graph, tmp_path)
         assert "bad cache entry" in caplog.text
         basis.validate(lap)
         # the rewritten entry is valid again
-        load_basis(path, matrix_digest(lap)).validate(lap)
+        load_basis(path, matrix_digest(graph)).validate(lap)
 
     @pytest.mark.parametrize(
         "offset, match",
@@ -348,88 +377,95 @@ class TestCache:
         ],
     )
     def test_flipped_byte_recomputed(self, tmp_path, caplog, offset, match):
-        lap = path_laplacian()
-        good = load_or_compute(lap, tmp_path)
-        path = tmp_path / f"{matrix_digest(lap)}.eig"
+        graph = path_graph()
+        good = decompose(graph, tmp_path)
+        path = tmp_path / f"{matrix_digest(graph)}.eig"
         flip_byte(path, offset)
-        self.assert_discarded_and_rewritten(lap, path, good, caplog, match)
+        self.assert_discarded_and_rewritten(graph, path, good, caplog, match)
 
     def test_low_order_bit_flip_caught_by_checksum(self, tmp_path, caplog):
         # flipping the last mantissa bit of one eigenvector entry leaves a
         # basis that the full validation accepts; only the checksum sees it
-        lap = path_laplacian()
-        good = load_or_compute(lap, tmp_path)
-        path = tmp_path / f"{matrix_digest(lap)}.eig"
+        graph = path_graph()
+        good = decompose(graph, tmp_path)
+        path = tmp_path / f"{matrix_digest(graph)}.eig"
         flip_byte(path, 80 + 8 * 8, mask=0x01)
         vecs = good.eigenvectors.copy()
         vecs[0, 0] = np.frombuffer(path.read_bytes(), "<f8", count=1, offset=80 + 8 * 8)[0]
         assert vecs[0, 0] != good.eigenvectors[0, 0]
+        lap = build_normalized_laplacian(graph)
         SpectralBasis(good.eigenvalues, vecs).validate(lap, unit_band=True)
-        self.assert_discarded_and_rewritten(lap, path, good, caplog, "checksum")
+        self.assert_discarded_and_rewritten(graph, path, good, caplog, "checksum")
 
     @pytest.mark.parametrize("entry", [v1_entry, v2_entry], ids=["v1", "v2"])
     def test_old_layout_entry_recomputed(self, tmp_path, caplog, entry):
-        lap = path_laplacian()
-        good = sym_eig(lap, unit_band=True)
-        digest = matrix_digest(lap)
+        graph = path_graph()
+        good = sym_eig(build_normalized_laplacian(graph), unit_band=True)
+        digest = matrix_digest(graph)
         path = tmp_path / f"{digest}.eig"
         path.write_bytes(entry(good, digest))
-        self.assert_discarded_and_rewritten(lap, path, good, caplog, "tag")
+        self.assert_discarded_and_rewritten(graph, path, good, caplog, "tag")
 
     @pytest.mark.parametrize("same_size", [False, True])
     def test_entry_of_another_matrix_recomputed(self, tmp_path, caplog, same_size):
-        lap = path_laplacian()
+        graph = path_graph()
         # the same-size other is the complete graph on the path's 8 nodes
-        k8 = np.ones((8, 8)) - np.eye(8)
-        other = build_normalized_laplacian(make_dataset(k8)) if same_size else self.lap()
-        load_or_compute(other, tmp_path)
-        path = tmp_path / f"{matrix_digest(lap)}.eig"
+        other = complete_graph(8 if same_size else 5)
+        decompose(other, tmp_path)
+        path = tmp_path / f"{matrix_digest(graph)}.eig"
         shutil.copy(tmp_path / f"{matrix_digest(other)}.eig", path)
-        good = sym_eig(lap, unit_band=True)
-        self.assert_discarded_and_rewritten(lap, path, good, caplog, "decomposes matrix")
+        good = sym_eig(build_normalized_laplacian(graph), unit_band=True)
+        self.assert_discarded_and_rewritten(graph, path, good, caplog, "decomposes matrix")
 
     @pytest.mark.parametrize("forge", [move_one_eigenvalue, swap_first_and_last_columns])
     def test_forged_entry_with_right_checksum_recomputed(self, tmp_path, caplog, forge):
-        lap = path_laplacian()
-        good = sym_eig(lap, unit_band=True)
-        digest = matrix_digest(lap)
+        graph = path_graph()
+        good = sym_eig(build_normalized_laplacian(graph), unit_band=True)
+        digest = matrix_digest(graph)
         path = save_basis(forge(good), tmp_path / f"{digest}.eig", digest)
         load_basis(path, digest)  # tag, digest and checksum all hold
-        self.assert_discarded_and_rewritten(lap, path, good, caplog, "reconstruction")
+        self.assert_discarded_and_rewritten(graph, path, good, caplog, "reconstruction")
 
     def test_entry_outside_the_band_recomputed(self, tmp_path, caplog):
         # tag, digest and checksum hold, but the eigenvalues are 5x too large
-        lap = path_laplacian()
-        good = sym_eig(lap, unit_band=True)
-        digest = matrix_digest(lap)
+        graph = path_graph()
+        good = sym_eig(build_normalized_laplacian(graph), unit_band=True)
+        digest = matrix_digest(graph)
         scaled = SpectralBasis(5 * good.eigenvalues, good.eigenvectors)
         path = save_basis(scaled, tmp_path / f"{digest}.eig", digest)
         self.assert_discarded_and_rewritten(
-            lap, path, good, caplog, "normalized-Laplacian band"
+            graph, path, good, caplog, "normalized-Laplacian band"
         )
 
     @staticmethod
-    def assert_discarded_and_rewritten(lap, path, good, caplog, match):
+    def assert_discarded_and_rewritten(graph, path, good, caplog, match):
         with caplog.at_level("WARNING"):
-            basis = load_or_compute(lap, path.parent)
+            basis = decompose(graph, path.parent)
         assert "discarding bad cache entry" in caplog.text
         assert match in caplog.text
         assert np.array_equal(basis.eigenvalues, good.eigenvalues)
         assert np.array_equal(basis.eigenvectors, good.eigenvectors)
         assert path.read_bytes()[:8] == CACHE_MAGIC
-        back = load_basis(path, matrix_digest(lap)).validate(lap, unit_band=True)
+        lap = build_normalized_laplacian(graph)
+        back = load_basis(path, matrix_digest(graph)).validate(lap, unit_band=True)
         assert np.array_equal(back.eigenvectors, good.eigenvectors)
         caplog.clear()
-        load_or_compute(lap, path.parent)
+        load_or_compute(graph, path.parent, no_laplacian)
         assert "bad cache entry" not in caplog.text
 
     def test_digest_distinguishes_matrices(self):
-        assert matrix_digest(np.eye(3)) != matrix_digest(2 * np.eye(3))
-        assert matrix_digest(np.zeros((2, 3))) != matrix_digest(np.zeros((3, 2)))
+        # graphs of one size, and one edge list over two node counts
+        assert matrix_digest(path_graph(3)) != matrix_digest(triangle())
+        assert matrix_digest(path_graph(3)) != matrix_digest(
+            SimpleNamespace(n=4, edges=path_graph(3).edges)
+        )
 
     def test_digest_ignores_memory_layout(self):
-        m = path_laplacian() + np.triu(np.ones((8, 8)))
-        assert matrix_digest(m) == matrix_digest(np.asfortranarray(m))
+        graph = path_graph()
+        for edges in (np.asfortranarray(graph.edges), graph.edges.astype(np.int32)):
+            assert matrix_digest(SimpleNamespace(n=graph.n, edges=edges)) == matrix_digest(
+                graph
+            )
 
     def test_truncated_file_rejected(self, tmp_path):
         p = tmp_path / "bad.eig"
@@ -445,9 +481,9 @@ class TestCache:
 
     def test_short_payload_read_rejected(self, tmp_path, monkeypatch):
         # a file cut after its size was read: the payload read comes up short
-        lap = path_laplacian(3)
-        digest = matrix_digest(lap)
-        path = save_basis(sym_eig(lap), tmp_path / "e.eig", digest)
+        graph = path_graph(3)
+        digest = matrix_digest(graph)
+        path = save_basis(sym_eig(build_normalized_laplacian(graph)), tmp_path / "e.eig", digest)
         size = path.stat().st_size
         path.write_bytes(path.read_bytes()[:-8])
         stat = SimpleNamespace(st_size=size)
@@ -471,9 +507,10 @@ class TestCache:
         tail=st.binary(max_size=16),
     )
     def test_damaged_entry_load_or_reject(self, edits, cut, tail):
-        lap = path_laplacian(3)
+        graph = path_graph(3)
+        basis = sym_eig(build_normalized_laplacian(graph))
         with tempfile.TemporaryDirectory() as tmp:
-            good = save_basis(sym_eig(lap), Path(tmp) / "e.eig", matrix_digest(lap))
+            good = save_basis(basis, Path(tmp) / "e.eig", matrix_digest(graph))
             raw = bytearray(good.read_bytes())
         for offset, mask in edits:
             raw[offset] ^= mask
