@@ -1,15 +1,23 @@
-"""Where a central training step goes: per-step forward, backward and Adam
-time, minor page faults and peak RSS.
+"""Where a central training step goes: per-step forward, backward, Adam
+and eval time, minor page faults and peak memory.
 
 Builds the SBM graph of --sbm and its eigenbasis, then runs --steps full
 training steps of the default model (the `train` command's defaults) at
 --rk. Each step is a forward with its loss, a backward and an Adam step,
-each timed with perf_counter and counted in minor page faults
-(getrusage), under the allocator policy that every command sets
-(cli.set_allocator_policy); the last column is the process's peak RSS
-(ru_maxrss) after the step. The first step pays one-time costs (imports,
-first touch of every buffer), so the summary line is the median of the
-later steps.
+then an eval: the validation forward and loss at the new parameters over
+a detached view (params.detached()), which builds no graph, as every
+forward that no step takes does. Each phase is timed with perf_counter
+and counted in minor page faults (getrusage), under the allocator policy
+that every command sets (cli.set_allocator_policy); the last column is
+the process's peak RSS (ru_maxrss) after the step. The first step pays
+one-time costs (imports, first touch of every buffer), so the median
+line covers the later steps.
+
+ru_maxrss is one high-water mark for the whole process, so the last line
+gives each phase's own peak: the most memory it allocated beyond what it
+started with, traced by tracemalloc in step 0. Step 0 starts on an empty
+attention pool, so the forward's peak counts the n x n arrays it holds
+for the backward; the eval forward holds none.
 
     python3 scripts/step_profile.py \\
         --sbm 'blocks=500,500,500;p_in=0.02;p_out=0.01;signal=0.6;seed=5' \\
@@ -21,8 +29,9 @@ import os
 import resource
 import statistics
 import time
+import tracemalloc
 
-PHASES = ("forward", "backward", "adam")
+PHASES = ("forward", "backward", "adam", "eval")
 
 
 def main() -> None:
@@ -59,40 +68,50 @@ def main() -> None:
     params = init_params(config, args.seed)
     state = init_optimizer(params, AdamConfig(lr=0.01))
 
-    def forward_loss():
-        logits, _ = forward(dataset, basis, config, params, dropout_seed=0)
-        return loss_and_metrics(logits, dataset.labels, dataset.train_mask)[0]
+    def loss_at(ps, mask, dropout_seed=None):
+        logits, _ = forward(dataset, basis, config, ps, dropout_seed)
+        return loss_and_metrics(logits, dataset.labels, mask)[0]
 
+    columns = ([f"{phase}_ms" for phase in PHASES]
+               + [f"faults_{phase}" for phase in PHASES] + ["maxrss_mb"])
     print(f"n={dataset.n} rk={args.rk} "
           f"blas_threads={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
-    print("step  forward_ms  backward_ms  adam_ms  "
-          "faults_forward  faults_backward  faults_adam  maxrss_mb")
-    rows = []
+    print("step  " + "  ".join(columns))
+    rows, peaks = [], []
     for step in range(args.steps):
         loss = grad = None
         times, faults = [], []
         for phase in PHASES:
+            if step == 0:
+                tracemalloc.start()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             if phase == "forward":
-                loss = forward_loss()
+                loss = loss_at(params, dataset.train_mask, dropout_seed=0)
             elif phase == "backward":
                 grad = backward(loss, params)
                 loss = None
-            else:
+            elif phase == "adam":
                 adam_step(params, grad, state)
+            else:
+                loss_at(params.detached(), dataset.val_mask)
             times.append((time.perf_counter() - start) * 1e3)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            if step == 0:
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+                tracemalloc.stop()
         # ru_maxrss is in KiB on Linux
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         rows.append((*times, *faults, maxrss))
-        print(f"{step:<4}  {times[0]:10.1f}  {times[1]:11.1f}  {times[2]:7.1f}  "
-              f"{faults[0]:14d}  {faults[1]:15d}  {faults[2]:11d}  {maxrss:9.1f}")
+        print(f"{step:<4}  " + "  ".join(
+            f"{value:{len(name)}.1f}" if name.endswith(("_ms", "_mb"))
+            else f"{value:{len(name)}d}"
+            for name, value in zip(columns, rows[-1])))
     medians = [statistics.median(column) for column in zip(*rows[1:])]
     print(f"median of steps 1-{args.steps - 1}: "
-          + "  ".join(f"{name} {value:.1f}" for name, value in zip(
-              ("forward_ms", "backward_ms", "adam_ms", "faults_forward",
-               "faults_backward", "faults_adam", "maxrss_mb"), medians)))
+          + "  ".join(f"{name} {value:.1f}" for name, value in zip(columns, medians)))
+    print("traced peak_mb of step 0: "
+          + "  ".join(f"{phase} {peak:.2f}" for phase, peak in zip(PHASES, peaks)))
 
 
 if __name__ == "__main__":

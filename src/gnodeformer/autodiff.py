@@ -87,12 +87,13 @@ def _erf_scaled(x: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     # with |a| >= 1, where the clipped square is 1, are overwritten below
     small = np.clip(a, -1.0, 1.0)
     z = small * small
-    erf = _horner(_ERF_T, z)
+    # the tail's entries of a are taken first, so that erf can be made in a
+    tail = np.flatnonzero(z >= 1.0)
+    at = np.take(a, tail)
+    erf = _horner(_ERF_T, z, out=a)
     erf *= small
     erf /= _horner(_ERF_U, z, out=small)
-    tail = np.flatnonzero(z >= 1.0)
     gauss_t = np.take(gauss, tail)
-    at = np.take(a, tail)
     mag = np.minimum(np.abs(at), 8.0)
     gauss_t *= _horner(_ERFC_P, mag)
     gauss_t /= _horner(_ERFC_Q, mag)
@@ -107,6 +108,9 @@ class _ArrayPool:
     until its backward. Allocated afresh each step, they would land on
     pages that glibc gave back to the kernel when the last backward freed
     them, and every forward would fault them in again.
+
+    A forward that no backward can reach holds no E and takes nothing
+    from the pool (see _attend's ``held``).
 
     take() returns a view of a pooled array that no other array refers
     to. Whether an array is in use is read from the pooled array's own
@@ -234,6 +238,10 @@ class Tensor:
         cdf = _erf_scaled(x, gauss)
         cdf += 1.0
         cdf *= 0.5
+        if not self.requires_grad:
+            # no backward can reach this node, so no slope: x * cdf in place
+            cdf *= x
+            return Tensor(cdf)
         # the slope now, not in backward: there its temporaries raise the peak RSS
         gauss *= _INV_SQRT_2PI
         local = cdf + x * gauss
@@ -474,7 +482,10 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (x, gain, bias), backward)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float, seed: int):
+def _attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float, seed: int,
+    held: bool = True,
+):
     """Scaled dot-product attention over arrays, walking the n x n array
     in row tiles.
 
@@ -516,16 +527,30 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
     like E.
 
     E, and with dropout its boolean mask, come from _POOL: an array that
-    no graph refers to any more (its backward has run, or an eval forward
-    was dropped) is handed to the next call of the same shape, so a
-    step's n x n memory stays mapped across steps. Every entry of both is
+    no graph refers to any more (its backward has run, or a forward was
+    dropped) is handed to the next call of the same shape, so a step's
+    n x n memory stays mapped across steps. Every entry of both is
     overwritten, so reuse changes no bits.
+
+    ``held`` False is the forward half alone, for a call that no backward
+    can reach: each tile of E, and with dropout its mask, is written into
+    one tile-sized buffer that the next tile overwrites, nothing comes
+    from _POOL, and weights and grads are None. Each tile runs the same
+    operations on the same values, so the context has the same bits.
     """
     n, m = q.shape[0], k.shape[0]
     dh = v.shape[1]
     keep_scale = _keep_scale(p)
     rows = _tile_rows(m)
-    tiles = [slice(i, i + rows) for i in range(0, n, rows)]
+    tiles = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+    # held: the whole n x m arrays that grads reads; otherwise one tile's
+    # rows, which every tile reuses from the top
+    shape = (n, m) if held else (min(rows, n), m)
+    take = _POOL.take if held else np.empty
+
+    def rows_of(a: np.ndarray, s: slice) -> np.ndarray:
+        return a[s] if held else a[: s.stop - s.start]
+
     scale = float(scale)
     qs = q * scale
     # a NaN or inf here (0 * inf, an overflowing square) only sends the
@@ -538,10 +563,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
         lhs, rhs = np.hstack((qs, -shift)), np.hstack((k, np.ones((m, 1))))
     else:
         lhs, rhs = qs, k
-    weights = _POOL.take((n, m))
+    weights = take(shape)
     if p:
         rng = np.random.default_rng(seed)
-        keep = _POOL.take((n, m), bool)
+        keep = take(shape, bool)
         buf = np.empty((min(rows, n), m))
         vs = v * keep_scale
         context, row_sums = np.empty((n, dh)), np.empty((n, 1))
@@ -550,7 +575,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
         vo = np.hstack((v, np.ones((m, 1))))
         out = np.empty((n, dh + 1))
     for s in tiles:
-        tile = weights[s]
+        tile = rows_of(weights, s)
         np.matmul(lhs[s], rhs.T, out=tile)
         if not bound:
             if not np.isfinite(tile).all():
@@ -560,10 +585,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
         if keep is None:
             np.matmul(tile, vo, out=out[s])
             continue
-        d = buf[: len(tile)]
+        d, mask = buf[: len(tile)], rows_of(keep, s)
         rng.random(out=d)
-        np.greater_equal(d, p, out=keep[s])
-        _masked(tile, keep[s], d)
+        np.greater_equal(d, p, out=mask)
+        _masked(tile, mask, d)
         np.matmul(d, vs, out=context[s])
         tile.sum(axis=1, keepdims=True, out=row_sums[s])
     if keep is None:
@@ -571,9 +596,11 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, p: float,
         context = out[:, :dh] / row_sums
     else:
         context /= row_sums
-    weights.flags.writeable = False
     # grads reads the context: a caller's edit would corrupt dq and dk
     context.flags.writeable = False
+    if not held:
+        return context, None, row_sums, None
+    weights.flags.writeable = False
 
     def grads(g):
         gs = g / row_sums
@@ -658,6 +685,10 @@ def attention_head(
     tiles. The products around it are the composition's, and
     backward passes the gradients to wo, then x and wv, x and wk, x and
     wq, the order in which the unfused nodes did.
+
+    Only a head that a backward can reach, where one of x, wq, wk, wv and
+    wo requires a gradient, holds E; any other writes one tile at a time
+    (_attend's ``held``), with the same bits.
     """
     xd = x.data
     if not (
@@ -669,7 +700,10 @@ def attention_head(
             f"attention head shapes x {xd.shape}, q {wq.data.shape}, "
             f"k {wk.data.shape}, v {wv.data.shape}, o {wo.data.shape} incompatible"
         )
-    context, _, _, grads = _attend(xd @ wq.data, xd @ wk.data, xd @ wv.data, scale, p, seed)
+    reached = any(t.requires_grad for t in (x, wq, wk, wv, wo))
+    context, _, _, grads = _attend(
+        xd @ wq.data, xd @ wk.data, xd @ wv.data, scale, p, seed, reached
+    )
 
     def backward(g):
         dctx = g @ wo.data.T

@@ -229,9 +229,10 @@ def cmd_train(args) -> int:
         _write_central_csv(out / "metrics.csv", history)
         save_checkpoint(params, out / "checkpoint.bin")
     # one eval forward serves both the filter table and the test score: the
-    # last validation forward when it ran at these params, else a new one
+    # last validation forward when it ran at these params, else a new one,
+    # which no step takes and so builds no graph
     if last is None:
-        last = forward(dataset, basis, config, params)
+        last = forward(dataset, basis, config, params.detached())
     logits, gamma = last
     with _writing(out):
         write_filter_table(out / "filters.txt", basis.eigenvalues, gamma.data)

@@ -309,12 +309,15 @@ def evaluate_global(
     Each client is evaluated on its own subgraph; contributions are
     weighted by the client's test-node count. ``scores`` maps client ids
     to (loss, accuracy) already measured at ``params`` (client_update's
-    score); only the other clients with test nodes run a forward.
+    score); only the other clients with test nodes run a forward. No step
+    takes those forwards, so they run over ``params.detached()`` and
+    build no graph.
     """
     scores = dict(scores or {})
+    view = params.detached()
     for client in _unscored(clients, scores):
         scores[client.client_id] = evaluate(
-            client.dataset, client.basis, config, params, client.dataset.test_mask
+            client.dataset, client.basis, config, view, client.dataset.test_mask
         )[:2]
     return _pool_scores(clients, scores)
 

@@ -95,9 +95,19 @@ class ParamSet:
     def like(self, flat: np.ndarray) -> "ParamSet":
         """A set with this one's names, shapes and requires_grad flags whose
         tensors are views of ``flat`` (not copied)."""
+        return self._view(flat, keep_grad=True)
+
+    def detached(self) -> "ParamSet":
+        """A set whose tensors are views of this one's buffer (not copied)
+        and require no gradient, so a forward over it builds no graph: for
+        a forward that no backward takes. An in-place change to either set
+        shows in the other."""
+        return self._view(self.flat, keep_grad=False)
+
+    def _view(self, flat: np.ndarray, keep_grad: bool) -> "ParamSet":
         out = ParamSet()
         out._items = {
-            name: Tensor(t.data, requires_grad=t.requires_grad)
+            name: Tensor(t.data, requires_grad=keep_grad and t.requires_grad)
             for name, t in self._items.items()
         }
         out._bind(flat)

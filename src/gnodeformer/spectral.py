@@ -104,7 +104,7 @@ class SpectralBasis:
         vals, vecs = self.eigenvalues, self.eigenvectors
         if vals.shape != (self.n,) or vecs.shape != (self.n, self.n):
             raise NumericsError("basis shapes inconsistent")
-        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        if not (_all_finite(vals) and _all_finite(vecs)):
             raise NumericsError("basis contains non-finite entries")
         if (np.diff(vals) < 0).any():
             raise NumericsError("eigenvalues not ascending")
@@ -115,6 +115,12 @@ class SpectralBasis:
                     f"eigenvalues [{vals.min():.3e}, {vals.max():.3e}] "
                     "outside the normalized-Laplacian band [0, 2]"
                 )
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, read without an array of
+    a's size: min and max propagate a NaN, and an inf is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -140,7 +146,7 @@ def sym_eig(matrix: np.ndarray, unit_band: bool = False) -> SpectralBasis:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NumericsError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
+    if not _all_finite(matrix):
         raise NumericsError("matrix contains non-finite entries")
     diff = matrix - matrix.T
     asym = np.abs(diff, out=diff).max(initial=0.0)

@@ -13,9 +13,11 @@ at the same parameters follows. That step then runs only the loss,
 backward and Adam. ``train_centralized`` hands each validation forward
 to the next step, and ``fedsim.client_update`` hands the forward that
 scores the received parameters to the first local step. Where no step
-takes it, the forward is dropped before the next step runs, so no eval
-graph is held across one; only the last validation forward goes back to
-the caller, whose filter table and test score need that same forward.
+takes it, the forward runs over ``params.detached()`` and builds no graph:
+no backward closures, no gelu slope and no n x n attention array held
+(the attention writes one tile at a time). Only the last validation
+forward goes back to the caller, whose filter table and test score need
+that same forward.
 """
 
 import logging
@@ -107,9 +109,14 @@ def evaluate(
     logits: Tensor | None = None,
 ) -> tuple[float, float, tuple[Tensor, Tensor | None]]:
     """Loss and accuracy on ``mask`` with dropout disabled, and the eval
-    forward's (logits, gamma) they were scored from, the logits' graph
-    included, so the caller may hand it to a training step (see
-    ``hands_off``).
+    forward's (logits, gamma) they were scored from.
+
+    The forward builds a graph exactly when some of ``params`` require a
+    gradient.
+    Pass the training set itself only when a step takes the forward (see
+    ``hands_off``); otherwise pass ``params.detached()``, whose forward
+    keeps no backward closures, computes no gelu slope and holds no n x n
+    attention array. The scores are the same bits either way.
 
     ``logits``, if given, is an eval forward already made at ``params``
     and is scored instead of running a new one; gamma is then None.
@@ -138,9 +145,9 @@ def train_centralized(
     epochs, and the best-validation parameters are restored.
 
     The third item is the eval forward's (logits, gamma) at the returned
-    params, graph included, when the last validation ``evaluate`` ran at
-    them, else None (no epochs, no validation mask, or parameters
-    restored from an earlier epoch).
+    params, made over a detached view and so carrying no graph, when the
+    last validation ``evaluate`` ran at them, else None (no epochs, no
+    validation mask, or parameters restored from an earlier epoch).
     """
     if epochs < 0:
         raise ConfigError("epochs must be >= 0")
@@ -166,13 +173,16 @@ def train_centralized(
         )[0]
         last = None
         if has_val:
-            val_loss, val_accuracy, last = evaluate(
-                dataset, basis, config, params, dataset.val_mask
-            )
             # a later step takes this forward only under the hand-off
-            # rule; after the last step it goes to the caller
+            # rule; any other runs detached, and after the last step it
+            # goes to the caller
             left = epochs - epoch - 1
-            if left and not hands_off(config, left):
+            taken = hands_off(config, left)
+            val_loss, val_accuracy, last = evaluate(
+                dataset, basis, config, params if taken else params.detached(),
+                dataset.val_mask,
+            )
+            if left and not taken:
                 last = None
             record = replace(record, val_loss=val_loss, val_accuracy=val_accuracy)
         history.append(record)

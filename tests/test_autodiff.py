@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 import time
@@ -28,7 +29,12 @@ from gnodeformer.graphs import SbmConfig, build_normalized_laplacian, generate_s
 from gnodeformer.model import ModelConfig, forward, init_params, loss_and_metrics
 from gnodeformer.optim import AdamConfig, ParamSet, adam_step, init_optimizer
 from gnodeformer.spectral import sym_eig
-from tests.helpers import central_difference_grads, max_rel_err, named_grads
+from tests.helpers import (
+    central_difference_grads,
+    max_rel_err,
+    named_grads,
+    package_env,
+)
 
 GRAD_TOL = 1e-5
 
@@ -504,6 +510,52 @@ class TestAttention:
         with pytest.raises(NumericsError, match="probability"):
             attention_head(x, *ws, 1.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "row_max"])
+    def test_forward_only_gives_the_held_context(self, rng, monkeypatch, bound, p):
+        # held False: the same context and row sums, no E, no grads, and
+        # nothing taken from the pool
+        pool = autodiff._ArrayPool()
+        monkeypatch.setattr(autodiff, "_POOL", pool)
+        if not bound:
+            monkeypatch.setattr(autodiff, "_SHIFT_BOUND_LIMIT", -1.0)
+        q, k, v = (rng.uniform(-2, 2, size=(50, d)) for d in (3, 3, 4))
+        context, weights, row_sums, grads = autodiff._attend(q, k, v, 0.5, p, 3, False)
+        assert weights is None and grads is None
+        assert pool._arrays == []
+        want = autodiff._attend(q, k, v, 0.5, p, 3)
+        assert context.tobytes() == want[0].tobytes()
+        assert row_sums.tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    def test_forward_only_tile_boundaries(self, blas_threads):
+        # n = rows - 1, rows, rows + 1 and 2 rows + 1 for 128-row tiles, in
+        # a child process with its own BLAS thread count; 17 columns in
+        # the tile products put them past OpenBLAS's threading threshold
+        env = dict(package_env(), OPENBLAS_NUM_THREADS=str(blas_threads))
+        result = subprocess.run(
+            [sys.executable, "-c", FORWARD_ONLY_CHILD],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2 * 4 * 2
+        assert all(line.endswith(" same") for line in lines), lines
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_head_holds_e_only_when_a_backward_can_reach_it(self, rng, monkeypatch, p):
+        pool = autodiff._ArrayPool()
+        monkeypatch.setattr(autodiff, "_POOL", pool)
+        x, ws = head_leaves(rng, 30)
+        consts = [Tensor(t.data) for t in (x, *ws)]
+        out = attention_head(*consts, 0.7, p, seed=2)
+        assert pool._arrays == []
+        assert not out.requires_grad and out._parents == ()
+        # one tensor that takes a gradient, here wo, makes the head hold E
+        held = attention_head(*consts[:4], ws[3], 0.7, p, seed=2)
+        assert len(pool._arrays) == (2 if p else 1)
+        assert held.data.tobytes() == out.data.tobytes()
+
     def test_backward_frees_probabilities(self, rng, monkeypatch):
         attend, refs = autodiff._attend, []
 
@@ -519,6 +571,28 @@ class TestAttention:
         assert ref() is not None  # held by the graph until backward
         named_grads(loss, {str(i): t for i, t in enumerate([x, *ws])})
         assert ref() is None
+
+
+FORWARD_ONLY_CHILD = """
+import numpy as np
+from gnodeformer import autodiff
+
+rows = 128
+rng = np.random.default_rng(5)
+for limit in (autodiff._SHIFT_BOUND_LIMIT, -1.0):
+    autodiff._SHIFT_BOUND_LIMIT = limit
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        autodiff._ATTEND_TILE_BYTES = rows * n * 8
+        assert autodiff._tile_rows(n) == rows
+        q, k = rng.uniform(-2, 2, (n, 16)), rng.uniform(-2, 2, (n, 16))
+        v = rng.uniform(-1, 1, (n, 16))
+        for p in (0.0, 0.3):
+            held = autodiff._attend(q, k, v, 0.35, p, 3)
+            alone = autodiff._attend(q, k, v, 0.35, p, 3, False)
+            same = held[0].tobytes() == alone[0].tobytes()
+            same = same and held[2].tobytes() == alone[2].tobytes()
+            print(limit, n, p, "same" if same else "differs")
+"""
 
 
 def central_step(dataset, basis, config, params, seed=3):
@@ -928,6 +1002,17 @@ class TestForwardValues:
         assert np.array_equal(out.data, x * cdf)
         assert np.array_equal(grad, w * (cdf + x * pdf))
         assert Tensor(x.T).gelu().data.T.tobytes() == out.data.tobytes()
+
+    def test_gelu_without_gradient_builds_no_node(self, rng):
+        # a constant input gives the leaf's values, and a tensor with no
+        # parents and no backward rule
+        edges = [[0.0, -0.0, 1e-300, -40.0, 40.0, 7.5, -7.5]]
+        x = np.concatenate([rng.uniform(-6, 6, (5, 7)), edges])
+        out = Tensor(x.copy()).gelu()
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        want = Tensor(x.copy(), requires_grad=True).gelu()
+        assert want._backward is not None
+        assert out.data.tobytes() == want.data.tobytes()
 
     def test_gelu_erf_within_4_ulp_of_math_erf(self):
         # the kernel's erf(x / sqrt 2) against math.erf of the same

@@ -4,6 +4,7 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -713,6 +714,29 @@ class TestDeferredGlobalRow:
             dropout=0.1,
         )
         self.run(model=model)
+
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_global_forwards_run_detached(self, monkeypatch, activation):
+        # evaluate_global scores over a detached view, and gives the scores
+        # of graph-building forwards (spelled_out_global's) bit for bit
+        ds = global_sbm(n_per_block=40)
+        cfg = small_fed_config(
+            model=replace(small_fed_config().model, rk_order=4, activation=activation)
+        )
+        clients = build_clients(ds, cfg)
+        params = init_params(cfg.model, 2)
+        graphs = []
+        real_evaluate = fedsim.evaluate
+
+        def evaluate_and_watch(dataset, basis, config, params, mask):
+            graphs.append(any(t.requires_grad for t in params.values()))
+            return real_evaluate(dataset, basis, config, params, mask)
+
+        monkeypatch.setattr(fedsim, "evaluate", evaluate_and_watch)
+        got = evaluate_global(clients, cfg.model, params)
+        assert graphs and not any(graphs)
+        want = spelled_out_global(clients, cfg.model, params)
+        assert [bits(x) for x in got] == [bits(x) for x in want]
 
     def test_row_after_a_client_aborts_past_its_forward(self, monkeypatch):
         real = fedsim.run_epochs

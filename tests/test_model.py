@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -580,6 +581,59 @@ class TestForward:
         params = init_params(cfg, seed=0)
         with pytest.raises(ConfigError, match="features"):
             forward(ds, basis, cfg, params)
+
+
+def no_graph(t: Tensor) -> bool:
+    return not t.requires_grad and t._parents == () and t._backward is None
+
+
+class TestDetachedForward:
+    """A forward over params.detached() builds no graph: no backward
+    closures, no gelu slope and no held n x n attention array. It must
+    give the graph-building forward's bits."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "gelu"])
+    @pytest.mark.parametrize("rk", [1, 2, 4])
+    def test_equals_graph_forward(self, rk, activation, dropout):
+        # 300 nodes: two row tiles per attention call, the second short
+        ds = generate_sbm(SbmConfig((100, 100, 100), 0.1, 0.02, feature_dim=6, seed=2))
+        basis = sym_eig(build_normalized_laplacian(ds), unit_band=True)
+        assert 1 < ds.n / autodiff._tile_rows(ds.n) < 2
+        cfg = ModelConfig(
+            feature_dim=6, classes=3, d=8, heads=2, layers=2, rk_order=rk, hidden=8,
+            dropout=dropout, activation=activation,
+        )
+        params = init_params(cfg, seed=3)
+        seed = 5 if dropout else None
+        logits, gamma = forward(ds, basis, cfg, params, seed)
+        got_logits, got_gamma = forward(ds, basis, cfg, params.detached(), seed)
+        assert logits.requires_grad and no_graph(got_logits)
+        assert got_logits.data.tobytes() == logits.data.tobytes()
+        assert got_gamma.data.tobytes() == gamma.data.tobytes()
+
+    def test_holds_no_square_array(self, monkeypatch):
+        # n = 600: under tracemalloc, the graph-building forward holds its
+        # 16 E arrays (2 layers x 4 stages x 2 heads) on a fresh pool; a
+        # detached one peaks below a single n x n array
+        ds = generate_sbm(SbmConfig((200, 200, 200), 0.05, 0.01, seed=1))
+        basis = sym_eig(build_normalized_laplacian(ds), unit_band=True)
+        cfg = ModelConfig(ds.feature_dim, ds.num_classes, rk_order=4, activation="gelu")
+        params = init_params(cfg, seed=1)
+        square = ds.n * ds.n * 8
+
+        def traced_forward(ps):
+            monkeypatch.setattr(autodiff, "_POOL", autodiff._ArrayPool())
+            tracemalloc.start()
+            try:
+                forward(ds, basis, cfg, ps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        detached = traced_forward(params.detached())
+        assert detached < square, detached / square
+        assert traced_forward(params) > 16 * square
 
 
 class TestLossAndMetrics:

@@ -95,6 +95,19 @@ class TestFlatLayout:
         assert_views_of_buffer(back)
         assert back.flat.tobytes() == merged.flat.tobytes()
 
+    def test_detached_is_a_gradient_free_view(self, rng):
+        ps = desk_params(0)
+        view = ps.detached()
+        assert_views_of_buffer(view)
+        assert view.flat is ps.flat
+        assert view.layout() == ps.layout()
+        assert any(t.requires_grad for t in ps.values())
+        assert not any(t.requires_grad for t in view.values())
+        # the same storage: an update to either set shows in the other
+        ps.flat[0] += 1.0
+        name = ps.names()[0]
+        assert view[name].data.flat[0] == ps[name].data.flat[0]
+
     def test_writes_through_the_buffer_reach_the_tensors(self, rng):
         ps = small_params(rng)
         ps.flat[:] = 7.0

@@ -61,12 +61,22 @@ def test_step_profile():
     )
     assert lines[0] == "n=60 rk=2 blas_threads=1"
     header = lines[1].split()
-    assert header == ["step", "forward_ms", "backward_ms", "adam_ms", "faults_forward",
-                      "faults_backward", "faults_adam", "maxrss_mb"]
+    assert header == ["step", "forward_ms", "backward_ms", "adam_ms", "eval_ms",
+                      "faults_forward", "faults_backward", "faults_adam", "faults_eval",
+                      "maxrss_mb"]
     rows = [line.split() for line in lines[2:5]]
     assert [row[0] for row in rows] == ["0", "1", "2"]
     for row in rows:
         assert len(row) == len(header)
         assert all(float(v) >= 0 for v in row[1:])
     assert lines[5].startswith("median of steps 1-2: forward_ms ")
-    assert len(lines) == 6
+    assert len(lines[5].split(": ")[1].split()) == 2 * (len(header) - 1)
+    label, peaks = lines[6].split(": ")
+    assert label == "traced peak_mb of step 0"
+    words = peaks.split()
+    peak = dict(zip(words[::2], map(float, words[1::2])))
+    assert list(peak) == ["forward", "backward", "adam", "eval"]
+    # the training forward holds its graph and the attention's n x n
+    # arrays; the detached eval forward holds neither
+    assert 0 < peak["eval"] < peak["forward"]
+    assert len(lines) == 7

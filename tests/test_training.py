@@ -312,6 +312,27 @@ class TestForwardReuse:
         assert len(refs) == 2 * len(history)
         assert all(ref() is None for ref in refs)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_forwards_no_step_takes_run_detached(self, monkeypatch, dropout):
+        # without dropout each validation forward but the last is handed to
+        # the next step and builds a graph; every other one runs over a
+        # detached view, and the one returned carries no graph
+        ds, basis, cfg = small_problem(dropout=dropout)
+        graphs = []
+        real_evaluate = training.evaluate
+
+        def evaluate_and_watch(dataset, basis, config, params, mask, logits=None):
+            graphs.append(any(t.requires_grad for t in params.values()))
+            return real_evaluate(dataset, basis, config, params, mask, logits)
+
+        monkeypatch.setattr(training, "evaluate", evaluate_and_watch)
+        _, _, (logits, gamma) = train_centralized(
+            ds, basis, cfg, AdamConfig(lr=0.01), epochs=5, seed=0
+        )
+        assert graphs == [dropout == 0] * 4 + [False]
+        for t in (logits, gamma):
+            assert not t.requires_grad and t._parents == () and t._backward is None
+
     def test_reused_logits_require_dropout_zero(self):
         ds, basis, cfg = small_problem(dropout=0.2)
         params = init_params(cfg, seed=0)
